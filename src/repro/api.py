@@ -13,8 +13,7 @@ Everything a caller needs to run simulations lives here::
 **API stability.**  Names exported from ``repro.api`` follow a
 deprecation policy: they are never removed or re-signatured without at
 least one release in which the old spelling still works and emits
-``DeprecationWarning`` (see ``parse_scheme`` and the ``Runner.run_simple``
-keyword pass-through for the current examples).  Internal modules
+``DeprecationWarning``.  Internal modules
 (``repro.sim``, ``repro.harness`` internals, ``repro.core``) remain free
 to refactor between releases — import them directly only when you accept
 that churn.
@@ -109,12 +108,11 @@ def _make_runner(
     gpu: Optional[GPUConfig],
     max_events: Optional[int],
     store: Optional[ResultStore],
-    cache_dir,
 ) -> Runner:
     kwargs = {}
     if max_events is not None:
         kwargs["max_events"] = max_events
-    return Runner(gpu, store=store, cache_dir=cache_dir, **kwargs)
+    return Runner(gpu, store=store, **kwargs)
 
 
 def simulate(
@@ -126,11 +124,9 @@ def simulate(
     cta_threads: Optional[int] = None,
     stream_policy: str = PER_CHILD,
     trace_interval: float = 1000.0,
-    engine: str = "default",
     max_events: Optional[int] = None,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
-    cache_dir=None,
     tracer: Optional[Tracer] = None,
 ) -> SimResult:
     """Run (or fetch from cache) one benchmark/scheme combination.
@@ -138,12 +134,11 @@ def simulate(
     The end-to-end entry point: builds the Table I benchmark, parses the
     scheme, simulates on ``gpu`` (default: the paper's K20m-like
     configuration) and returns the :class:`SimResult`.  Pass ``runner`` to
-    share caches across calls; otherwise ``store``/``cache_dir`` control
-    persistence for this call's throwaway runner.  ``engine`` selects the
-    simulation core (``"fast"`` for the certified batch-stepping engine).
+    share caches across calls; otherwise ``store`` controls persistence
+    for this call's throwaway runner.
     """
     if runner is None:
-        runner = _make_runner(gpu, max_events, store, cache_dir)
+        runner = _make_runner(gpu, max_events, store)
     config = RunConfig(
         benchmark=benchmark,
         scheme=scheme,
@@ -151,7 +146,6 @@ def simulate(
         cta_threads=cta_threads,
         stream_policy=stream_policy,
         trace_interval=trace_interval,
-        engine=engine,
     )
     return runner.run(config, tracer=tracer)
 
@@ -166,7 +160,7 @@ def speedup(
 ) -> float:
     """Speedup of ``scheme`` over the flat variant (the paper's metric)."""
     if runner is None:
-        runner = _make_runner(gpu, None, None, None)
+        runner = _make_runner(gpu, None, None)
     return runner.speedup(benchmark, scheme, seed=seed)
 
 
@@ -184,7 +178,6 @@ def run_suite(
     max_events: Optional[int] = None,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
-    cache_dir=None,
     tracer: Optional[Tracer] = None,
 ) -> SuiteReport:
     """Run a whole set of configs fault-tolerantly; quarantine failures.
@@ -193,12 +186,12 @@ def run_suite(
     ``(benchmark, scheme)`` pairs (run under ``seed``).  The suite
     completes even when individual runs crash, hang past ``timeout``, or
     fail permanently — inspect :attr:`SuiteReport.failures` afterwards, or
-    call :meth:`SuiteReport.raise_if_failed`.  Attach a ``store`` (or
-    ``cache_dir``) to checkpoint completed runs: re-invoking after a
-    mid-suite kill re-simulates only the missing configs.
+    call :meth:`SuiteReport.raise_if_failed`.  Attach a ``store`` to
+    checkpoint completed runs: re-invoking after a mid-suite kill
+    re-simulates only the missing configs.
     """
     if runner is None:
-        runner = _make_runner(gpu, max_events, store, cache_dir)
+        runner = _make_runner(gpu, max_events, store)
     policy = ExecutionPolicy(
         timeout=timeout,
         max_retries=max_retries,
@@ -223,7 +216,6 @@ def serve(
     store_url: Optional[str] = None,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
-    cache_dir=None,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Optional[Tracer] = None,
@@ -260,10 +252,10 @@ def serve(
         autotune=autotune,
     )
     if shards > 1:
-        if runner is not None or store is not None or cache_dir is not None:
+        if runner is not None or store is not None:
             raise HarnessError(
                 "serve(shards=N) builds one runner per shard from "
-                "store_url; pass store_url, not runner/store/cache_dir"
+                "store_url; pass store_url, not runner/store"
             )
         return ServiceFleet(
             fleet_runners(shards, store_url=store_url),
@@ -275,7 +267,7 @@ def serve(
     if store is None and store_url is not None:
         store = open_store(store_url)
     if runner is None:
-        runner = _make_runner(None, None, store, cache_dir)
+        runner = _make_runner(None, None, store)
     return SimulationService(
         runner,
         config=config,

@@ -1,31 +1,56 @@
 """Naive reference implementations for differential engine validation.
 
-PR 2 optimized the engine hot path: the tuple-heap :class:`EventQueue` with
-dead-entry compaction, the maintained ``next_target`` horizon in
-:meth:`SMX.next_event_time`, and the insertion-ordered-dict LRU in the L2
-model.  Each optimized component gets a deliberately naive counterpart here
-— linear-scan event list, recomputed-from-scratch horizons, list-based LRU
-— with *identical semantics*.  :func:`run_differential` runs the same
-application through both simulators and asserts the event streams are
-identical event-for-event and the final stats are bit-identical, which is
-how an ordering bug in an optimization surfaces even when the makespan
-happens to cancel out.
+Each optimized part of the simulator has a deliberately naive counterpart
+here with *identical semantics*:
+
+* :class:`ReferenceEventQueue` — a linear-scan event list with eager
+  removal, against the calendar-bucket :class:`~repro.sim.events.EventQueue`;
+* :class:`ReferenceSMX` — scalar per-CTA progress with the event horizon
+  recomputed from scratch on every query, against the columnar
+  :class:`~repro.sim.smx.SMX` with its cached horizon and pending-decision
+  counter;
+* :class:`ReferenceGMU` — a dispatch scan that always runs, against the
+  GMU's dispatchable-head counter;
+* :class:`ReferenceLRUCache` / :class:`ReferenceMemorySystem` — list-based
+  LRU sets and a materialized line list for every footprint, against the
+  dict LRU and the range-fed single-region path;
+* :class:`ReferenceSimulator` — today's per-CTA dispatch: it slices
+  ``thread_items`` / ``mem_bases``, materializes child specs with
+  :func:`~repro.sim.kernel.spec_from_request` and builds CTAs with
+  :class:`~repro.sim.instances.CTAInstance`, against the per-spec and
+  closed-form dispatch plans of :mod:`repro.sim.engine`.
+
+:func:`run_differential` runs the same application through the simulator
+and the reference and asserts the event streams are identical
+event-for-event and the final stats are bit-identical, which is how an
+ordering bug in an optimization surfaces even when the makespan happens to
+cancel out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.check.golden import GoldenMismatch, canonical_events, diff_traces
 from repro.errors import SimulationError
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import KERNEL_FIRST_DISPATCH, Tracer
+from repro.sim.config import WARP_SIZE
 from repro.sim.engine import GPUSimulator
 from repro.sim.events import Event
-from repro.sim.instances import EPSILON, CTAInstance
-from repro.sim.kernel import Application
+from repro.sim.gmu import GMU
+from repro.sim.instances import (
+    EPSILON,
+    CTAInstance,
+    KernelInstance,
+    KernelState,
+    PendingDecision,
+)
+from repro.sim.kernel import Application, ChildRequest, spec_from_request
 from repro.sim.memory import MemorySystem, SetAssociativeCache
-from repro.sim.smx import SMX
+from repro.sim.smx import SMX, SMXResources
 
 
 class ReferenceEventQueue:
@@ -33,7 +58,7 @@ class ReferenceEventQueue:
 
     Same contract as :class:`repro.sim.events.EventQueue` (stable FIFO
     among same-time events via the sequence number, monotone clock), none
-    of the heap/compaction machinery.  O(n) per pop — only for tests.
+    of the bucket/compaction machinery.  O(n) per pop — only for tests.
     """
 
     def __init__(self) -> None:
@@ -106,8 +131,41 @@ def _recomputed_target(cta: CTAInstance) -> float:
     return max(cta.warp_total)
 
 
-class ReferenceSMX(SMX):
-    """SMX whose event horizon is recomputed from scratch each query."""
+class ReferenceSMX(SMXResources):
+    """Scalar per-CTA progress; the event horizon recomputed each query."""
+
+    def advance(self, now: float) -> None:
+        last = self._last_update
+        if now <= last:
+            if now - last < -EPSILON:
+                raise self._backwards(now)
+            return
+        if self.resident:
+            step = self.scale * (now - last)
+            for cta in self.resident:
+                consumed = cta.consumed + step
+                total = cta.total_work
+                cta.consumed = consumed if consumed < total else total
+        self._last_update = now
+
+    def add(self, cta: CTAInstance, now: float) -> None:
+        self._check_fits(cta)
+        self.advance(now)
+        self._occupy(cta)
+
+    def remove(self, cta: CTAInstance, now: float) -> None:
+        self.advance(now)
+        try:
+            self.resident.remove(cta)
+        except ValueError:
+            raise SimulationError(
+                f"CTA {cta!r} not resident on SMX {self.index}"
+            ) from None
+        self._release(cta)
+
+    def refresh_demand(self, cta: CTAInstance, now: float) -> None:
+        self.advance(now)
+        self._shift_demand(cta)
 
     def next_event_time(self, now: float) -> Optional[float]:
         if not self.resident:
@@ -125,6 +183,34 @@ class ReferenceSMX(SMX):
             if c.next_decision < len(c.decisions)
             and _recomputed_target(c) <= c.consumed + EPSILON
         ]
+
+    def pop_finished(self, now: float) -> List[CTAInstance]:
+        self.advance(now)
+        finished = [c for c in self.resident if c.compute_finished]
+        for cta in finished:
+            self.remove(cta, now)
+        return finished
+
+
+class ReferenceGMU(GMU):
+    """GMU whose dispatch scan always runs (no dispatchable-head count)."""
+
+    def dispatchable_kernels(self) -> Iterator[KernelInstance]:
+        bound = self._bound_list
+        if not bound:
+            return
+        n = len(bound)
+        start = self._rr_cursor % n
+        offsets = range(n - 1, -1, -1) if self.reverse_rr else range(n)
+        for offset in offsets:
+            index = (start + offset) % n
+            queue = self._streams.get(bound[index])
+            if not queue:
+                continue
+            head = queue[0]
+            if head.state is KernelState.EXECUTING and head.has_undispatched_ctas:
+                self._rr_cursor = (index + 1) % n
+                yield head
 
 
 class ReferenceLRUCache(SetAssociativeCache):
@@ -171,17 +257,123 @@ class ReferenceLRUCache(SetAssociativeCache):
 
 
 class ReferenceMemorySystem(MemorySystem):
-    """Memory system built on the naive list-based LRU cache."""
+    """List-based LRU caches; every footprint materialized as a line list."""
 
     cache_cls = ReferenceLRUCache
 
+    def cta_access(
+        self, regions, smx_index: int = -1, now: float = 0.0
+    ) -> Tuple[float, float]:
+        return self._access_lines(self.region_lines(regions), smx_index, now)
+
 
 class ReferenceSimulator(GPUSimulator):
-    """The engine with every optimized component swapped for its reference."""
+    """The simulator with every optimized part swapped for its reference."""
 
     queue_factory = ReferenceEventQueue
     smx_factory = ReferenceSMX
+    gmu_factory = ReferenceGMU
     memory_factory = ReferenceMemorySystem
+
+    def _find_smx(self, *, threads: int, regs: int, shmem: int) -> Optional[SMX]:
+        n = len(self.smxs)
+        for offset in range(n):
+            smx = self.smxs[(self._smx_rr + offset) % n]
+            if smx.can_fit(threads=threads, regs=regs, shmem=shmem):
+                self._smx_rr = (self._smx_rr + offset + 1) % n
+                return smx
+        return None
+
+    def _dispatch_cta(self, kernel: KernelInstance, smx: SMX) -> None:
+        """Per-CTA dispatch from the spec's per-thread arrays."""
+        now = self.queue.now
+        spec = kernel.spec
+        cta_index = kernel.take_next_cta_index()
+        threads = spec.cta_thread_range(cta_index)
+        start, stop = threads.start, threads.stop
+        if kernel.record.first_dispatch_time is None:
+            kernel.record.first_dispatch_time = now
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    KERNEL_FIRST_DISPATCH,
+                    ts=now,
+                    kernel_id=kernel.kernel_id,
+                    kernel=spec.name,
+                    queuing_latency=kernel.record.queuing_latency,
+                )
+        items = spec.thread_items[start:stop]
+        if spec.mem_bases is None:
+            stall = self.memory.stall_cycles(1.0)
+        elif spec.contiguous_footprint:
+            base = int(spec.mem_bases[start])
+            extent = (
+                int(spec.mem_bases[stop - 1]) - base + int(items[-1]) * spec.mem_stride
+            )
+            stall, _ = self.memory.cta_access([(base, extent)], smx.index, now)
+        else:
+            stall, _ = self.memory.cta_access_arrays(
+                spec.mem_bases[start:stop], items * spec.mem_stride, smx.index, now
+            )
+        cost_total = spec.cycles_per_item + spec.accesses_per_item * stall
+        issue_frac = spec.cycles_per_item / cost_total if cost_total > 0 else 0.0
+        n = stop - start
+        init = self.cta_init_cycles
+        if spec.contiguous_footprint:
+            per_warp = int(items[0]) if n > 1 else int(items[-1])
+            num_warps = (n + WARP_SIZE - 1) // WARP_SIZE
+            warp_total = [init + per_warp * cost_total] * num_warps
+            warp_issue = [init + per_warp * cost_total * issue_frac] * num_warps
+        else:
+            warp_max = np.maximum.reduceat(
+                items * cost_total, np.arange(0, n, WARP_SIZE)
+            )
+            warp_total = (init + warp_max).tolist()
+            warp_issue = (init + warp_max * issue_frac).tolist()
+        decisions: List[PendingDecision] = []
+        for tid in range(start, stop):
+            warp = (tid - start) // WARP_SIZE
+            for req in spec.child_requests.get(tid, ()):
+                decisions.append(
+                    PendingDecision(
+                        at_consumed=req.at_fraction * warp_total[warp],
+                        warp=warp,
+                        tid=tid,
+                        request=req,
+                    )
+                )
+        cta = CTAInstance(
+            kernel,
+            cta_index,
+            num_threads=spec.threads_per_cta,
+            num_warps=len(warp_total),
+            regs=spec.threads_per_cta * spec.regs_per_thread,
+            shmem=spec.shmem_per_cta,
+            warp_total=warp_total,
+            warp_issue=warp_issue,
+            decisions=decisions,
+            demand_scale=self.latency_hiding,
+        )
+        if kernel.is_child:
+            self.stats.items_in_child += int(items.sum())
+        else:
+            self.stats.items_in_parent += int(items.sum())
+        self._place_on_smx(cta, smx, now)
+
+    def _make_child_kernel(
+        self, parent: KernelInstance, parent_cta: CTAInstance, req: ChildRequest
+    ) -> KernelInstance:
+        child = KernelInstance(
+            next(self._kernel_ids),
+            spec_from_request(req, depth=parent.spec.depth + 1),
+            stream_id=self.stream_policy.stream_for(
+                parent.kernel_id, parent_cta.cta_index
+            ),
+            is_child=True,
+            parent_cta=parent_cta,
+            items_per_thread=req.items_per_thread,
+        )
+        self._unfinished_kernels += 1
+        return child
 
 
 @dataclass
@@ -203,27 +395,15 @@ def run_differential(
     policy_factory: Optional[Callable[[], object]] = None,
     stream_policy_factory: Optional[Callable[[], object]] = None,
     sim_kwargs: Optional[Dict[str, object]] = None,
-    engine: str = "default",
 ) -> Optional[DifferentialMismatch]:
-    """Run ``app`` through the optimized and reference engines and compare.
+    """Run ``app`` through the simulator and the reference and compare.
 
     Policies and stream policies are stateful across a run, so fresh
-    instances are built per engine via the factories (defaults: the
-    engine's own defaults).  Returns None when the event streams are
+    instances are built per simulator via the factories (defaults: the
+    simulator's own defaults).  Returns None when the event streams are
     identical and the final stats round-trip dicts are equal; otherwise a
     :class:`DifferentialMismatch` naming the first divergence.
-
-    ``engine`` picks the *candidate* side of the comparison: ``"default"``
-    validates the per-event engine, ``"fast"`` the batch-stepping core
-    (:mod:`repro.sim.fast`) — both against the same naive reference.
     """
-    from repro.sim.fast import ENGINES
-
-    candidate_cls = ENGINES.get(engine)
-    if candidate_cls is None:
-        raise SimulationError(
-            f"unknown engine {engine!r} (choose from {sorted(ENGINES)})"
-        )
     kwargs = dict(sim_kwargs or {})
 
     def build(sim_cls):
@@ -239,7 +419,7 @@ def run_differential(
         )
         return sim, tracer
 
-    optimized, opt_tracer = build(candidate_cls)
+    optimized, opt_tracer = build(GPUSimulator)
     reference, ref_tracer = build(ReferenceSimulator)
     opt_result = optimized.run(app)
     ref_result = reference.run(app)

@@ -296,7 +296,6 @@ class ParallelRunner:
                 cta_threads=config.cta_threads,
                 stream_policy=config.stream_policy,
                 trace_interval=config.trace_interval,
-                engine=config.engine,
             )
             for scheme in variants
         ]

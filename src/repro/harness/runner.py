@@ -7,15 +7,12 @@ runs per benchmark), so results are memoized on the full
 the in-process dict answers repeats within one process, and an optional
 :class:`~repro.harness.store.ResultStore` persists results across
 processes and CI jobs (pass ``store=open_store(url)``; the default is
-no disk cache, preserving the historical behavior, and the deprecated
-``cache_dir=`` spelling still wires up the directory backend).
+no disk cache).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import HarnessError
@@ -43,18 +40,13 @@ class RunConfig:
     cta_threads: Optional[int] = None  # child CTA size override (Fig. 7)
     stream_policy: str = PER_CHILD  # Fig. 8 compares per-parent-cta
     trace_interval: float = 1000.0
-    engine: str = "default"  # simulation core: "default" or "fast"
 
     def key(self) -> Tuple:
         """Cache identity: every field that changes the simulation output.
 
         ``trace_interval`` belongs here — it changes the sampled timeline
         (and therefore the stored stats), so two runs differing only in
-        trace interval must not share a cache entry.  ``engine`` belongs
-        here too: the fast core is certified bit-identical, but a cache
-        that conflated the two engines could never *demonstrate* that
-        (and a divergence bug would silently serve one engine's results
-        as the other's).
+        trace interval must not share a cache entry.
         """
         return (
             self.benchmark,
@@ -63,51 +55,7 @@ class RunConfig:
             self.cta_threads,
             self.stream_policy,
             self.trace_interval,
-            self.engine,
         )
-
-
-#: Field names a deprecated ``**kwargs`` pass-through may still carry.
-_RUN_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
-
-
-def _explicit_config(
-    caller: str,
-    benchmark: str,
-    scheme: str,
-    seed: int,
-    cta_threads: Optional[int],
-    stream_policy: str,
-    legacy: Dict[str, object],
-) -> RunConfig:
-    """Build a RunConfig from explicit keywords plus a deprecated overflow.
-
-    ``legacy`` holds keywords the tightened signatures no longer spell out;
-    valid :class:`RunConfig` field names still work but warn, anything else
-    is a TypeError (as it always was).
-    """
-    if legacy:
-        unknown = sorted(set(legacy) - _RUN_CONFIG_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"Runner.{caller}() got unexpected keyword argument(s): "
-                f"{', '.join(unknown)}"
-            )
-        warnings.warn(
-            f"Runner.{caller}(**{sorted(legacy)}): keyword pass-through is "
-            "deprecated; build a RunConfig (or call repro.api.simulate) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RunConfig(
-        benchmark=benchmark,
-        scheme=scheme,
-        seed=seed,
-        cta_threads=cta_threads,
-        stream_policy=stream_policy,
-        **legacy,
-    )
 
 
 class Runner:
@@ -119,41 +67,12 @@ class Runner:
         *,
         max_events: int = 50_000_000,
         store: Optional[ResultStore] = None,
-        cache_dir=None,
-        default_engine: str = "default",
     ):
         self.config = config or GPUConfig()
         self.max_events = max_events
         self._cache: Dict[Tuple, SimResult] = {}
-        if cache_dir is not None:
-            warnings.warn(
-                "Runner(cache_dir=...) is deprecated; pass "
-                "store=repro.harness.store.open_store(url) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if store is None:
-                from repro.harness.backends.directory import DirectoryBackend
-
-                store = ResultStore(backend=DirectoryBackend(cache_dir))
         #: Optional persistent layer; None keeps the runner memory-only.
         self.store = store
-        self._simulator_class(default_engine)  # validate at the door
-        #: Engine applied to configs that did not pick one themselves
-        #: (``suite --engine fast``: experiment modules build their own
-        #: RunConfigs and must still hit the fanned-out cache entries).
-        #: An explicit non-default ``RunConfig.engine`` always wins.
-        self.default_engine = default_engine
-
-    def _effective_config(self, run_config: RunConfig) -> RunConfig:
-        """Resolve the runner's default engine into the config.
-
-        Resolution happens *before* the cache key is computed, so cache
-        entries always name the engine that actually ran.
-        """
-        if self.default_engine != "default" and run_config.engine == "default":
-            return dataclasses.replace(run_config, engine=self.default_engine)
-        return run_config
 
     def run(
         self,
@@ -185,7 +104,6 @@ class Runner:
             tracer = (
                 checker if tracer is None else MultiTracer([tracer, checker])
             )
-        run_config = self._effective_config(run_config)
         key = run_config.key()
         if tracer is None:
             cached = self._cache.get(key)
@@ -217,7 +135,7 @@ class Runner:
             # Only non-default so seeded-bug gmu_factory partials (which
             # re-spell GMU keywords) never collide on the kwarg.
             sim_kwargs["bind_policy"] = spec.bind_policy
-        sim = self._simulator_class(run_config.engine)(
+        sim = GPUSimulator(
             config=self.config,
             policy=policy,
             stream_policy=stream_policy,
@@ -243,7 +161,6 @@ class Runner:
         counters fire — this is the parallel harness's pre-filter, not a
         run.
         """
-        run_config = self._effective_config(run_config)
         cached = self._cache.get(run_config.key())
         if cached is not None:
             return cached
@@ -260,7 +177,6 @@ class Runner:
         Used after simulating locally and by the parallel harness to merge
         worker results back into the shared caches.
         """
-        run_config = self._effective_config(run_config)
         self._cache[run_config.key()] = result
         if self.store is not None:
             self._store_save(run_config, result)
@@ -295,18 +211,15 @@ class Runner:
         seed: int = 1,
         cta_threads: Optional[int] = None,
         stream_policy: str = PER_CHILD,
-        **legacy,
     ) -> SimResult:
-        """Run one benchmark/scheme pair with explicit keyword parameters.
-
-        Other :class:`RunConfig` fields (``trace_interval``) may still be
-        passed through ``**legacy`` but that spelling is deprecated — build
-        a :class:`RunConfig` (or call :func:`repro.api.simulate`) instead.
-        """
+        """Run one benchmark/scheme pair with explicit keyword parameters."""
         return self.run(
-            _explicit_config(
-                "run_simple", benchmark, scheme, seed, cta_threads,
-                stream_policy, legacy,
+            RunConfig(
+                benchmark=benchmark,
+                scheme=scheme,
+                seed=seed,
+                cta_threads=cta_threads,
+                stream_policy=stream_policy,
             )
         )
 
@@ -318,20 +231,15 @@ class Runner:
         seed: int = 1,
         cta_threads: Optional[int] = None,
         stream_policy: str = PER_CHILD,
-        **legacy,
     ) -> float:
         """Speedup of ``scheme`` over the flat variant (the paper's metric)."""
-        flat = self.run(
-            _explicit_config(
-                "speedup", benchmark, sch.FLAT, seed, cta_threads,
-                stream_policy, legacy,
-            )
+        flat = self.run_simple(
+            benchmark, sch.FLAT, seed=seed, cta_threads=cta_threads,
+            stream_policy=stream_policy,
         )
-        other = self.run(
-            _explicit_config(
-                "speedup", benchmark, scheme, seed, cta_threads,
-                stream_policy, legacy,
-            )
+        other = self.run_simple(
+            benchmark, scheme, seed=seed, cta_threads=cta_threads,
+            stream_policy=stream_policy,
         )
         if other.makespan <= 0:
             raise HarnessError(f"{benchmark}/{scheme}: zero makespan")
@@ -344,21 +252,6 @@ class Runner:
         if name == PER_PARENT_CTA:
             return PerParentCTAStream()
         raise HarnessError(f"unknown stream policy {name!r}")
-
-    @staticmethod
-    def _simulator_class(engine: str):
-        if engine == "default":
-            return GPUSimulator
-        # Deferred import: the fast core (and numpy array state) stays out
-        # of the module graph for default-engine runs.
-        from repro.sim.fast import ENGINES
-
-        cls = ENGINES.get(engine)
-        if cls is None:
-            raise HarnessError(
-                f"unknown engine {engine!r} (choose from {sorted(ENGINES)})"
-            )
-        return cls
 
     def cache_size(self) -> int:
         return len(self._cache)

@@ -37,7 +37,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -56,12 +55,12 @@ from repro.sim.engine import SimResult
 #: in a way that invalidates stored results.  The version participates in
 #: the hashed key, so a bump orphans (rather than misreads) old entries.
 #: v2: the run portion of the key document is RunConfig.key() verbatim.
-#: v3: RunConfig grew the ``engine`` field (fast vs. reference results
-#: must never collide, even though the fast core is certified identical).
+#: v3: RunConfig grew an ``engine`` field.
 #: v4: the scheme zoo (consolidate / aggregate:<g> / acs) changed launch
 #: accounting (merged kernels, new SimStats counters), so pre-zoo stored
 #: payloads must not be served to post-zoo readers.
-SCHEMA_VERSION = 4
+#: v5: RunConfig lost the ``engine`` field (there is one simulation core).
+SCHEMA_VERSION = 5
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -93,32 +92,15 @@ def open_store(url=None) -> "ResultStore":
 class ResultStore:
     """Content-addressed cache of :class:`SimResult` payloads.
 
-    Construct with ``backend=`` (or via :func:`open_store`); the
-    positional ``root`` path spelling still works but is deprecated —
-    it wires up the directory backend exactly as before.
+    Construct with ``backend=`` (or via :func:`open_store`); without one
+    it opens the default cache directory.
     """
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        *,
-        backend: Optional[StoreBackend] = None,
-    ):
-        if backend is not None and root is not None:
-            raise TypeError("pass either root or backend, not both")
-        if backend is None:
-            if root is not None:
-                warnings.warn(
-                    "ResultStore(root=...) is deprecated; use "
-                    "repro.harness.store.open_store(url) or "
-                    "ResultStore(backend=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                backend = DirectoryBackend(root)
-            else:
-                backend = DirectoryBackend(default_cache_dir())
-        self.backend = backend
+    def __init__(self, *, backend: Optional[StoreBackend] = None):
+        self.backend = (
+            backend if backend is not None
+            else DirectoryBackend(default_cache_dir())
+        )
 
     @property
     def root(self) -> Path:

@@ -239,6 +239,9 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__(sink=ListSink())
 
+    def bind_clock(self, clock: Callable[[], float]) -> None:
+        """Keep no clock: the shared instance must not pin a simulator."""
+
     def emit(self, kind: str, ts: Optional[float] = None, **args: object) -> None:
         return None
 

@@ -212,7 +212,6 @@ def fleet_runners(
     store_url: Optional[str] = None,
     gpu_config: Optional[GPUConfig] = None,
     max_events: int = 50_000_000,
-    default_engine: str = "default",
     wrap_store: Optional[Callable] = None,
 ) -> List[Runner]:
     """One :class:`Runner` per shard, each with its *own* store handle.
@@ -228,14 +227,7 @@ def fleet_runners(
         store = open_store(store_url) if store_url is not None else None
         if store is not None and wrap_store is not None:
             store = wrap_store(store)
-        runners.append(
-            Runner(
-                gpu_config,
-                max_events=max_events,
-                store=store,
-                default_engine=default_engine,
-            )
-        )
+        runners.append(Runner(gpu_config, max_events=max_events, store=store))
     return runners
 
 

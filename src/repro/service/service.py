@@ -127,7 +127,6 @@ class ServiceConfig:
     max_queue: Optional[int] = None  # admitted-but-unfinished job cap
     ewma_alpha: float = 0.3  # cost model responsiveness
     ewma_window: int = 32  # cost model observation window
-    engine: str = "default"  # simulation core applied to plain requests
     autotune: bool = False  # online successive halving over the sweep grids
     autotune_pulls: int = 1  # observations per arm per halving round
     autotune_seed: int = 0  # exploration-order seed (see autotune module)
@@ -139,7 +138,6 @@ class ServiceConfig:
             raise HarnessError(
                 f"autotune_pulls must be >= 1, got {self.autotune_pulls}"
             )
-        Runner._simulator_class(self.engine)  # validate at the door
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise HarnessError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
@@ -285,11 +283,6 @@ class SimulationService:
             await self.start()
         submitted_at = time.perf_counter()
         config = as_run_config(entry, seed)
-        if self.config.engine != "default" and config.engine == "default":
-            # The service-level engine applies to requests that did not
-            # pick one themselves (tuples, traffic files, replayed
-            # ledgers); an explicit RunConfig.engine always wins.
-            config = replace(config, engine=self.config.engine)
         # Validate eagerly so one bad request cannot poison a batch.
         get_benchmark(config.benchmark)
         sch.SchemeSpec.parse(config.scheme)

@@ -20,8 +20,10 @@ the header reads and the asynchronous API call cost.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from functools import partial
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +65,136 @@ from repro.sim.memory import MemorySystem
 from repro.sim.merge import build_merged_spec, merge_key
 from repro.sim.smx import SMX
 from repro.sim.stats import SimStats
+
+
+# ----------------------------------------------------------------------
+# Per-CTA dispatch plans
+# ----------------------------------------------------------------------
+# Dispatching a CTA needs its thread range, warp count, executed items
+# and, for a grid that tiles one contiguous range (a child grid), the
+# per-warp item count and its footprint's base and extent.  None of these
+# depend on simulated time, so the engine reads them from a plan instead
+# of slicing the spec's per-thread arrays for every CTA.  ``GridPlan``
+# derives them once from any spec's arrays and is cached on the spec
+# (host-launched and merged grids).  ``ChildGridPlan`` computes them in
+# closed form from the ChildRequest a child grid was built from: all its
+# threads carry ``items_per_thread`` items except the last, which carries
+# the remainder, and thread t reads from
+# ``mem_base + t * items_per_thread * mem_stride``.  It keeps nothing per
+# CTA.  Both return, for CTA i, ``(start, stop, num_warps, executed,
+# per_warp, base, extent)``, the last three None where the grid does not
+# tile one contiguous range; every value is the Python int that slicing
+# ``thread_items`` and ``mem_bases`` yields.
+CTAPlan = Tuple[int, int, int, int, Optional[int], Optional[int], Optional[int]]
+
+
+def _decision_tids(child_requests) -> Optional[List[int]]:
+    """Sorted threads carrying launch requests, or None if there are none."""
+    return sorted(child_requests) if child_requests else None
+
+
+class GridPlan:
+    """Plan of an arbitrary grid, derived from its per-thread arrays."""
+
+    __slots__ = ("tpc", "num_threads", "executed", "per_warp", "bases",
+                 "extents", "dec_tids")
+
+    def __init__(self, spec: KernelSpec):
+        tpc = spec.threads_per_cta
+        num_threads = spec.num_threads
+        items = spec.thread_items
+        starts = np.arange(spec.num_ctas, dtype=np.int64) * tpc
+        stops = np.minimum(starts + tpc, num_threads)
+        prefix = np.zeros(num_threads + 1, dtype=np.int64)
+        np.cumsum(items, out=prefix[1:])
+        self.tpc = tpc
+        self.num_threads = num_threads
+        self.executed: List[int] = (prefix[stops] - prefix[starts]).tolist()
+        self.per_warp: Optional[List[int]] = None
+        self.bases: Optional[List[int]] = None
+        self.extents: Optional[List[int]] = None
+        if spec.contiguous_footprint:
+            # A uniform grid: every warp's max is the CTA's first thread's
+            # count, except for a remainder thread alone in its CTA.
+            self.per_warp = np.where(
+                stops - starts > 1, items[starts], items[stops - 1]
+            ).tolist()
+            if spec.mem_bases is not None:
+                first = spec.mem_bases[starts]
+                self.bases = first.tolist()
+                self.extents = (
+                    spec.mem_bases[stops - 1] - first
+                    + items[stops - 1] * spec.mem_stride
+                ).tolist()
+        self.dec_tids = _decision_tids(spec.child_requests)
+
+    def cta(self, index: int) -> CTAPlan:
+        start = index * self.tpc
+        stop = min(start + self.tpc, self.num_threads)
+        per_warp = self.per_warp
+        bases = self.bases
+        return (
+            start,
+            stop,
+            (stop - start + WARP_SIZE - 1) // WARP_SIZE,
+            self.executed[index],
+            None if per_warp is None else per_warp[index],
+            None if bases is None else bases[index],
+            None if bases is None else self.extents[index],
+        )
+
+
+class ChildGridPlan:
+    """Closed-form plan of a grid built by ``spec_from_request(req)``."""
+
+    __slots__ = ("tpc", "num_threads", "items_per_thread", "last_items",
+                 "mem_base", "mem_stride", "dec_tids")
+
+    def __init__(self, req: ChildRequest):
+        num_threads = req.num_threads
+        self.num_threads = num_threads
+        self.tpc = min(req.cta_threads, num_threads)
+        self.items_per_thread = req.items_per_thread
+        self.last_items = req.items - (num_threads - 1) * req.items_per_thread
+        self.mem_base = req.mem_base
+        self.mem_stride = req.mem_stride
+        self.dec_tids = _decision_tids(req.nested)
+
+    def cta(self, index: int) -> CTAPlan:
+        ipt = self.items_per_thread
+        start = index * self.tpc
+        stop = start + self.tpc
+        if stop >= self.num_threads:  # the CTA holding the remainder thread
+            stop = self.num_threads
+            last = self.last_items
+        else:
+            last = ipt
+        n = stop - start
+        stride = self.mem_stride
+        return (
+            start,
+            stop,
+            (n + WARP_SIZE - 1) // WARP_SIZE,
+            (n - 1) * ipt + last,
+            ipt if n > 1 else last,
+            self.mem_base + start * ipt * stride,
+            (n - 1) * ipt * stride + last * stride,
+        )
+
+
+def plan_of(spec: KernelSpec):
+    """The spec's dispatch plan, built on first use and kept on the spec."""
+    plan = spec.__dict__.get("_dispatch_plan")
+    if plan is None:
+        plan = spec._dispatch_plan = GridPlan(spec)
+    return plan
+
+
+def child_spec(req: ChildRequest, *, depth: int) -> KernelSpec:
+    """``spec_from_request`` (every check included), plus its closed-form plan."""
+    spec = spec_from_request(req, depth=depth)
+    spec._dispatch_plan = ChildGridPlan(req)
+    return spec
 
 
 class SimResult:
@@ -220,6 +352,11 @@ class GPUSimulator:
         self.policy.set_audit(self.tracer.enabled)
         self._kernel_ids = itertools.count()
         self._smx_events: List[Optional[Event]] = [None] * cfg.num_smx
+        # One bound callback per SMX instead of a fresh closure per
+        # reschedule (tens of thousands per run).
+        self._smx_callbacks = [
+            partial(self._on_smx_event, smx) for smx in self.smxs
+        ]
         self._smx_rr = 0
         self._dtbl_pending: Deque[KernelInstance] = deque()
         # Merge buffering (consolidate / aggregate): the active policy
@@ -328,8 +465,10 @@ class GPUSimulator:
         if free_slots == 0:
             return False
         placed = False
-        for kernel in self.gmu.dispatchable_kernels():
+        gmu = self.gmu
+        for kernel in gmu.dispatchable_kernels():
             if self._place_cta_of(kernel):
+                gmu.note_cta_taken(kernel)
                 placed = True
                 free_slots -= 1
                 if free_slots == 0:
@@ -361,14 +500,27 @@ class GPUSimulator:
         return True
 
     def _find_smx(self, *, threads: int, regs: int, shmem: int) -> Optional[SMX]:
-        n = len(self.smxs)
-        max_ctas = self.config.max_ctas_per_smx
+        """Next SMX round-robin with room for the shape (``can_fit``, inlined)."""
+        smxs = self.smxs
+        n = len(smxs)
+        cfg = self.config
+        max_ctas = cfg.max_ctas_per_smx
+        max_threads = cfg.max_threads_per_smx
+        max_regs = cfg.registers_per_smx
+        max_shmem = cfg.shared_mem_per_smx
+        rr = self._smx_rr
         for offset in range(n):
-            smx = self.smxs[(self._smx_rr + offset) % n]
-            if len(smx.resident) >= max_ctas:
-                continue
-            if smx.can_fit(threads=threads, regs=regs, shmem=shmem):
-                self._smx_rr = (self._smx_rr + offset + 1) % n
+            index = rr + offset
+            if index >= n:
+                index -= n
+            smx = smxs[index]
+            if (
+                len(smx.resident) < max_ctas
+                and smx.used_threads + threads <= max_threads
+                and smx.used_regs + regs <= max_regs
+                and smx.used_shmem + shmem <= max_shmem
+            ):
+                self._smx_rr = (rr + offset + 1) % n
                 return smx
         return None
 
@@ -379,67 +531,64 @@ class GPUSimulator:
         now = self.queue.now
         spec = kernel.spec
         cta_index = kernel.take_next_cta_index()
-        threads = spec.cta_thread_range(cta_index)
-        start, stop = threads.start, threads.stop
-        if kernel.record.first_dispatch_time is None:
-            kernel.record.first_dispatch_time = now
+        plan = plan_of(spec)
+        start, stop, num_warps, executed, per_warp, base, extent = plan.cta(
+            cta_index
+        )
+        record = kernel.record
+        if record.first_dispatch_time is None:
+            record.first_dispatch_time = now
             if self.tracer.enabled:
                 self.tracer.emit(
                     KERNEL_FIRST_DISPATCH,
                     ts=now,
                     kernel_id=kernel.kernel_id,
                     kernel=spec.name,
-                    queuing_latency=kernel.record.queuing_latency,
+                    queuing_latency=record.queuing_latency,
                 )
 
-        items = spec.thread_items[start:stop]
         # Memory footprint of the CTA's unconditional work.
+        items = None
         if spec.mem_bases is None:
             stall = self.memory.stall_cycles(1.0)
-        elif spec.contiguous_footprint:
-            base = int(spec.mem_bases[start])
-            extent = (
-                int(spec.mem_bases[stop - 1])
-                - base
-                + int(items[-1]) * spec.mem_stride
-            )
+        elif base is not None:
             stall, _ = self.memory.cta_access([(base, extent)], smx.index, now)
         else:
-            bases = spec.mem_bases[start:stop]
+            items = spec.thread_items[start:stop]
             stall, _ = self.memory.cta_access_arrays(
-                bases, items * spec.mem_stride, smx.index, now
+                spec.mem_bases[start:stop], items * spec.mem_stride, smx.index, now
             )
 
         # Per-warp critical path and issue occupancy.
         cost_total = spec.cycles_per_item + spec.accesses_per_item * stall
         issue_frac = spec.cycles_per_item / cost_total if cost_total > 0 else 0.0
-        n = stop - start
         init = self.cta_init_cycles
-        num_warps = (n + WARP_SIZE - 1) // WARP_SIZE
-        if spec.contiguous_footprint:
-            # Uniform child grid: every warp's max is items_per_thread
-            # (the remainder thread is never alone with a smaller count
-            # unless it is the only thread in the CTA).
-            per_warp = int(items[0]) if n > 1 else int(items[-1])
+        if per_warp is not None:
+            # Uniform grid: every warp carries the same per-thread count.
             wt = init + per_warp * cost_total
             wi = init + per_warp * cost_total * issue_frac
             warp_total = [wt] * num_warps
             warp_issue = [wi] * num_warps
         else:
+            if items is None:
+                items = spec.thread_items[start:stop]
             thread_total = items * cost_total
-            warp_starts = np.arange(0, n, WARP_SIZE)
+            warp_starts = np.arange(0, stop - start, WARP_SIZE)
             warp_max = np.maximum.reduceat(thread_total, warp_starts)
             warp_total = (init + warp_max).tolist()
             warp_issue = (init + warp_max * issue_frac).tolist()
 
+        # Launch calls of the CTA's threads, in thread order.
         decisions: List[PendingDecision] = []
-        if spec.child_requests:
-            for tid in range(start, stop):
-                reqs = spec.child_requests.get(tid)
-                if not reqs:
-                    continue
+        dec_tids = plan.dec_tids
+        if dec_tids is not None:
+            child_requests = spec.child_requests
+            for pos in range(bisect_left(dec_tids, start), len(dec_tids)):
+                tid = dec_tids[pos]
+                if tid >= stop:
+                    break
                 warp = (tid - start) // WARP_SIZE
-                for req in reqs:
+                for req in child_requests[tid]:
                     decisions.append(
                         PendingDecision(
                             at_consumed=req.at_fraction * warp_total[warp],
@@ -453,7 +602,7 @@ class GPUSimulator:
             kernel,
             cta_index,
             num_threads=spec.threads_per_cta,
-            num_warps=len(warp_total),
+            num_warps=num_warps,
             regs=spec.threads_per_cta * spec.regs_per_thread,
             shmem=spec.shmem_per_cta,
             warp_total=warp_total,
@@ -461,7 +610,6 @@ class GPUSimulator:
             decisions=decisions,
             demand_scale=self.latency_hiding,
         )
-        executed = int(items.sum())
         if kernel.is_child:
             self.stats.items_in_child += executed
         else:
@@ -662,11 +810,11 @@ class GPUSimulator:
     def _make_child_kernel(
         self, parent: KernelInstance, parent_cta: CTAInstance, req: ChildRequest
     ) -> KernelInstance:
-        child_spec = spec_from_request(req, depth=parent.spec.depth + 1)
+        spec = child_spec(req, depth=parent.spec.depth + 1)
         stream = self.stream_policy.stream_for(parent.kernel_id, parent_cta.cta_index)
         child = KernelInstance(
             next(self._kernel_ids),
-            child_spec,
+            spec,
             stream_id=stream,
             is_child=True,
             parent_cta=parent_cta,
@@ -713,11 +861,7 @@ class GPUSimulator:
                 self.launch_unit.submit_batch([merged])
 
     def _flush_merge_group(self, entries: list, now: float) -> KernelInstance:
-        """Turn one compat group of buffered requests into a merged kernel.
-
-        Shared between engines (the fast core does not override it), so the
-        construction, stats, and trace events are bit-identical by design.
-        """
+        """Turn one compat group of buffered requests into a merged kernel."""
         reqs = [entry[2] for entry in entries]
         leader = entries[0][0]
         parent = leader.kernel
@@ -783,15 +927,18 @@ class GPUSimulator:
     # Completion handling
     # ------------------------------------------------------------------
     def _reschedule_smx(self, smx: SMX) -> None:
-        event = self._smx_events[smx.index]
+        events = self._smx_events
+        i = smx.index
+        event = events[i]
         if event is not None:
             event.cancel()
-            self._smx_events[smx.index] = None
-        when = smx.next_event_time(self.queue.now)
+            events[i] = None
+        queue = self.queue
+        now = queue.now
+        when = smx.next_event_time(now)
         if when is not None:
-            self._smx_events[smx.index] = self.queue.schedule(
-                max(when, self.queue.now),
-                lambda s=smx: self._on_smx_event(s),
+            events[i] = queue.schedule(
+                when if when > now else now, self._smx_callbacks[i]
             )
 
     def _on_smx_event(self, smx: SMX) -> None:
@@ -818,7 +965,7 @@ class GPUSimulator:
             when = smx.next_event_time(now)
             if when is not None:
                 self._smx_events[smx.index] = self.queue.schedule(
-                    max(when, now + 1e-3), lambda s=smx: self._on_smx_event(s)
+                    max(when, now + 1e-3), self._smx_callbacks[smx.index]
                 )
 
     def _detach_cta(self, cta: CTAInstance, smx: SMX, now: float) -> None:

@@ -72,6 +72,13 @@ class GMU:
         self._rr_cursor = 0
         #: Cache of self._bound keys; rebuilt when bindings change.
         self._bound_list: List[int] = []
+        #: Bound-stream heads in EXECUTING state that still have
+        #: undispatched CTAs, as far as the GMU has been told: a head
+        #: enters on PENDING -> EXECUTING and leaves when the engine
+        #: reports its last CTA taken (:meth:`note_cta_taken`).  Never
+        #: below the true count, so zero means a dispatch scan would
+        #: yield nothing.
+        self._dispatchable = 0
         # Telemetry.
         self.peak_pending_kernels = 0
         self.kernels_submitted = 0
@@ -169,7 +176,15 @@ class GMU:
     def _refresh_head(self, swq: int) -> None:
         queue = self._streams.get(swq)
         if queue and queue[0].state is KernelState.PENDING:
-            queue[0].state = KernelState.EXECUTING
+            head = queue[0]
+            head.state = KernelState.EXECUTING
+            if head.next_cta_index < head.num_ctas:
+                self._dispatchable += 1
+
+    def note_cta_taken(self, kernel: KernelInstance) -> None:
+        """Engine hook: a CTA index of a yielded head was just consumed."""
+        if kernel.next_cta_index >= kernel.num_ctas:
+            self._dispatchable -= 1
 
     # ------------------------------------------------------------------
     # Dispatch iteration
@@ -179,9 +194,17 @@ class GMU:
 
         The cursor persists across calls so successive dispatch rounds
         rotate fairly over streams, like the RR CTA scheduler in Table II.
-        This is the dispatch loop's inner scan, so the head checks are
-        plain attribute reads (no property dispatch).
+        When no head can dispatch (the steady state) the scan is skipped
+        without touching the cursor, which is also what a fruitless scan
+        leaves behind.
         """
+        if self._dispatchable <= 0:
+            return iter(())
+        return self._scan_heads()
+
+    def _scan_heads(self) -> Iterator[KernelInstance]:
+        # The dispatch loop's inner scan: the head checks are plain
+        # attribute reads (no property dispatch).
         bound = self._bound_list
         if not bound:
             return

@@ -18,6 +18,7 @@ lengthens a real parent thread.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.errors import SimulationError
@@ -26,6 +27,8 @@ from repro.sim.stats import KernelRecord
 
 #: Completion slack on the progress axis.
 EPSILON = 1e-6
+
+_AT_CONSUMED = attrgetter("at_consumed")
 
 
 class KernelState(enum.Enum):
@@ -160,7 +163,8 @@ class CTAInstance:
         "num_warps",
         "regs",
         "shmem",
-        "consumed",
+        "_consumed",
+        "_host",
         "warp_total",
         "warp_issue",
         "demand",
@@ -196,7 +200,7 @@ class CTAInstance:
     ):
         if len(warp_total) != num_warps or len(warp_issue) != num_warps:
             raise SimulationError("warp arrays must match num_warps")
-        if any(t <= 0 for t in warp_total):
+        if warp_total and min(warp_total) <= 0:
             raise SimulationError("warp_total entries must be positive")
         self.kernel = kernel
         self.cta_index = cta_index
@@ -204,7 +208,9 @@ class CTAInstance:
         self.num_warps = num_warps
         self.regs = regs
         self.shmem = shmem
-        self.consumed = 0.0
+        self._consumed = 0.0
+        #: The SMX holding this CTA's progress while it is resident.
+        self._host = None
         self.warp_total = warp_total
         self.warp_issue = warp_issue
         # Decision-time extensions: serial fallbacks within one thread
@@ -227,15 +233,16 @@ class CTAInstance:
         self.dispatch_time = 0.0
         self.compute_done_time: Optional[float] = None
         self.outstanding_children = 0
-        self.decisions = sorted(decisions or [], key=lambda d: d.at_consumed)
+        self.decisions = sorted(decisions, key=_AT_CONSUMED) if decisions else []
         self.next_decision = 0
         #: Critical-path length in cycles; maintained by ``extend_thread``.
         self.total_work = max(warp_total)
-        for d in self.decisions:
-            if d.at_consumed > self.total_work + EPSILON:
-                raise SimulationError(
-                    "decision point beyond the CTA's base critical path"
-                )
+        # Sorted ascending, so the last decision point is the furthest.
+        last = self.decisions[-1].at_consumed if self.decisions else 0.0
+        if last > self.total_work + EPSILON:
+            raise SimulationError(
+                "decision point beyond the CTA's base critical path"
+            )
         #: The progress point of the CTA's next event: its first unfired
         #: decision if any remain, else the critical-path end.  Maintained
         #: by ``pop_fired_decisions`` / ``extend_thread`` so the SMX event
@@ -246,13 +253,33 @@ class CTAInstance:
 
     # -- progress geometry ------------------------------------------------
     @property
+    def consumed(self) -> float:
+        """Work done along the critical path, in cycles.
+
+        While the CTA is resident, its SMX keeps this value in a column
+        (see :class:`repro.sim.smx.SMX`) and only the SMX advances it.
+        """
+        host = self._host
+        return self._consumed if host is None else host.consumed_of(self)
+
+    @consumed.setter
+    def consumed(self, value: float) -> None:
+        if self._host is not None:
+            raise SimulationError("a resident CTA's progress belongs to its SMX")
+        self._consumed = value
+
+    @property
     def remaining(self) -> float:
         return max(0.0, self.total_work - self.consumed)
 
     def _compute_demand(self) -> float:
         demand = 0.0
         for total, issue in zip(self.warp_total, self.warp_issue):
-            demand += min(issue / total, 1.0) if total > 0 else 1.0
+            if total > 0:
+                share = issue / total
+                demand += share if share < 1.0 else 1.0
+            else:
+                demand += 1.0
         return max(demand * self.demand_scale, 1e-3)
 
     def refresh_demand(self) -> float:

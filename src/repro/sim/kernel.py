@@ -159,7 +159,7 @@ class KernelSpec:
         self.thread_items = np.asarray(self.thread_items, dtype=np.int64)
         if self.thread_items.ndim != 1 or self.thread_items.size == 0:
             raise WorkloadError(f"kernel {self.name!r} needs a 1-D non-empty grid")
-        if np.any(self.thread_items < 0):
+        if self.thread_items.min() < 0:
             raise WorkloadError("thread_items must be non-negative")
         if self.threads_per_cta <= 0:
             raise WorkloadError("threads_per_cta must be positive")
@@ -263,12 +263,14 @@ def spec_from_request(
     items = np.full(num_threads, req.items_per_thread, dtype=np.int64)
     remainder = req.items - (num_threads - 1) * req.items_per_thread
     items[-1] = remainder
-    bases = (
-        req.mem_base
-        + np.arange(num_threads, dtype=np.int64)
-        * req.items_per_thread
-        * req.mem_stride
-    )
+    # Thread t reads from mem_base + t * items_per_thread * mem_stride.
+    step = req.items_per_thread * req.mem_stride
+    if step:
+        bases = np.arange(
+            req.mem_base, req.mem_base + num_threads * step, step, dtype=np.int64
+        )
+    else:
+        bases = np.full(num_threads, req.mem_base, dtype=np.int64)
     return KernelSpec(
         name=req.name + name_suffix,
         threads_per_cta=min(req.cta_threads, num_threads),

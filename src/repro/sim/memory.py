@@ -232,8 +232,28 @@ class MemorySystem:
         With L1s enabled and a valid ``smx_index``, lines first probe that
         SMX's L1; only L1 misses reach the shared L2 (so the reported L2
         hit rate is over L1 misses, as hardware counters report it).
+
+        A single region (every contiguous child CTA, serial fallback and
+        launch header) is fed to the caches as a ``range``: a lone region
+        has no consecutive duplicates to collapse, and stride sampling
+        indexes the arithmetic sequence directly, so the line stream is
+        the one :meth:`region_lines` would build.
         """
-        return self._access_lines(self.region_lines(regions), smx_index, now)
+        if len(regions) != 1:
+            return self._access_lines(self.region_lines(regions), smx_index, now)
+        base, extent = regions[0]
+        if extent <= 0:
+            return self._access_lines((), smx_index, now)
+        line_bytes = self.l2.line_bytes
+        first = base // line_bytes
+        count = (base + extent - 1) // line_bytes - first + 1
+        max_lines = self.max_lines_per_cta
+        if count > max_lines:
+            step = count / max_lines
+            lines = [first + int(i * step) for i in range(max_lines)]
+        else:
+            lines = range(first, first + count)
+        return self._access_lines(lines, smx_index, now)
 
     def cta_access_arrays(
         self, bases, extents, smx_index: int = -1, now: float = 0.0
@@ -244,7 +264,7 @@ class MemorySystem:
         )
 
     def _access_lines(
-        self, lines: List[int], smx_index: int, now: float = 0.0
+        self, lines: Sequence[int], smx_index: int, now: float = 0.0
     ) -> Tuple[float, float]:
         if not lines:
             return self.config.stall_cycles(1.0), 1.0

@@ -2,9 +2,7 @@
 
 Both merging schemes buffer admitted :class:`~repro.sim.kernel.ChildRequest`
 launches and submit them later as one coarser kernel.  This module builds
-that kernel's :class:`~repro.sim.kernel.KernelSpec` so the construction is
-shared — and therefore bit-identical — between the default and fast engine
-cores (neither overrides it).
+that kernel's :class:`~repro.sim.kernel.KernelSpec`.
 
 **CTA conservation.**  The merged grid must contain exactly as many CTAs as
 the constituents would have launched individually (the conformance checker
@@ -22,9 +20,9 @@ Zero-item pad threads are inert: they contribute no work items, and their
 zero-extent memory regions are masked out of the footprint model
 (:func:`repro.sim.memory.region_lines_arrays` skips ``extents <= 0``).
 
-Merged grids set ``contiguous_footprint=False`` so both engines take the
-identical per-thread-array dispatch path — the contiguous fast path assumes
-one uniform child request, which a merged grid is not.
+Merged grids set ``contiguous_footprint=False`` so the simulator takes the
+per-thread-array dispatch path — the contiguous path assumes one uniform
+child request, which a merged grid is not.
 """
 
 from __future__ import annotations

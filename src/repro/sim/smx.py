@@ -28,8 +28,13 @@ from repro.sim.config import GPUConfig
 from repro.sim.instances import EPSILON, CTAInstance
 
 
-class SMX:
-    """Resource accounting plus processor-sharing progress for one SMX."""
+class SMXResources:
+    """Resource accounting of one SMX: residency caps and issue demand.
+
+    Shared by :class:`SMX` and the scalar reference SMX in
+    :mod:`repro.check.reference`; progress integration is each subclass's
+    own.
+    """
 
     __slots__ = ("index", "config", "capacity", "resident", "used_threads",
                  "used_regs", "used_shmem", "used_warps", "_total_demand",
@@ -47,9 +52,6 @@ class SMX:
         self._total_demand = 0.0
         self._last_update = 0.0
 
-    # ------------------------------------------------------------------
-    # Resource accounting
-    # ------------------------------------------------------------------
     def can_fit(self, *, threads: int, regs: int, shmem: int) -> bool:
         cfg = self.config
         return (
@@ -79,32 +81,18 @@ class SMX:
         """Fraction of issue capacity in use."""
         return min(self._total_demand, self.capacity) / self.capacity
 
-    # ------------------------------------------------------------------
-    # Progress integration
-    # ------------------------------------------------------------------
-    def advance(self, now: float) -> None:
-        """Integrate progress of resident CTAs up to ``now``."""
-        last = self._last_update
-        if now <= last:
-            if now - last < -EPSILON:
-                raise SimulationError(
-                    f"SMX {self.index} asked to advance backwards "
-                    f"({last} -> {now})"
-                )
-            return
-        if self.resident:
-            step = self.scale * (now - last)
-            for cta in self.resident:
-                consumed = cta.consumed + step
-                total = cta.total_work
-                cta.consumed = consumed if consumed < total else total
-        self._last_update = now
+    def _backwards(self, now: float) -> SimulationError:
+        return SimulationError(
+            f"SMX {self.index} asked to advance backwards "
+            f"({self._last_update} -> {now})"
+        )
 
-    def add(self, cta: CTAInstance, now: float) -> None:
-        """Place a CTA on this SMX (caller must have checked ``can_fit``)."""
-        if not self.can_fit(threads=cta.num_threads, regs=cta.regs, shmem=cta.shmem):
+    def _check_fits(self, cta: CTAInstance) -> None:
+        if not self.can_fit(threads=cta.num_threads, regs=cta.regs,
+                            shmem=cta.shmem):
             raise SimulationError(f"CTA {cta!r} does not fit on SMX {self.index}")
-        self.advance(now)
+
+    def _occupy(self, cta: CTAInstance) -> None:
         cta.smx_index = self.index
         self.resident.append(cta)
         self.used_threads += cta.num_threads
@@ -113,14 +101,8 @@ class SMX:
         self.used_warps += cta.num_warps
         self._total_demand += cta.demand
 
-    def remove(self, cta: CTAInstance, now: float) -> None:
-        self.advance(now)
-        try:
-            self.resident.remove(cta)
-        except ValueError:
-            raise SimulationError(
-                f"CTA {cta!r} not resident on SMX {self.index}"
-            ) from None
+    def _release(self, cta: CTAInstance) -> None:
+        """Give back a (no longer resident) CTA's resources and demand."""
         self.used_threads -= cta.num_threads
         self.used_regs -= cta.regs
         self.used_shmem -= cta.shmem
@@ -130,55 +112,12 @@ class SMX:
             self._total_demand = 0.0
         cta.smx_index = -1
 
-    def refresh_demand(self, cta: CTAInstance, now: float) -> None:
-        """Re-derive a resident CTA's demand after its warp work changed.
-
-        The caller must have already advanced this SMX to ``now`` (decision
-        processing does), so the demand change applies from ``now`` onward.
-        """
-        self.advance(now)
+    def _shift_demand(self, cta: CTAInstance) -> None:
         old = cta.demand
         new = cta.refresh_demand()
         self._total_demand += new - old
         if self._total_demand < EPSILON:
             self._total_demand = 0.0
-
-    # ------------------------------------------------------------------
-    # Event horizon
-    # ------------------------------------------------------------------
-    def next_event_time(self, now: float) -> Optional[float]:
-        """Earliest completion *or* decision-point crossing, or None.
-
-        All resident CTAs progress at the same rate, so the horizon is
-        ``now + min(next_target - consumed) / rate`` — one attribute-only
-        pass over the residents (``next_target`` is maintained by
-        :class:`~repro.sim.instances.CTAInstance`).
-        """
-        resident = self.resident
-        if not resident:
-            return None
-        self.advance(now)
-        slack = min(c.next_target - c.consumed for c in resident)
-        if slack <= 0.0:
-            return now
-        return now + slack / self.scale
-
-    def ctas_with_fired_decisions(self) -> List[CTAInstance]:
-        """Resident CTAs whose next decision point has been crossed."""
-        return [
-            c
-            for c in self.resident
-            if c.next_decision < len(c.decisions)
-            and c.next_target <= c.consumed + EPSILON
-        ]
-
-    def pop_finished(self, now: float) -> List[CTAInstance]:
-        """Advance to ``now`` and detach every CTA whose compute is done."""
-        self.advance(now)
-        finished = [c for c in self.resident if c.compute_finished]
-        for cta in finished:
-            self.remove(cta, now)
-        return finished
 
     def snapshot(self) -> Tuple[int, int, int, int]:
         """(ctas, warps, regs, shmem) currently in use."""
@@ -228,3 +167,191 @@ class SMX:
                     f"SMX {self.index}: {used} {what} resident, cap {cap}"
                 )
         return problems
+
+
+class SMX(SMXResources):
+    """Processor-sharing progress over columnar resident-CTA state.
+
+    ``_consumed`` / ``_total`` / ``_target`` / ``_has_dec`` are
+    row-aligned with ``resident``.  While a CTA is resident its progress
+    lives in ``_consumed`` (``CTAInstance.consumed`` reads through to it,
+    see :attr:`~repro.sim.instances.CTAInstance.consumed`).  A CTA's
+    critical path and next target are copied at placement and at
+    :meth:`refresh_demand`, which the engine calls after every decision
+    pass that changed them.  Every arithmetic statement is the per-CTA
+    scalar statement applied row by row, so the stored float64 values are
+    those of the scalar model.
+
+    The columns are plain lists, not numpy: residency is capped at
+    ``max_ctas_per_smx`` (16 in the paper's configuration), and at that
+    size numpy's per-call overhead makes every operation slower.
+
+    Two caches turn the engine's per-event scans into O(1) checks:
+
+    * The event horizon ``min(next_target - consumed)`` is cached until
+      the clock moves or a resident changes.  Placements at the same
+      timestamp update it incrementally (``min`` is order-independent,
+      so the incremental value equals the full reduction bit for bit);
+      that makes the engine's reschedule-after-every-placement O(1).
+    * ``_dec_count`` counts residents that had a pending decision when
+      last seen (at placement or :meth:`refresh_demand`).  Decisions never
+      appear on a resident CTA, so the count is an upper bound, and zero
+      means the fired-decision scan can be skipped.
+    """
+
+    __slots__ = ("_consumed", "_total", "_target", "_has_dec", "_dec_count",
+                 "_slack", "_slack_valid")
+
+    def __init__(self, index: int, config: GPUConfig):
+        super().__init__(index, config)
+        self._consumed: List[float] = []
+        self._total: List[float] = []
+        self._target: List[float] = []
+        self._has_dec: List[bool] = []
+        self._dec_count = 0
+        self._slack = 0.0
+        self._slack_valid = False
+
+    def consumed_of(self, cta: CTAInstance) -> float:
+        """Progress of a resident CTA."""
+        return self._consumed[self.resident.index(cta)]
+
+    # ------------------------------------------------------------------
+    # Progress integration
+    # ------------------------------------------------------------------
+    def advance(self, now: float) -> None:
+        """Integrate progress of resident CTAs up to ``now``."""
+        last = self._last_update
+        if now <= last:
+            if now - last < -EPSILON:
+                raise self._backwards(now)
+            return
+        consumed = self._consumed
+        if consumed:
+            step = self.scale * (now - last)
+            total = self._total
+            for i in range(len(consumed)):
+                c = consumed[i] + step
+                t = total[i]
+                consumed[i] = c if c < t else t
+            self._slack_valid = False
+        self._last_update = now
+
+    def add(self, cta: CTAInstance, now: float) -> None:
+        """Place a CTA on this SMX (caller must have checked ``can_fit``)."""
+        self._check_fits(cta)
+        self.advance(now)
+        self._occupy(cta)
+        self._consumed.append(cta._consumed)
+        cta._host = self
+        self._total.append(cta.total_work)
+        self._target.append(cta.next_target)
+        has_dec = cta.next_decision < len(cta.decisions)
+        self._has_dec.append(has_dec)
+        if has_dec:
+            self._dec_count += 1
+        if self._slack_valid:
+            slack = cta.next_target - cta._consumed
+            if slack < self._slack:
+                self._slack = slack
+
+    def _drop_row(self, i: int) -> CTAInstance:
+        """Detach row ``i``, writing its progress back to the CTA."""
+        cta = self.resident.pop(i)
+        cta._consumed = self._consumed.pop(i)
+        cta._host = None
+        del self._total[i]
+        del self._target[i]
+        if self._has_dec.pop(i):
+            self._dec_count -= 1
+        return cta
+
+    def remove(self, cta: CTAInstance, now: float) -> None:
+        self.advance(now)
+        try:
+            i = self.resident.index(cta)
+        except ValueError:
+            raise SimulationError(
+                f"CTA {cta!r} not resident on SMX {self.index}"
+            ) from None
+        self._release(self._drop_row(i))
+        self._slack_valid = False
+
+    def refresh_demand(self, cta: CTAInstance, now: float) -> None:
+        """Re-derive a resident CTA's demand after its warp work changed.
+
+        The caller must have already advanced this SMX to ``now`` (decision
+        processing does), so the demand change applies from ``now`` onward.
+        It is also how the SMX learns that the CTA's decisions advanced.
+        """
+        self.advance(now)
+        self._shift_demand(cta)
+        i = self.resident.index(cta)
+        self._total[i] = cta.total_work
+        self._target[i] = cta.next_target
+        has_dec = cta.next_decision < len(cta.decisions)
+        if has_dec != self._has_dec[i]:
+            self._dec_count += 1 if has_dec else -1
+            self._has_dec[i] = has_dec
+        self._slack_valid = False
+
+    # ------------------------------------------------------------------
+    # Event horizon
+    # ------------------------------------------------------------------
+    def next_event_time(self, now: float) -> Optional[float]:
+        """Earliest completion *or* decision-point crossing, or None.
+
+        All resident CTAs progress at the same rate, so the horizon is
+        ``now + min(next_target - consumed) / rate``.
+        """
+        if not self.resident:
+            return None
+        self.advance(now)
+        if self._slack_valid:
+            slack = self._slack
+        else:
+            consumed = self._consumed
+            target = self._target
+            slack = min(target[i] - consumed[i] for i in range(len(consumed)))
+            self._slack = slack
+            self._slack_valid = True
+        if slack <= 0.0:
+            return now
+        return now + slack / self.scale
+
+    def ctas_with_fired_decisions(self) -> List[CTAInstance]:
+        """Resident CTAs whose next decision point has been crossed."""
+        if self._dec_count == 0:
+            return []
+        resident = self.resident
+        consumed = self._consumed
+        return [
+            cta
+            for i, cta in enumerate(resident)
+            if cta.next_decision < len(cta.decisions)
+            and cta.next_target <= consumed[i] + EPSILON
+        ]
+
+    def pop_finished(self, now: float) -> List[CTAInstance]:
+        """Advance to ``now`` and detach every CTA whose compute is done."""
+        self.advance(now)
+        resident = self.resident
+        consumed = self._consumed
+        total = self._total
+        rows = [
+            i
+            for i in range(len(resident))
+            if consumed[i] >= total[i] - EPSILON
+            and resident[i].next_decision >= len(resident[i].decisions)
+        ]
+        if not rows:
+            return []
+        # Drop rows from the highest index so lower row numbers stay valid,
+        # then release in resident order: the sequential demand subtraction
+        # (with its underflow clamp) matches remove() once per CTA.
+        finished = [self._drop_row(i) for i in reversed(rows)]
+        finished.reverse()
+        for cta in finished:
+            self._release(cta)
+        self._slack_valid = False
+        return finished

@@ -71,15 +71,7 @@ class TestSurface:
 
 
 class TestDeprecationShims:
-    """Old spellings must warn but keep working (API stability policy)."""
-
-    def test_run_simple_legacy_kwarg_warns_but_works(self, runner):
-        with pytest.warns(DeprecationWarning, match="run_simple"):
-            result = runner.run_simple(FAST, "flat", trace_interval=500.0)
-        expected = runner.run(
-            RunConfig(benchmark=FAST, scheme="flat", trace_interval=500.0)
-        )
-        assert result is expected
+    """The explicit ``Runner.run_simple`` signature: no pass-through."""
 
     def test_run_simple_explicit_keywords_do_not_warn(self, runner):
         # pytest is configured with error::DeprecationWarning, so a stray
@@ -90,8 +82,3 @@ class TestDeprecationShims:
     def test_run_simple_unknown_kwarg_is_still_a_typeerror(self, runner):
         with pytest.raises(TypeError, match="unexpected keyword"):
             runner.run_simple(FAST, "flat", trace_intervall=500.0)
-
-    def test_speedup_legacy_kwarg_warns_but_works(self, runner):
-        with pytest.warns(DeprecationWarning, match="speedup"):
-            legacy = runner.speedup(FAST, "spawn", trace_interval=500.0)
-        assert legacy > 0

@@ -254,17 +254,6 @@ class TestOpenBackend:
 
 
 class TestDeprecatedSpellings:
-    def test_result_store_root_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="open_store"):
-            store = ResultStore(tmp_path)
-        assert store.root == tmp_path
-
-    def test_runner_cache_dir_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="open_store"):
-            runner = Runner(cache_dir=tmp_path)
-        assert runner.store is not None
-        assert runner.store.root == tmp_path
-
     def test_root_and_backend_together_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             ResultStore(tmp_path, backend=DirectoryBackend(tmp_path))

@@ -1,15 +1,16 @@
-"""Differential validation of optimized engine components (``repro.check``).
+"""Differential validation of the simulator's optimized parts (``repro.check``).
 
 Fast layer: the naive reference components (list-based event queue,
 list-ordered LRU) behave identically to their optimized counterparts on
-randomized unit workloads, and one fixed end-to-end app produces identical
-traces through both engines.
+randomized unit workloads, and fixed and small generated apps produce
+identical traces through the simulator and :class:`ReferenceSimulator`.
 
 Slow layer (``-m slow``): hypothesis-generated applications from the shared
-``tests.strategies`` module run through ``run_differential`` — the optimized
-engine (binary-heap queue with lazy cancellation and compaction, cached
-``next_event_time``, OrderedDict LRU) must produce a bit-identical event
-stream and ``SimStats`` against the pure-Python references.
+``tests.strategies`` module run through ``run_differential`` — the simulator
+(calendar event queue, columnar SMX with cached horizons, GMU dispatch
+counter, dict LRU, per-spec and closed-form dispatch plans) must produce a
+bit-identical event stream and ``SimStats`` against the pure-Python
+references.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.check import ReferenceEventQueue, run_differential
 from repro.check.reference import ReferenceLRUCache
 from repro.core.policies import SpawnPolicy
 from repro.sim.config import CacheConfig, GPUConfig, small_debug_gpu
-from repro.sim.engine import GPUSimulator
 from repro.sim.events import EventQueue
 from repro.sim.memory import SetAssociativeCache
 
@@ -100,26 +100,22 @@ def test_fixed_app_differential_is_clean():
     assert mismatch is None
 
 
-@pytest.mark.parametrize("engine", ["default", "fast"])
 @pytest.mark.parametrize(
     "policy_idx", range(6, len(POLICIES)), ids=lambda i: POLICIES[i]().name
 )
-def test_fixed_app_merge_policy_differential(engine, policy_idx):
-    """Consolidate/aggregate flushes are identical through the optimized,
-    fast, and naive-reference engines on a fixed DP app."""
+def test_fixed_app_merge_policy_differential(policy_idx):
+    """Consolidate/aggregate flushes are identical through the simulator
+    and the naive reference on a fixed DP app."""
     from repro.workloads import get_benchmark
 
     app = get_benchmark("MM-small").dp(1)
-    mismatch = run_differential(
-        app, policy_factory=POLICIES[policy_idx], engine=engine
-    )
+    mismatch = run_differential(app, policy_factory=POLICIES[policy_idx])
     assert mismatch is None, str(mismatch)
 
 
-@pytest.mark.parametrize("engine", ["default", "fast"])
-def test_fixed_app_acs_differential(engine):
-    """ACS binding order is identical through all three engines under
-    HWQ contention (2 HWQs force the wait queue to fill)."""
+def test_fixed_app_acs_differential():
+    """ACS binding order is identical through the simulator and the
+    reference under HWQ contention (2 HWQs force the wait queue to fill)."""
     from repro.core.policies import StaticThresholdPolicy
     from repro.workloads import get_benchmark
 
@@ -131,7 +127,16 @@ def test_fixed_app_acs_differential(engine):
             bench.default_threshold
         ),
         sim_kwargs={"bind_policy": "acs"},
-        engine=engine,
+    )
+    assert mismatch is None, str(mismatch)
+
+
+@given(app=micro_apps(), policy_idx=st.integers(min_value=0, max_value=5))
+@settings(max_examples=10, deadline=None)
+def test_differential_micro_apps_quick(app, policy_idx):
+    """A tier-1 slice of the slow sweep below."""
+    mismatch = run_differential(
+        app, config=small_debug_gpu(), policy_factory=POLICIES[policy_idx]
     )
     assert mismatch is None, str(mismatch)
 

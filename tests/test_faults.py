@@ -415,7 +415,7 @@ class TestServiceChaos:
         code = main(
             [
                 "serve", "--synthetic", "6", "--jobs", "2",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--store", str(tmp_path / "cache"),
                 "--stats-json", str(stats_path),
             ]
         )

@@ -52,11 +52,6 @@ class TestSchemeParsing:
         with pytest.raises(HarnessError):
             sch.make_policy(sch.SchemeSpec.parse("offline"), get_benchmark(FAST))
 
-    def test_parse_scheme_alias_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="SchemeSpec.parse"):
-            spec = sch.parse_scheme("threshold:64")
-        assert spec == sch.SchemeSpec.parse("threshold:64")
-
 
 class TestRunner:
     def test_run_caches_results(self, runner):

@@ -1,5 +1,8 @@
 """Tests for the structured event tracer (repro.obs.tracer)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.harness import schemes as sch
@@ -85,6 +88,18 @@ class TestNullTracer:
         t = NullTracer()
         t.emit(CTA_FINISH, ts=1.0)
         assert t.events() == []
+
+    def test_finished_simulator_is_not_kept_alive(self):
+        # The shared NULL_TRACER outlives every run; binding the run's
+        # clock on it must not pin the simulator (its queue, L2 and SMXs).
+        sim = GPUSimulator(policy=sch.make_policy(
+            sch.SchemeSpec.parse("spawn"), get_benchmark("GC-citation")
+        ))
+        sim.run(get_benchmark("GC-citation").dp(1))
+        ref = weakref.ref(sim)
+        del sim
+        gc.collect()
+        assert ref() is None
 
 
 class TestRingBufferSink:

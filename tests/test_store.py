@@ -39,28 +39,10 @@ class TestKeying:
             RunConfig(benchmark=FAST, scheme="spawn", cta_threads=64),
             RunConfig(benchmark=FAST, scheme="spawn", stream_policy="per-parent-cta"),
             RunConfig(benchmark=FAST, scheme="spawn", trace_interval=500.0),
-            RunConfig(benchmark=FAST, scheme="spawn", engine="fast"),
         ]
         base_key = ResultStore.key_for(base, config, 1000)
         for variant in variants:
             assert ResultStore.key_for(variant, config, 1000) != base_key
-
-    def test_engine_round_trips_without_collision(self, tmp_path, config):
-        """Fast and reference results for the same run never share an entry."""
-        store = open_store(tmp_path)
-        runner = Runner(config, store=store)
-        default_cfg = RunConfig(benchmark=FAST, scheme="spawn")
-        fast_cfg = RunConfig(benchmark=FAST, scheme="spawn", engine="fast")
-        default_result = runner.run(default_cfg)
-        fast_result = runner.run(fast_cfg)
-        assert ResultStore.key_for(default_cfg, config, runner.max_events) != (
-            ResultStore.key_for(fast_cfg, config, runner.max_events)
-        )
-        # A fresh runner on the same store answers both from disk, each
-        # from its own entry, and the payloads round-trip identically.
-        reread = Runner(config, store=open_store(tmp_path))
-        assert reread.cached(default_cfg).summary() == default_result.summary()
-        assert reread.cached(fast_cfg).summary() == fast_result.summary()
 
     def test_gpu_config_and_budget_participate(self, config, run_config):
         base_key = ResultStore.key_for(run_config, config, 1000)
