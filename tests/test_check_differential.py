@@ -2,8 +2,9 @@
 
 Fast layer: the naive reference components (list-based event queue,
 list-ordered LRU) behave identically to their optimized counterparts on
-randomized unit workloads, and fixed and small generated apps produce
-identical traces through the simulator and :class:`ReferenceSimulator`.
+randomized unit workloads, and fixed apps produce identical traces through
+the simulator and :class:`ReferenceSimulator` (``test_sim_fast.py`` adds
+more fixed apps and a tier-1 slice of the generated sweep).
 
 Slow layer (``-m slow``): hypothesis-generated applications from the shared
 ``tests.strategies`` module run through ``run_differential`` — the simulator
@@ -12,6 +13,8 @@ counter, dict LRU, per-spec and closed-form dispatch plans) must produce a
 bit-identical event stream and ``SimStats`` against the pure-Python
 references.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -100,20 +103,29 @@ def test_fixed_app_differential_is_clean():
     assert mismatch is None
 
 
+#: The Table II GPU and the 2-SMX debug GPU, whose few CTA slots keep
+#: merged and child grids queued behind each other.
+GPUS = {"default": GPUConfig(), "small": small_debug_gpu()}
+
+
+@pytest.mark.parametrize("gpu", list(GPUS))
 @pytest.mark.parametrize(
     "policy_idx", range(6, len(POLICIES)), ids=lambda i: POLICIES[i]().name
 )
-def test_fixed_app_merge_policy_differential(policy_idx):
+def test_fixed_app_merge_policy_differential(gpu, policy_idx):
     """Consolidate/aggregate flushes are identical through the simulator
     and the naive reference on a fixed DP app."""
     from repro.workloads import get_benchmark
 
     app = get_benchmark("MM-small").dp(1)
-    mismatch = run_differential(app, policy_factory=POLICIES[policy_idx])
+    mismatch = run_differential(
+        app, config=GPUS[gpu], policy_factory=POLICIES[policy_idx]
+    )
     assert mismatch is None, str(mismatch)
 
 
-def test_fixed_app_acs_differential():
+@pytest.mark.parametrize("gpu", list(GPUS))
+def test_fixed_app_acs_differential(gpu):
     """ACS binding order is identical through the simulator and the
     reference under HWQ contention (2 HWQs force the wait queue to fill)."""
     from repro.core.policies import StaticThresholdPolicy
@@ -122,21 +134,11 @@ def test_fixed_app_acs_differential():
     bench = get_benchmark("MM-small")
     mismatch = run_differential(
         bench.dp(1),
-        config=GPUConfig(num_hwq=2),
+        config=dataclasses.replace(GPUS[gpu], num_hwq=2),
         policy_factory=lambda: StaticThresholdPolicy(
             bench.default_threshold
         ),
         sim_kwargs={"bind_policy": "acs"},
-    )
-    assert mismatch is None, str(mismatch)
-
-
-@given(app=micro_apps(), policy_idx=st.integers(min_value=0, max_value=5))
-@settings(max_examples=10, deadline=None)
-def test_differential_micro_apps_quick(app, policy_idx):
-    """A tier-1 slice of the slow sweep below."""
-    mismatch = run_differential(
-        app, config=small_debug_gpu(), policy_factory=POLICIES[policy_idx]
     )
     assert mismatch is None, str(mismatch)
 

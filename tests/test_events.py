@@ -1,10 +1,7 @@
 """Unit tests for the discrete-event core."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.check.reference import ReferenceEventQueue
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue
 
@@ -151,138 +148,3 @@ class TestDrainedFastPath:
         assert queue._size == 31
         assert len(queue._times) == 31
         assert len(queue) == 31
-
-
-# ---------------------------------------------------------------------------
-# Ordering against the linear-scan reference queue
-# ---------------------------------------------------------------------------
-@st.composite
-def tie_heavy_scripts(draw):
-    """A schedule/cancel script with deliberately heavy time collisions."""
-    n = draw(st.integers(min_value=1, max_value=40))
-    # Few distinct timestamps -> most events tie, exercising batch drains.
-    times = draw(
-        st.lists(
-            st.sampled_from([0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 7.0, 100.0]),
-            min_size=n, max_size=n,
-        )
-    )
-    cancels = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=n - 1),
-            min_size=0, max_size=n // 2, unique=True,
-        )
-    )
-    return times, cancels
-
-
-QUEUES = {"calendar": EventQueue, "reference": ReferenceEventQueue}
-
-
-@given(script=tie_heavy_scripts())
-@settings(max_examples=80, deadline=None)
-def test_tie_heavy_script_matches_reference_queue(script):
-    times, cancels = script
-    order = {name: [] for name in QUEUES}
-    queues = {name: cls() for name, cls in QUEUES.items()}
-    for name, queue in queues.items():
-        handles = [
-            queue.schedule(t, lambda n=name, i=i: order[n].append(i))
-            for i, t in enumerate(times)
-        ]
-        for index in cancels:
-            handles[index].cancel()
-        queue.run()
-    assert order["calendar"] == order["reference"]
-    assert queues["calendar"].now == queues["reference"].now
-
-
-def test_tie_drain_preserves_seq_order_for_midbatch_schedules():
-    """Same-time events scheduled *during* a batch run after it.
-
-    ``seq`` is globally monotonic, so a new event at the current
-    timestamp must sort after every already-scheduled tie: the calendar
-    queue delivers it from a fresh bucket, the reference by its seq.
-    """
-    for name, cls in QUEUES.items():
-        queue = cls()
-        order = []
-
-        def first(queue=queue, order=order):
-            order.append("first")
-            queue.schedule(5.0, lambda: order.append("tail"))
-
-        queue.schedule(5.0, first)
-        queue.schedule(5.0, lambda: order.append("second"))
-        queue.run()
-        assert order == ["first", "second", "tail"], name
-
-
-def test_earlier_event_cancelling_later_tie_is_honoured():
-    for name, cls in QUEUES.items():
-        queue = cls()
-        order = []
-        later = []
-
-        def first(order=order, later=later):
-            order.append("first")
-            later[0].cancel()
-
-        queue.schedule(5.0, first)
-        later.append(queue.schedule(5.0, lambda: order.append("dead")))
-        queue.schedule(5.0, lambda: order.append("third"))
-        queue.run()
-        assert order == ["first", "third"], name
-
-
-def test_budget_exhaustion_matches_reference_semantics():
-    for name, cls in QUEUES.items():
-        queue = cls()
-
-        def rearm(queue=queue):
-            queue.schedule_in(1, rearm)
-
-        queue.schedule(0, rearm)
-        with pytest.raises(SimulationError, match="event budget exhausted"):
-            queue.run(max_events=100)
-
-    # The budget is checked before the pop: an exactly-consumed budget
-    # raises even when the queue is empty, on both implementations.
-    for name, cls in QUEUES.items():
-        queue = cls()
-        queue.schedule(0, lambda: None)
-        with pytest.raises(SimulationError, match="after 1 events"):
-            queue.run(max_events=1)
-
-
-def test_len_and_peek_track_cancellation_across_buckets():
-    queue = EventQueue()
-    events = [queue.schedule(float(i % 3), lambda: None) for i in range(9)]
-    assert len(queue) == 9
-    assert queue.peek_time() == 0.0
-    for event in events[::3]:  # i = 0, 3, 6: all of bucket t=0
-        event.cancel()
-    assert len(queue) == 6
-    assert queue.peek_time() == 1.0
-    assert queue.pop().time == 1.0
-
-
-def test_compaction_drops_dead_entries_and_keeps_order():
-    queue = EventQueue()
-    order = []
-    events = [
-        queue.schedule(float(i % 8), lambda i=i: order.append(i))
-        for i in range(64)
-    ]
-    for event in events[1::2]:
-        event.cancel()
-    events[0].cancel()  # the 33rd cancel: 33 * 2 > 64 crosses the threshold
-    assert queue._cancelled == 0  # compaction fired and reset the counter
-    assert queue._size == 31
-    assert len(queue) == 31
-    queue.run()
-    # Surviving events still run in (time, seq) order.
-    assert order == sorted(
-        (i for i in range(2, 64, 2)),
-        key=lambda i: (i % 8, i),
-    )

@@ -1,42 +1,47 @@
-"""Certification tests for the batch-stepping fast engine (repro.sim.fast).
+"""The simulator's fast paths against independent references.
 
-Three layers:
+``repro.sim`` runs on structures built for host speed: the calendar-bucket
+:class:`~repro.sim.events.EventQueue` (whole same-time batches drained at
+once), columnar SMX state with a cached slack horizon, the GMU's
+dispatchable-head counter and per-spec / closed-form dispatch plans.  Two
+layers pin them:
 
-* **Queue equivalence** — :class:`FastEventQueue` (bucketed calendar
-  queue, whole same-time batches drained at once) against the reference
-  binary-heap :class:`EventQueue`: identical delivery order on ties,
-  under cancellation, under schedule-during-run, and identical budget
-  semantics.  This is where PR 2's reverted deferred-reschedule bug
-  class would resurface, so ties and cancellations get explicit tests
-  on top of the hypothesis script sweep.
-* **Engine bit-identity** — :class:`FastSimulator` against
-  :class:`GPUSimulator` on fixed and hypothesis-generated applications:
-  canonical event streams diff clean and ``SimStats`` round-trip dicts
-  are equal.  Large generated apps ride in the ``slow`` marker with the
-  rest of the differential suite.
-* **Selection plumbing** — ``ENGINES`` / ``simulator_class`` /
-  ``Runner(default_engine=...)`` resolve and reject engines
-  consistently, and resolved engines land in engine-keyed cache slots.
+* **Queue equivalence** — the calendar queue against binary-heap order and
+  the linear-scan :class:`~repro.check.ReferenceEventQueue`: identical
+  delivery order on ties, under cancellation, under schedule-during-run,
+  and identical budget semantics.  This is where a deferred-reschedule
+  ordering bug would resurface, so ties and cancellations get explicit
+  tests on top of the hypothesis script sweep.
+* **Core bit-identity** — :class:`~repro.sim.engine.GPUSimulator` against
+  :class:`~repro.check.ReferenceSimulator`, which keeps the per-CTA
+  slicing dispatch, scalar SMX progress and always-scanning GMU the
+  simulator had before it gained these paths: canonical event streams
+  diff clean and ``SimStats`` round-trip dicts are equal.  The generated
+  sweeps ride in the ``slow`` marker in ``test_check_differential.py``.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import run_differential
-from repro.check.golden import canonical_events, diff_traces
-from repro.errors import ConfigError, HarnessError, SimulationError
+from repro.check import (
+    ReferenceEventQueue,
+    ReferenceSimulator,
+    run_differential,
+)
+from repro.core.policies import AlwaysLaunchPolicy, SpawnPolicy
+from repro.errors import SimulationError
+from repro.harness import schemes as sch
 from repro.harness.runner import RunConfig, Runner
-from repro.obs.tracer import Tracer
 from repro.sim.config import small_debug_gpu
-from repro.sim.engine import GPUSimulator
 from repro.sim.events import EventQueue
-from repro.sim.fast import ENGINES, FastEventQueue, FastSimulator, simulator_class
 from repro.workloads import get_benchmark
 
-from tests.strategies import POLICIES, micro_apps, policies, rich_apps
+from tests.strategies import POLICIES, micro_apps
 
-QUEUES = {"heap": EventQueue, "fast": FastEventQueue}
+QUEUES = {"fast": EventQueue, "reference": ReferenceEventQueue}
 
 
 # ---------------------------------------------------------------------------
@@ -65,28 +70,32 @@ def queue_scripts(draw):
 @given(script=queue_scripts())
 @settings(max_examples=80, deadline=None)
 def test_fast_queue_matches_heap_queue(script):
+    """The calendar queue delivers what a (time, seq) binary heap pops."""
     times, cancels = script
-    order = {name: [] for name in QUEUES}
-    queues = {name: cls() for name, cls in QUEUES.items()}
-    for name, queue in queues.items():
-        handles = [
-            queue.schedule(t, lambda n=name, i=i: order[n].append(i))
-            for i, t in enumerate(times)
-        ]
-        for index in cancels:
-            handles[index].cancel()
-        queue.run()
-    assert order["fast"] == order["heap"]
-    assert queues["fast"].now == queues["heap"].now
+    queue = EventQueue()
+    order = []
+    handles = [
+        queue.schedule(t, lambda i=i: order.append(i))
+        for i, t in enumerate(times)
+    ]
+    for index in cancels:
+        handles[index].cancel()
+    queue.run()
+
+    heap = [(t, i) for i, t in enumerate(times) if i not in cancels]
+    heapq.heapify(heap)
+    expected = [heapq.heappop(heap)[1] for _ in range(len(heap))]
+    assert order == expected
+    # The clock stops at the last delivered event, not a cancelled one.
+    assert queue.now == (times[expected[-1]] if expected else 0.0)
 
 
 def test_tie_drain_preserves_seq_order_for_midbatch_schedules():
     """Same-time events scheduled *during* a batch run after it.
 
     ``seq`` is globally monotonic, so a new event at the current
-    timestamp must sort after every already-scheduled tie — the fast
-    queue delivers it from a fresh bucket, the heap from a later sift;
-    both in the same place.
+    timestamp must sort after every already-scheduled tie: the calendar
+    queue delivers it from a fresh bucket, the reference by its seq.
     """
     for name, cls in QUEUES.items():
         queue = cls()
@@ -140,7 +149,7 @@ def test_budget_exhaustion_matches_reference_semantics():
 
 
 def test_fast_queue_len_and_peek_track_cancellation():
-    queue = FastEventQueue()
+    queue = EventQueue()
     events = [queue.schedule(float(i % 3), lambda: None) for i in range(9)]
     assert len(queue) == 9
     assert queue.peek_time() == 0.0
@@ -152,7 +161,7 @@ def test_fast_queue_len_and_peek_track_cancellation():
 
 
 def test_fast_queue_compaction_drops_dead_entries_and_keeps_order():
-    queue = FastEventQueue()
+    queue = EventQueue()
     order = []
     events = [
         queue.schedule(float(i % 8), lambda i=i: order.append(i))
@@ -173,123 +182,61 @@ def test_fast_queue_compaction_drops_dead_entries_and_keeps_order():
 
 
 def test_fast_queue_schedule_in_past_rejected():
-    queue = FastEventQueue()
-    queue.schedule(10.0, lambda: None)
-    assert queue.pop() is not None
+    """Mid-batch, "now" is the drained batch's time: earlier is rejected,
+    the same time is accepted and runs after the rest of the batch."""
+    queue = EventQueue()
+    order = []
+    for name in ("a", "b", "c"):
+        queue.schedule(10.0, lambda name=name: order.append(name))
+    queue.pop().callback()  # drains the t=10 batch, delivers "a"
+    assert queue.now == 10.0
     with pytest.raises(SimulationError):
         queue.schedule(5.0, lambda: None)
+    queue.schedule(10.0, lambda: order.append("late"))
+    queue.run()
+    assert order == ["a", "b", "c", "late"]
 
 
 # ---------------------------------------------------------------------------
-# Engine bit-identity
+# Core bit-identity
 # ---------------------------------------------------------------------------
-def _run_traced(sim_cls, app, config, policy_factory):
-    tracer = Tracer()
-    sim = sim_cls(config=config, policy=policy_factory(), tracer=tracer)
-    result = sim.run(app)
-    return canonical_events(tracer.events()), result.stats.to_dict()
-
-
 def test_fixed_app_fast_engine_is_bit_identical():
-    from repro.core.policies import SpawnPolicy
-
-    app = get_benchmark("MM-small").dp(1)
-    ref_events, ref_stats = _run_traced(GPUSimulator, app, None, SpawnPolicy)
-    fast_events, fast_stats = _run_traced(FastSimulator, app, None, SpawnPolicy)
-    assert diff_traces(ref_events, fast_events) is None
-    assert fast_stats == ref_stats
+    """Every child request becomes its own grid under always-launch, so
+    every child CTA dispatches through a closed-form child plan."""
+    app = get_benchmark("GC-citation").dp(1)
+    mismatch = run_differential(app, policy_factory=AlwaysLaunchPolicy)
+    assert mismatch is None, str(mismatch)
 
 
 def test_fixed_app_fast_differential_is_clean():
-    from repro.core.policies import SpawnPolicy
-
-    app = get_benchmark("MM-small").dp(1)
-    mismatch = run_differential(app, policy_factory=SpawnPolicy, engine="fast")
+    """Irregular graph children under SPAWN's controller: the pending-
+    decision counter and cached horizon decide when the SMX scan runs."""
+    app = get_benchmark("BFS-citation").dp(1)
+    mismatch = run_differential(app, policy_factory=SpawnPolicy)
     assert mismatch is None, str(mismatch)
 
 
 @given(app=micro_apps(), policy_idx=st.integers(min_value=0, max_value=5))
 @settings(max_examples=10, deadline=None)
 def test_fast_engine_bit_identical_on_micro_apps(app, policy_idx):
-    config = small_debug_gpu()
-    ref_events, ref_stats = _run_traced(
-        GPUSimulator, app, config, POLICIES[policy_idx]
-    )
-    fast_events, fast_stats = _run_traced(
-        FastSimulator, app, config, POLICIES[policy_idx]
-    )
-    divergence = diff_traces(ref_events, fast_events)
-    assert divergence is None, str(divergence)
-    assert fast_stats == ref_stats
-
-
-@pytest.mark.slow
-@given(app=micro_apps(), policy_idx=st.integers(min_value=0, max_value=5))
-@settings(max_examples=40, deadline=None)
-def test_fast_differential_micro_apps(app, policy_idx):
+    """A tier-1 slice of the slow generated-app sweep."""
     mismatch = run_differential(
-        app,
-        config=small_debug_gpu(),
-        policy_factory=POLICIES[policy_idx],
-        engine="fast",
+        app, config=small_debug_gpu(), policy_factory=POLICIES[policy_idx]
     )
     assert mismatch is None, str(mismatch)
-
-
-@pytest.mark.slow
-@given(app=rich_apps(), policy_factory=policies())
-@settings(max_examples=15, deadline=None)
-def test_fast_differential_rich_apps(app, policy_factory):
-    mismatch = run_differential(
-        app,
-        config=small_debug_gpu(),
-        policy_factory=policy_factory,
-        engine="fast",
-    )
-    assert mismatch is None, str(mismatch)
-
-
-# ---------------------------------------------------------------------------
-# Selection plumbing
-# ---------------------------------------------------------------------------
-def test_engines_registry_and_simulator_class():
-    assert ENGINES["default"] is GPUSimulator
-    assert ENGINES["fast"] is FastSimulator
-    assert simulator_class("fast") is FastSimulator
-    with pytest.raises(ConfigError, match="unknown engine"):
-        simulator_class("warp")
-
-
-def test_runner_rejects_unknown_engines():
-    with pytest.raises(HarnessError, match="unknown engine"):
-        Runner().run(RunConfig(benchmark="MM-small", scheme="spawn",
-                               engine="warp"))
-    with pytest.raises(HarnessError, match="unknown engine"):
-        Runner(default_engine="warp")
-
-
-def test_runner_default_engine_resolves_before_the_cache_key():
-    runner = Runner(default_engine="fast")
-    result = runner.run(RunConfig(benchmark="MM-small", scheme="spawn"))
-    assert all(key[-1] == "fast" for key in runner._cache)
-    # An explicitly fast config resolves to the very same cache entry.
-    again = runner.run(
-        RunConfig(benchmark="MM-small", scheme="spawn", engine="fast")
-    )
-    assert again is result
-    # cached() probes resolve the same way, without simulating.
-    assert (
-        runner.cached(RunConfig(benchmark="MM-small", scheme="spawn"))
-        is result
-    )
 
 
 def test_fast_engine_result_matches_default_through_the_runner():
+    """A cached runner result equals the reference core's run of the
+    same benchmark, scheme and seed."""
     config = RunConfig(benchmark="MM-small", scheme="spawn")
-    default_summary = Runner().run(config).summary()
-    fast_summary = (
-        Runner()
-        .run(RunConfig(benchmark="MM-small", scheme="spawn", engine="fast"))
-        .summary()
-    )
-    assert fast_summary == default_summary
+    runner = Runner()
+    result = runner.run(config)
+    assert runner.run(config) is result  # served from the cache
+
+    benchmark = get_benchmark(config.benchmark)
+    reference = ReferenceSimulator(
+        config=runner.config,
+        policy=sch.make_policy(sch.SchemeSpec.parse(config.scheme), benchmark),
+    ).run(benchmark.dp(config.seed))
+    assert reference.to_dict() == result.to_dict()
