@@ -18,6 +18,8 @@ Methodology notes: each timed run constructs a fresh memory-only
 :class:`Runner` (no cache can hit), and every benchmark's synthetic input
 is generated *before* timing starts — input generation is ``lru_cache``-d
 per process and would otherwise be billed to whichever pair runs first.
+That warm-up is timed on its own and reported as ``inputs_s`` (ungated;
+near zero when this process already generated the inputs).
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def run_bench(
     The ``speedup`` column reads against the :data:`REFERENCE` seconds,
     measured before the simulator's hot paths were optimized.
     """
+    start = time.perf_counter()
     _warm_inputs(pairs, seed)
+    inputs_s = time.perf_counter() - start
     rows: List[Dict] = []
     for name, scheme in pairs:
         pair = f"{name}/{scheme}"
@@ -133,6 +137,7 @@ def run_bench(
     return {
         "repeat": max(repeat, 1),
         "seed": seed,
+        "inputs_s": round(inputs_s, 4),
         "pairs": rows,
     }
 

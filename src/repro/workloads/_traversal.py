@@ -92,37 +92,40 @@ def build_round_kernels(
                 )
             )
             continue
-        num_threads = -(-active.size // vpt)
-        items = np.zeros(num_threads, dtype=np.int64)
-        bases = np.zeros(num_threads, dtype=np.int64)
+        # Thread t owns active[t*vpt : (t+1)*vpt]; the last chunk may be
+        # short.
+        firsts = np.arange(0, active.size, vpt)
+        num_threads = firsts.size
+        chunk_len = np.minimum(vpt, active.size - firsts)
+        heavy = deg > min_offload
+        items = costs.bookkeeping_items * chunk_len + np.add.reduceat(
+            np.where(heavy, 0, deg), firsts
+        )
+        bases = edge_base + indptr[active[firsts]] * EDGE_BYTES
         requests: dict = {}
-        for tid in range(num_threads):
-            chunk = active[tid * vpt : (tid + 1) * vpt]
-            chunk_deg = degrees[chunk]
-            bases[tid] = edge_base + indptr[chunk[0]] * EDGE_BYTES
-            serial_edges = 0
-            reqs = []
-            for k, v in enumerate(chunk):
-                d = int(chunk_deg[k])
-                if dp and d > min_offload:
-                    reqs.append(
-                        ChildRequest(
-                            name=f"{app_name}-r{round_idx}-v{int(v)}",
-                            items=d,
-                            cta_threads=cta_threads,
-                            regs_per_thread=costs.child_regs_per_thread,
-                            cycles_per_item=costs.cycles_per_edge,
-                            accesses_per_item=costs.accesses_per_edge,
-                            mem_base=int(edge_base + indptr[v] * EDGE_BYTES),
-                            mem_stride=EDGE_BYTES,
-                            at_fraction=(k + 0.5) / len(chunk),
-                        )
-                    )
-                else:
-                    serial_edges += d
-            items[tid] = costs.bookkeeping_items * len(chunk) + serial_edges
-            if reqs:
-                requests[tid] = reqs
+        chunk_lens = chunk_len.tolist()
+        positions = np.flatnonzero(heavy)
+        heavy_v = active[positions]
+        for pos, v, d, mem_base in zip(
+            positions.tolist(),
+            heavy_v.tolist(),
+            deg[positions].tolist(),
+            (edge_base + indptr[heavy_v] * EDGE_BYTES).tolist(),
+        ):
+            tid, k = divmod(pos, vpt)
+            requests.setdefault(tid, []).append(
+                ChildRequest(
+                    name=f"{app_name}-r{round_idx}-v{v}",
+                    items=d,
+                    cta_threads=cta_threads,
+                    regs_per_thread=costs.child_regs_per_thread,
+                    cycles_per_item=costs.cycles_per_edge,
+                    accesses_per_item=costs.accesses_per_edge,
+                    mem_base=mem_base,
+                    mem_stride=EDGE_BYTES,
+                    at_fraction=(k + 0.5) / chunk_lens[tid],
+                )
+            )
         kernels.append(
             KernelSpec(
                 name=f"{app_name}-round{round_idx}",

@@ -101,11 +101,14 @@ def build(
         requests = {}
         items = np.full(cells, BASE_ITEMS, dtype=np.int64)
         step_flat = BASE_ITEMS * cells
-        for idx, cid in enumerate(refined):
-            cid = int(cid)
-            child_items = int(fine[idx])
+        for cid, child_items, deep, fine_offset in zip(
+            refined.tolist(),
+            fine.tolist(),
+            deep_count.tolist(),
+            fine_offsets.tolist(),
+        ):
             nested = {}
-            for d in range(int(deep_count[idx])):
+            for d in range(deep):
                 # Second-level refinement launched from the child's thread d.
                 nested[d] = ChildRequest(
                     name=f"AMR-s{step}-c{cid}-d{d}",
@@ -113,22 +116,22 @@ def build(
                     cta_threads=cta,
                     cycles_per_item=CYCLES_PER_ITEM,
                     accesses_per_item=ACCESSES_PER_ITEM,
-                    mem_base=int(deep_base + (deep_cursor + d) * DEEP_ITEMS * CELL_BYTES),
+                    mem_base=deep_base + (deep_cursor + d) * DEEP_ITEMS * CELL_BYTES,
                     mem_stride=CELL_BYTES,
                     at_fraction=0.5,
                 )
-            deep_cursor += int(deep_count[idx])
+            deep_cursor += deep
             requests[cid] = ChildRequest(
                 name=f"AMR-s{step}-c{cid}",
                 items=child_items,
                 cta_threads=cta,
                 cycles_per_item=CYCLES_PER_ITEM,
                 accesses_per_item=ACCESSES_PER_ITEM,
-                mem_base=int(fine_base + fine_offsets[idx] * CELL_BYTES),
+                mem_base=fine_base + fine_offset * CELL_BYTES,
                 mem_stride=CELL_BYTES,
                 nested=nested,
             )
-            step_flat += child_items + int(deep_count[idx]) * DEEP_ITEMS
+            step_flat += child_items + deep * DEEP_ITEMS
         if variant == "dp":
             kernels.append(
                 KernelSpec(

@@ -84,8 +84,9 @@ def build(
         hi = NUM_BUCKETS if p == PASSES - 1 else lo + buckets_per_pass
         items = np.full(hi - lo, BOOKKEEPING_PER_BUCKET, dtype=np.int64)
         requests = {}
-        for bucket in range(lo, hi):
-            m = int(matches[bucket])
+        for bucket, m, bucket_base in zip(
+            range(lo, hi), matches[lo:hi].tolist(), bucket_bases[lo:hi].tolist()
+        ):
             if m > MIN_OFFLOAD:
                 requests[bucket - lo] = ChildRequest(
                     name=f"{name}-b{bucket}",
@@ -93,7 +94,7 @@ def build(
                     cta_threads=cta,
                     cycles_per_item=CYCLES_PER_MATCH,
                     accesses_per_item=ACCESSES_PER_MATCH,
-                    mem_base=int(bucket_bases[bucket]),
+                    mem_base=bucket_base,
                     mem_stride=TUPLE_BYTES,
                 )
             else:

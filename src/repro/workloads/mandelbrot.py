@@ -35,6 +35,27 @@ THREADS_PER_CTA = 128
 PASSES = 2
 
 
+def _escape_iterations(c: np.ndarray) -> np.ndarray:
+    """Escape-time iterations of each point of the 1-D complex array ``c``.
+
+    A point's count is how many of the :data:`MAX_ITERS` steps
+    ``z = z*z + c`` it survives with ``|z| <= 2``.  Only the points still
+    live (``idx``, in input order) are iterated, so every step applies the
+    same arithmetic to exactly the live elements.
+    """
+    z = np.zeros_like(c)
+    idx = np.arange(c.size)
+    iters = np.zeros(c.size, dtype=np.int64)
+    for _ in range(MAX_ITERS):
+        z = z * z + c
+        live = ~(np.abs(z) > 2.0)
+        idx, z, c = idx[live], z[live], c[live]
+        iters[idx] += 1
+        if not idx.size:
+            break
+    return iters
+
+
 @functools.lru_cache(maxsize=None)
 def _block_items(seed: int) -> np.ndarray:
     """Per-block work items from a real escape-time computation.
@@ -48,17 +69,7 @@ def _block_items(seed: int) -> np.ndarray:
     scale = 1.4
     xs = np.linspace(cx - scale, cx + scale, WIDTH)
     ys = np.linspace(cy - scale, cy + scale, HEIGHT)
-    c = xs[None, :] + 1j * ys[:, None]
-    z = np.zeros_like(c)
-    iters = np.zeros(c.shape, dtype=np.int64)
-    live = np.ones(c.shape, dtype=bool)
-    for _ in range(MAX_ITERS):
-        z[live] = z[live] * z[live] + c[live]
-        escaped = live & (np.abs(z) > 2.0)
-        live &= ~escaped
-        iters[live] += 1
-        if not live.any():
-            break
+    iters = _escape_iterations((xs[None, :] + 1j * ys[:, None]).ravel())
     # Sum iterations per block, convert to items.
     blocks_y = HEIGHT // BLOCK
     blocks_x = WIDTH // BLOCK
@@ -105,18 +116,21 @@ def build(
         offload = tile > MIN_OFFLOAD
         # The border sample costs ~one item per block edge pixel row.
         items = np.where(offload, 4, tile)
+        tids = np.flatnonzero(offload)
         requests = {
-            int(tid): ChildRequest(
+            tid: ChildRequest(
                 name=f"Mandel-b{lo + tid}",
-                items=int(tile[tid]),
+                items=work,
                 cta_threads=cta,
-                items_per_thread=max(1, int(tile[tid]) // pixels_per_block),
+                items_per_thread=max(1, work // pixels_per_block),
                 cycles_per_item=CYCLES_PER_ITEM,
                 accesses_per_item=ACCESSES_PER_ITEM,
-                mem_base=int(bases[lo + tid]),
+                mem_base=base,
                 mem_stride=PIXEL_BYTES,
             )
-            for tid in np.flatnonzero(offload)
+            for tid, work, base in zip(
+                tids.tolist(), tile[tids].tolist(), bases[lo + tids].tolist()
+            )
         }
         kernels.append(
             KernelSpec(

@@ -88,20 +88,23 @@ def build(
         tile_items = row_items[lo:hi]
         offload = tile_items > MIN_OFFLOAD
         items = np.where(offload, 2, tile_items)
+        tids = np.flatnonzero(offload)
         requests = {
-            int(tid): ChildRequest(
+            tid: ChildRequest(
                 name=f"{name}-row{lo + tid}",
-                items=int(tile_items[tid]),
+                items=work,
                 cta_threads=cta,
                 # One child thread per multiplier column.
-                items_per_thread=max(1, int(tile_items[tid]) // COLUMNS),
+                items_per_thread=max(1, work // COLUMNS),
                 regs_per_thread=24,
                 cycles_per_item=CYCLES_PER_ITEM,
                 accesses_per_item=ACCESSES_PER_ITEM,
-                mem_base=int(bases[lo + tid]),
+                mem_base=base,
                 mem_stride=VALUE_BYTES,
             )
-            for tid in np.flatnonzero(offload)
+            for tid, work, base in zip(
+                tids.tolist(), tile_items[tids].tolist(), bases[lo + tids].tolist()
+            )
         }
         kernels.append(
             KernelSpec(

@@ -116,18 +116,21 @@ def build(
     cta = cta_threads or THREADS_PER_CTA
     offload = items > MIN_OFFLOAD
     parent_items = np.where(offload, PROBE_ITEMS, items)
+    tids = np.flatnonzero(offload)
     requests = {
-        int(tid): ChildRequest(
+        tid: ChildRequest(
             name=f"{name}-seg{tid}",
-            items=int(items[tid]),
+            items=work,
             cta_threads=cta,
             items_per_thread=CHILD_ITEMS_PER_THREAD,
             cycles_per_item=CYCLES_PER_ITEM,
             accesses_per_item=ACCESSES_PER_ITEM,
-            mem_base=int(bases[tid]),
+            mem_base=base,
             mem_stride=ITEM_BYTES,
         )
-        for tid in np.flatnonzero(offload)
+        for tid, work, base in zip(
+            tids.tolist(), items[tids].tolist(), bases[tids].tolist()
+        )
     }
     spec = KernelSpec(
         name=f"{name}-segments",

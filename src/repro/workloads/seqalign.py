@@ -87,8 +87,9 @@ def build(
         hi = reads if batch == BATCHES - 1 else lo + reads_per_batch
         items = np.full(hi - lo, LOOKUP_ITEMS_PER_READ, dtype=np.int64)
         requests = {}
-        for read_idx in range(lo, hi):
-            c = int(cands[read_idx])
+        for read_idx, c, read_base in zip(
+            range(lo, hi), cands[lo:hi].tolist(), read_bases[lo:hi].tolist()
+        ):
             if c > MIN_OFFLOAD:
                 requests[read_idx - lo] = ChildRequest(
                     name=f"{name}-read{read_idx}",
@@ -96,7 +97,7 @@ def build(
                     cta_threads=cta,
                     cycles_per_item=CYCLES_PER_CAND,
                     accesses_per_item=ACCESSES_PER_CAND,
-                    mem_base=int(read_bases[read_idx]),
+                    mem_base=read_base,
                     mem_stride=CAND_BYTES,
                 )
             else:
