@@ -60,7 +60,9 @@ from repro.sim.engine import SimResult
 #: accounting (merged kernels, new SimStats counters), so pre-zoo stored
 #: payloads must not be served to post-zoo readers.
 #: v5: RunConfig lost the ``engine`` field (there is one simulation core).
-SCHEMA_VERSION = 5
+#: v6: SimStats payloads store ``kernels`` and ``trace`` as columns (one
+#: list per record field) instead of one dict/list per record.
+SCHEMA_VERSION = 6
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

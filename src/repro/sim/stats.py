@@ -10,8 +10,9 @@ distributions (Fig. 12).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, fields
+from operator import attrgetter, ne
+from typing import Collection, Dict, Iterable, List, Optional
 
 # ---------------------------------------------------------------------------
 # Strict-JSON float handling.
@@ -98,6 +99,47 @@ class TraceSample:
     @property
     def total_ctas(self) -> int:
         return self.parent_ctas + self.child_ctas
+
+
+# ---------------------------------------------------------------------------
+# Columnar record payloads.  A DP run carries one KernelRecord per child
+# kernel (1,908 for MM-small/baseline-dp), so ``kernels`` and ``trace``
+# serialize as one list per dataclass field, and only a column that holds
+# a NaN or ±inf is tagged element by element.
+# ---------------------------------------------------------------------------
+_INFINITIES = frozenset((math.inf, -math.inf))
+
+
+def _encode_column(values: Iterable) -> list:
+    """``values`` as a strict-JSON list (non-finite floats tagged)."""
+    column = list(values)
+    # NaN is the one value unequal to itself; ±inf are found by hash.
+    if _INFINITIES.isdisjoint(column) and not any(map(ne, column, column)):
+        return column
+    return [encode_json_floats(value) for value in column]
+
+
+def _decode_column(column) -> list:
+    """Inverse of :func:`_encode_column`: only a tagged column is walked."""
+    if dict in map(type, column):
+        return decode_json_floats(column)
+    return list(column)
+
+
+def _to_columns(records: Collection, cls) -> Dict[str, list]:
+    """One :func:`_encode_column` list per field of dataclass ``cls``."""
+    return {
+        field.name: _encode_column(map(attrgetter(field.name), records))
+        for field in fields(cls)
+    }
+
+
+def _from_columns(columns: Dict[str, list], cls) -> list:
+    """Rebuild ``cls`` records positionally from :func:`_to_columns`."""
+    values = [_decode_column(columns[field.name]) for field in fields(cls)]
+    if len(set(map(len, values))) > 1:
+        raise ValueError(f"{cls.__name__} columns differ in length")
+    return list(map(cls, *values))
 
 
 class SimStats:
@@ -258,10 +300,12 @@ class SimStats:
         Round-trips every field the experiments and derived metrics read,
         including the private occupancy integrals — ``from_dict`` must
         reproduce ``summary()`` and the figure inputs bit-identically.
-        Non-finite floats are tagged (:func:`encode_json_floats`) so the
-        payload is *strict* JSON end to end.
+        ``kernels`` and ``trace`` are columnar: one list per
+        :class:`KernelRecord` / :class:`TraceSample` field.  Non-finite
+        floats are tagged (:func:`encode_json_floats`) so the payload is
+        *strict* JSON end to end.
         """
-        return encode_json_floats({
+        payload = encode_json_floats({
             "trace_interval": self.trace_interval,
             "makespan": self.makespan,
             "child_kernels_launched": self.child_kernels_launched,
@@ -271,11 +315,8 @@ class SimStats:
             "child_kernels_aggregated": self.child_kernels_aggregated,
             "merged_kernels_launched": self.merged_kernels_launched,
             "child_ctas_launched": self.child_ctas_launched,
-            "launch_times": list(self.launch_times),
             "items_in_parent": self.items_in_parent,
             "items_in_child": self.items_in_child,
-            "kernels": [asdict(rec) for rec in self.kernels.values()],
-            "child_cta_exec_times": list(self.child_cta_exec_times),
             "warp_cycles": self._warp_cycles,
             "reg_cycles": self._reg_cycles,
             "shmem_cycles": self._shmem_cycles,
@@ -285,51 +326,54 @@ class SimStats:
                 self.total_reg_capacity,
                 self.total_shmem_capacity,
             ],
-            "trace": [
-                [s.time, s.parent_ctas, s.child_ctas, s.utilization]
-                for s in self.trace
-            ],
             "l2_hits": self.l2_hits,
             "l2_misses": self.l2_misses,
             "peak_ccqs_depth": self.peak_ccqs_depth,
         })
+        payload.update(
+            launch_times=_encode_column(self.launch_times),
+            child_cta_exec_times=_encode_column(self.child_cta_exec_times),
+            kernels=_to_columns(self.kernels.values(), KernelRecord),
+            trace=_to_columns(self.trace, TraceSample),
+        )
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SimStats":
         """Rebuild a finalized stats object saved with :meth:`to_dict`."""
-        payload = decode_json_floats(payload)
-        stats = cls(trace_interval=payload["trace_interval"])
-        stats.makespan = payload["makespan"]
-        stats.child_kernels_launched = payload["child_kernels_launched"]
-        stats.child_kernels_declined = payload["child_kernels_declined"]
-        stats.child_kernels_reused = payload["child_kernels_reused"]
-        stats.child_kernels_consolidated = payload.get(
-            "child_kernels_consolidated", 0
+        columns = ("launch_times", "child_cta_exec_times", "kernels", "trace")
+        scalars = decode_json_floats(
+            {key: payload[key] for key in payload if key not in columns}
         )
-        stats.child_kernels_aggregated = payload.get(
-            "child_kernels_aggregated", 0
-        )
-        stats.merged_kernels_launched = payload.get(
-            "merged_kernels_launched", 0
-        )
-        stats.child_ctas_launched = payload["child_ctas_launched"]
-        stats.launch_times = list(payload["launch_times"])
-        stats.items_in_parent = payload["items_in_parent"]
-        stats.items_in_child = payload["items_in_child"]
+        stats = cls(trace_interval=scalars["trace_interval"])
+        stats.makespan = scalars["makespan"]
+        stats.child_kernels_launched = scalars["child_kernels_launched"]
+        stats.child_kernels_declined = scalars["child_kernels_declined"]
+        stats.child_kernels_reused = scalars["child_kernels_reused"]
+        stats.child_kernels_consolidated = scalars["child_kernels_consolidated"]
+        stats.child_kernels_aggregated = scalars["child_kernels_aggregated"]
+        stats.merged_kernels_launched = scalars["merged_kernels_launched"]
+        stats.child_ctas_launched = scalars["child_ctas_launched"]
+        stats.launch_times = _decode_column(payload["launch_times"])
+        stats.items_in_parent = scalars["items_in_parent"]
+        stats.items_in_child = scalars["items_in_child"]
         stats.kernels = {
-            rec["kernel_id"]: KernelRecord(**rec) for rec in payload["kernels"]
+            rec.kernel_id: rec
+            for rec in _from_columns(payload["kernels"], KernelRecord)
         }
-        stats.child_cta_exec_times = list(payload["child_cta_exec_times"])
-        stats._warp_cycles = payload["warp_cycles"]
-        stats._reg_cycles = payload["reg_cycles"]
-        stats._shmem_cycles = payload["shmem_cycles"]
-        stats._last_state_time = payload["last_state_time"]
-        warps, regs, shmem = payload["capacity"]
+        stats.child_cta_exec_times = _decode_column(
+            payload["child_cta_exec_times"]
+        )
+        stats._warp_cycles = scalars["warp_cycles"]
+        stats._reg_cycles = scalars["reg_cycles"]
+        stats._shmem_cycles = scalars["shmem_cycles"]
+        stats._last_state_time = scalars["last_state_time"]
+        warps, regs, shmem = scalars["capacity"]
         stats.set_capacity(warps=warps, regs=regs, shmem=shmem)
-        stats.trace = [TraceSample(*sample) for sample in payload["trace"]]
-        stats.l2_hits = payload["l2_hits"]
-        stats.l2_misses = payload["l2_misses"]
-        stats.peak_ccqs_depth = payload["peak_ccqs_depth"]
+        stats.trace = _from_columns(payload["trace"], TraceSample)
+        stats.l2_hits = scalars["l2_hits"]
+        stats.l2_misses = scalars["l2_misses"]
+        stats.peak_ccqs_depth = scalars["peak_ccqs_depth"]
         return stats
 
     def summary(self) -> Dict[str, float]:

@@ -186,6 +186,37 @@ class TestContract:
         assert loaded is not None
         assert loaded.summary() == result.summary()
         assert loaded.makespan == result.makespan
+        # Record for record: a decoder that swapped two columns would
+        # still reproduce summary() and the makespan.
+        assert loaded.stats.kernels == result.stats.kernels
+        assert loaded.stats.trace == result.stats.trace
+        assert loaded.stats.launch_times == result.stats.launch_times
+        assert (
+            loaded.stats.child_cta_exec_times
+            == result.stats.child_cta_exec_times
+        )
+        assert loaded.stats.smx_occupancy == result.stats.smx_occupancy
+
+    @pytest.mark.parametrize(
+        "damage", ["unequal_lengths", "missing_column", "stats_not_a_dict"]
+    )
+    def test_damaged_stats_payload_loads_as_a_miss(self, case, damage):
+        store = ResultStore(backend=case.backend)
+        runner = Runner()
+        config = RunConfig(benchmark="GC-citation", scheme="spawn")
+        key = store.key_for(config, runner.config, runner.max_events)
+        store.save(key, runner.run(config))
+        entry = case.backend.load(key)
+        columns = entry["result"]["stats"]["kernels"]
+        if damage == "unequal_lengths":
+            columns["completion_time"].pop()
+        elif damage == "missing_column":
+            del columns["arrival_time"]
+        else:
+            entry["result"]["stats"] = []
+        case.backend.save(key, entry)
+        assert store.load(key) is None
+        assert not case.backend.contains(key)
 
 
 class TestKVTransport:

@@ -64,8 +64,9 @@ class TestRunMany:
         assert ParallelRunner().jobs >= 1
 
     def test_parallel_matches_serial_for_all_schemes(self):
-        """jobs=4 fan-out is bit-identical to the serial path: flat plus
-        every DP scheme (including Offline-Search) on two benchmarks."""
+        """jobs=4 fan-out is bit-identical to the serial path, record for
+        record: flat plus every DP scheme (including Offline-Search) on
+        two benchmarks."""
         configs = [
             RunConfig(benchmark=name, scheme=scheme)
             for name in (FAST, FAST2)
@@ -84,6 +85,14 @@ class TestRunMany:
                 expected = serial_runner.run(config)
             assert result.summary() == expected.summary(), config
             assert result.makespan == expected.makespan, config
+            # Record for record through the worker -> parent payload.
+            got, want = result.stats, expected.stats
+            assert got.kernels == want.kernels, config
+            assert got.trace == want.trace, config
+            assert got.launch_times == want.launch_times, config
+            assert (
+                got.child_cta_exec_times == want.child_cta_exec_times
+            ), config
 
     def test_results_merge_into_shared_runner_cache(self):
         runner = Runner()
