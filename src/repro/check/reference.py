@@ -9,13 +9,16 @@ here with *identical semantics*:
   recomputed from scratch on every query, against the columnar
   :class:`~repro.sim.smx.SMX` with its cached horizon and pending-decision
   counter;
-* :class:`ReferenceGMU` — a dispatch scan that always runs, against the
-  GMU's dispatchable-head counter;
+* :class:`ReferenceGMU` — a dispatch scan that always runs and yields
+  every dispatchable head, against the GMU's dispatchable-head counter
+  and its skipping of heads whose shape already failed to fit;
 * :class:`ReferenceLRUCache` / :class:`ReferenceMemorySystem` — list-based
   LRU sets and a materialized line list for every footprint, against the
   dict LRU and the range-fed single-region path;
-* :class:`ReferenceSimulator` — today's per-CTA dispatch: it slices
-  ``thread_items`` / ``mem_bases``, materializes child specs with
+* :class:`ReferenceSimulator` — per-CTA dispatch from the arrays: it
+  slices ``thread_items`` / ``mem_bases``, takes warp maxima with
+  ``np.maximum.reduceat``, streams every non-contiguous footprint through
+  ``cta_access_arrays``, materializes child specs with
   :func:`~repro.sim.kernel.spec_from_request` and builds CTAs with
   :class:`~repro.sim.instances.CTAInstance`, against the per-spec and
   closed-form dispatch plans of :mod:`repro.sim.engine`.
@@ -193,9 +196,14 @@ class ReferenceSMX(SMXResources):
 
 
 class ReferenceGMU(GMU):
-    """GMU whose dispatch scan always runs (no dispatchable-head count)."""
+    """GMU whose dispatch scan always runs (no dispatchable-head count).
 
-    def dispatchable_kernels(self) -> Iterator[KernelInstance]:
+    It ignores ``skip`` and yields every dispatchable head, so the
+    differential compares the skipping scan against the engine's own
+    failed-shape check.
+    """
+
+    def dispatchable_kernels(self, skip=()) -> Iterator[KernelInstance]:
         bound = self._bound_list
         if not bound:
             return

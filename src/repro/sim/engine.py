@@ -23,7 +23,7 @@ import itertools
 from bisect import bisect_left
 from collections import deque
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,22 +70,26 @@ from repro.sim.stats import SimStats
 # ----------------------------------------------------------------------
 # Per-CTA dispatch plans
 # ----------------------------------------------------------------------
-# Dispatching a CTA needs its thread range, warp count, executed items
-# and, for a grid that tiles one contiguous range (a child grid), the
-# per-warp item count and its footprint's base and extent.  None of these
-# depend on simulated time, so the engine reads them from a plan instead
-# of slicing the spec's per-thread arrays for every CTA.  ``GridPlan``
-# derives them once from any spec's arrays and is cached on the spec
-# (host-launched and merged grids).  ``ChildGridPlan`` computes them in
-# closed form from the ChildRequest a child grid was built from: all its
-# threads carry ``items_per_thread`` items except the last, which carries
-# the remainder, and thread t reads from
-# ``mem_base + t * items_per_thread * mem_stride``.  It keeps nothing per
-# CTA.  Both return, for CTA i, ``(start, stop, num_warps, executed,
-# per_warp, base, extent)``, the last three None where the grid does not
-# tile one contiguous range; every value is the Python int that slicing
-# ``thread_items`` and ``mem_bases`` yields.
-CTAPlan = Tuple[int, int, int, int, Optional[int], Optional[int], Optional[int]]
+# Dispatching a CTA needs its thread range, warp count, executed items,
+# per-warp item maxima and, where the CTA's regions tile one range, its
+# footprint's base and extent.  None of these depend on simulated time, so
+# the engine reads them from a plan instead of slicing the spec's
+# per-thread arrays for every CTA.  ``GridPlan`` derives them once from
+# any spec's arrays and is cached on the spec (host-launched and merged
+# grids).  ``ChildGridPlan`` computes them in closed form from the
+# ChildRequest a child grid was built from: all its threads carry
+# ``items_per_thread`` items except the last, which carries the remainder,
+# and thread t reads from ``mem_base + t * items_per_thread * mem_stride``.
+# It keeps nothing per CTA.  Both return, for CTA i, ``(start, stop,
+# num_warps, executed, per_warp, base, extent)``.  ``per_warp`` is one int
+# for a ``contiguous_footprint`` grid (its uniform per-thread count) and
+# the list of exact per-warp maxima for any other grid.  ``base`` and
+# ``extent`` are None only for a CTA whose regions do not tile one range
+# (or a grid without ``mem_bases``).  Every value is the Python int that
+# slicing ``thread_items`` and ``mem_bases`` yields.
+CTAPlan = Tuple[
+    int, int, int, int, Union[int, List[int]], Optional[int], Optional[int]
+]
 
 
 def _decision_tids(child_requests) -> Optional[List[int]]:
@@ -93,26 +97,64 @@ def _decision_tids(child_requests) -> Optional[List[int]]:
     return sorted(child_requests) if child_requests else None
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _tiled_footprints(
+    spec: KernelSpec, prefix: np.ndarray, starts: np.ndarray, executed: np.ndarray
+) -> Tuple[List[Optional[int]], List[int]]:
+    """Each CTA's ``(base, extent)``; base None where its regions do not tile.
+
+    A CTA's regions tile when each positive-extent one starts where the
+    previous one ended.  Adjacent regions share at most a boundary line,
+    which the consecutive-duplicate collapse removes, so such a CTA streams
+    exactly the lines of its one range.  Every padded merged CTA tiles: it
+    holds one constituent plus zero-extent pads.
+    """
+    stride = spec.mem_stride
+    if stride <= 0:  # no region has a positive extent
+        return [0] * spec.num_ctas, [0] * spec.num_ctas
+    # Thread t's key is its base less ``stride * prefix[t]``, the extent of
+    # the regions before it: a CTA tiles iff its busy threads share a key.
+    key = prefix[:-1] * -stride
+    key += spec.mem_bases
+    idle = spec.thread_items == 0
+    np.putmask(key, idle, _INT64_MIN)
+    first = np.maximum.reduceat(key, starts)
+    np.putmask(key, idle, _INT64_MAX)
+    tiles = first == np.minimum.reduceat(key, starts)
+    bases = np.where(tiles, first + stride * prefix[starts], 0).tolist()
+    for index in (~tiles & (executed > 0)).nonzero()[0].tolist():
+        bases[index] = None
+    return bases, (stride * executed).tolist()
+
+
 class GridPlan:
     """Plan of an arbitrary grid, derived from its per-thread arrays."""
 
-    __slots__ = ("tpc", "num_threads", "executed", "per_warp", "bases",
+    __slots__ = ("tpc", "num_threads", "executed", "per_warp", "wpc", "bases",
                  "extents", "dec_tids")
 
     def __init__(self, spec: KernelSpec):
         tpc = spec.threads_per_cta
         num_threads = spec.num_threads
+        num_ctas = spec.num_ctas
         items = spec.thread_items
-        starts = np.arange(spec.num_ctas, dtype=np.int64) * tpc
+        starts = np.arange(num_ctas, dtype=np.int64) * tpc
         stops = np.minimum(starts + tpc, num_threads)
         prefix = np.zeros(num_threads + 1, dtype=np.int64)
-        np.cumsum(items, out=prefix[1:])
+        items.cumsum(out=prefix[1:])
         self.tpc = tpc
         self.num_threads = num_threads
-        self.executed: List[int] = (prefix[stops] - prefix[starts]).tolist()
-        self.per_warp: Optional[List[int]] = None
-        self.bases: Optional[List[int]] = None
+        executed = prefix[stops] - prefix[starts]
+        self.executed: List[int] = executed.tolist()
+        self.bases: Optional[List[Optional[int]]] = None
         self.extents: Optional[List[int]] = None
+        #: Warps per full CTA when ``per_warp`` holds every warp's exact
+        #: maximum (CTA i's from entry ``i * wpc``); 0 when it holds one
+        #: uniform count per CTA.
+        self.wpc = 0
         if spec.contiguous_footprint:
             # A uniform grid: every warp's max is the CTA's first thread's
             # count, except for a remainder thread alone in its CTA.
@@ -126,21 +168,40 @@ class GridPlan:
                     spec.mem_bases[stops - 1] - first
                     + items[stops - 1] * spec.mem_stride
                 ).tolist()
+        else:
+            self.wpc = wpc = -(-tpc // WARP_SIZE)
+            tail = num_threads - (num_ctas - 1) * tpc  # the last CTA's threads
+            cta, warp = np.divmod(
+                np.arange((num_ctas - 1) * wpc + -(-tail // WARP_SIZE)), wpc
+            )
+            self.per_warp = np.maximum.reduceat(
+                items, cta * tpc + warp * WARP_SIZE
+            ).tolist()
+            if spec.mem_bases is not None:
+                self.bases, self.extents = _tiled_footprints(
+                    spec, prefix, starts, executed
+                )
         self.dec_tids = _decision_tids(spec.child_requests)
 
     def cta(self, index: int) -> CTAPlan:
         start = index * self.tpc
         stop = min(start + self.tpc, self.num_threads)
-        per_warp = self.per_warp
+        num_warps = (stop - start + WARP_SIZE - 1) // WARP_SIZE
+        wpc = self.wpc
+        if wpc:
+            per_warp = self.per_warp[index * wpc:index * wpc + num_warps]
+        else:
+            per_warp = self.per_warp[index]
         bases = self.bases
+        base = None if bases is None else bases[index]
         return (
             start,
             stop,
-            (stop - start + WARP_SIZE - 1) // WARP_SIZE,
+            num_warps,
             self.executed[index],
-            None if per_warp is None else per_warp[index],
-            None if bases is None else bases[index],
-            None if bases is None else self.extents[index],
+            per_warp,
+            base,
+            None if base is None else self.extents[index],
         )
 
 
@@ -466,7 +527,7 @@ class GPUSimulator:
             return False
         placed = False
         gmu = self.gmu
-        for kernel in gmu.dispatchable_kernels():
+        for kernel in gmu.dispatchable_kernels(self._failed_shapes):
             if self._place_cta_of(kernel):
                 gmu.note_cta_taken(kernel)
                 placed = True
@@ -484,12 +545,7 @@ class GPUSimulator:
         return placed
 
     def _place_cta_of(self, kernel: KernelInstance) -> bool:
-        spec = kernel.spec
-        shape = (
-            spec.threads_per_cta,
-            spec.threads_per_cta * spec.regs_per_thread,
-            spec.shmem_per_cta,
-        )
+        shape = kernel.shape
         if shape in self._failed_shapes:
             return False
         smx = self._find_smx(threads=shape[0], regs=shape[1], shmem=shape[2])
@@ -548,7 +604,6 @@ class GPUSimulator:
                 )
 
         # Memory footprint of the CTA's unconditional work.
-        items = None
         if spec.mem_bases is None:
             stall = self.memory.stall_cycles(1.0)
         elif base is not None:
@@ -563,20 +618,18 @@ class GPUSimulator:
         cost_total = spec.cycles_per_item + spec.accesses_per_item * stall
         issue_frac = spec.cycles_per_item / cost_total if cost_total > 0 else 0.0
         init = self.cta_init_cycles
-        if per_warp is not None:
+        if isinstance(per_warp, list):
+            # Exact per-warp item maxima.  Rounding a product by a
+            # non-negative cost is monotonic, so max(items) * cost is
+            # max(items * cost) bit for bit.
+            warp_total = [init + m * cost_total for m in per_warp]
+            warp_issue = [init + m * cost_total * issue_frac for m in per_warp]
+        else:
             # Uniform grid: every warp carries the same per-thread count.
             wt = init + per_warp * cost_total
             wi = init + per_warp * cost_total * issue_frac
             warp_total = [wt] * num_warps
             warp_issue = [wi] * num_warps
-        else:
-            if items is None:
-                items = spec.thread_items[start:stop]
-            thread_total = items * cost_total
-            warp_starts = np.arange(0, stop - start, WARP_SIZE)
-            warp_max = np.maximum.reduceat(thread_total, warp_starts)
-            warp_total = (init + warp_max).tolist()
-            warp_issue = (init + warp_max * issue_frac).tolist()
 
         # Launch calls of the CTA's threads, in thread order.
         decisions: List[PendingDecision] = []

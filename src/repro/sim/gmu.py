@@ -19,7 +19,7 @@ Table II).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Container, Deque, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs.tracer import HWQ_BIND, HWQ_RELEASE, NULL_TRACER, Tracer
@@ -189,7 +189,9 @@ class GMU:
     # ------------------------------------------------------------------
     # Dispatch iteration
     # ------------------------------------------------------------------
-    def dispatchable_kernels(self) -> Iterator[KernelInstance]:
+    def dispatchable_kernels(
+        self, skip: Container[tuple] = ()
+    ) -> Iterator[KernelInstance]:
         """Bound-stream head kernels with undispatched CTAs, round-robin.
 
         The cursor persists across calls so successive dispatch rounds
@@ -197,12 +199,17 @@ class GMU:
         When no head can dispatch (the steady state) the scan is skipped
         without touching the cursor, which is also what a fruitless scan
         leaves behind.
+
+        ``skip`` holds CTA shapes the caller already knows cannot fit (a
+        dispatch pass's failed shapes, a set that may grow between
+        yields).  A head of such a shape moves the cursor exactly as a
+        yielded head the caller fails to place would, but is not yielded.
         """
         if self._dispatchable <= 0:
             return iter(())
-        return self._scan_heads()
+        return self._scan_heads(skip)
 
-    def _scan_heads(self) -> Iterator[KernelInstance]:
+    def _scan_heads(self, skip: Container[tuple]) -> Iterator[KernelInstance]:
         # The dispatch loop's inner scan: the head checks are plain
         # attribute reads (no property dispatch).
         bound = self._bound_list
@@ -223,6 +230,8 @@ class GMU:
             head = queue[0]
             if head.state is executing and head.next_cta_index < head.num_ctas:
                 self._rr_cursor = (index + 1) % n
+                if head.shape in skip:
+                    continue
                 yield head
 
     # ------------------------------------------------------------------

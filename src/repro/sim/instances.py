@@ -62,6 +62,7 @@ class KernelInstance:
         "computing_ctas",
         "hwq_released",
         "merged_parents",
+        "shape",
     )
 
     def __init__(
@@ -81,6 +82,13 @@ class KernelInstance:
         self.parent_cta = parent_cta
         self.state = KernelState.PENDING
         self.num_ctas = spec.num_ctas  # cached: hot in the dispatch loop
+        #: CTA resource shape (threads, registers, shared memory), the key
+        #: a dispatch pass remembers for shapes that failed to fit.
+        self.shape = (
+            spec.threads_per_cta,
+            spec.threads_per_cta * spec.regs_per_thread,
+            spec.shmem_per_cta,
+        )
         self.next_cta_index = 0
         self.unfinished_ctas = self.num_ctas
         self.items_per_thread = items_per_thread

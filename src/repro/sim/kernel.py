@@ -163,6 +163,8 @@ class KernelSpec:
             raise WorkloadError("thread_items must be non-negative")
         if self.threads_per_cta <= 0:
             raise WorkloadError("threads_per_cta must be positive")
+        if self.cycles_per_item < 0 or self.accesses_per_item < 0:
+            raise WorkloadError("per-item costs must be non-negative")
         if self.mem_bases is not None:
             self.mem_bases = np.asarray(self.mem_bases, dtype=np.int64)
             if self.mem_bases.shape != self.thread_items.shape:

@@ -148,7 +148,7 @@ class MemorySystem:
         """
         line_bytes = self.l2.line_bytes
         lines: List[int] = []
-        previous = -1
+        previous = None  # no line yet; any int, even -1, is a real line
         for base, extent in regions:
             if extent <= 0:
                 continue

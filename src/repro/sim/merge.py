@@ -18,11 +18,16 @@ multiple of the CTA size before concatenation:
 
 Zero-item pad threads are inert: they contribute no work items, and their
 zero-extent memory regions are masked out of the footprint model
-(:func:`repro.sim.memory.region_lines_arrays` skips ``extents <= 0``).
+(:meth:`repro.sim.memory.MemorySystem.region_lines_arrays` skips
+``extents <= 0``).
 
-Merged grids set ``contiguous_footprint=False`` so the simulator takes the
-per-thread-array dispatch path — the contiguous path assumes one uniform
-child request, which a merged grid is not.
+Merged grids set ``contiguous_footprint=False``: the uniform per-warp count
+of a child grid assumes one request, which a merged grid is not.  Their
+dispatch plan (:class:`repro.sim.engine.GridPlan`) instead finds each
+CTA's exact per-warp maxima and checks whether its positive-extent regions
+tile one range.  A padded merged CTA holds the threads of one constituent,
+whose regions tile, plus zero-extent pads, so every such CTA streams its
+footprint as one ``(base, extent)`` range.
 """
 
 from __future__ import annotations

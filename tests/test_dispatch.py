@@ -4,9 +4,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import WARP_SIZE
+from repro.sim.config import WARP_SIZE, MemoryConfig
 from repro.sim.engine import ChildGridPlan, GridPlan, child_spec, plan_of
 from repro.sim.kernel import ChildRequest, KernelSpec, spec_from_request
+from repro.sim.memory import MemorySystem
+from repro.sim.merge import build_merged_spec
+
+
+def tiled(bases, extents):
+    """``(base, extent)`` of regions that tile one range, else Nones."""
+    regions = [(int(b), int(e)) for b, e in zip(bases, extents) if e > 0]
+    for (b0, e0), (b1, _) in zip(regions, regions[1:]):
+        if b1 != b0 + e0:
+            return None, None
+    if not regions:
+        return 0, 0
+    return regions[0][0], sum(regions[-1]) - regions[0][0]
 
 
 def sliced(spec: KernelSpec, index: int):
@@ -15,7 +28,7 @@ def sliced(spec: KernelSpec, index: int):
     start, stop = threads.start, threads.stop
     items = spec.thread_items[start:stop]
     n = stop - start
-    per_warp = base = extent = None
+    base = extent = None
     if spec.contiguous_footprint:
         per_warp = int(items[0]) if n > 1 else int(items[-1])
         if spec.mem_bases is not None:
@@ -24,6 +37,10 @@ def sliced(spec: KernelSpec, index: int):
                 int(spec.mem_bases[stop - 1]) - base
                 + int(items[-1]) * spec.mem_stride
             )
+    else:
+        per_warp = np.maximum.reduceat(items, np.arange(0, n, WARP_SIZE)).tolist()
+        if spec.mem_bases is not None:
+            base, extent = tiled(spec.mem_bases[start:stop], items * spec.mem_stride)
     return (start, stop, (n + WARP_SIZE - 1) // WARP_SIZE, int(items.sum()),
             per_warp, base, extent)
 
@@ -80,3 +97,80 @@ def test_child_spec_carries_its_closed_form_plan_and_checks():
                       thread_items=np.ones(70, dtype=np.int64))
     assert isinstance(plan_of(host), GridPlan)
     assert plan_of(host) is plan_of(host)
+
+
+@st.composite
+def merged_grids(draw):
+    """A merged grid of 1-6 requests sharing a merge key, and whether it
+    is padded (then every CTA holds one constituent and must tile)."""
+    tpc = draw(st.integers(min_value=1, max_value=96))
+    per_thread = draw(st.integers(min_value=1, max_value=4))
+    stride = draw(st.integers(min_value=0, max_value=16))
+    requests = [
+        ChildRequest(name="c", items=items, cta_threads=tpc,
+                     items_per_thread=per_thread, mem_base=base,
+                     mem_stride=stride)
+        for items, base in draw(st.lists(
+            st.tuples(st.integers(min_value=1, max_value=200),
+                      st.integers(min_value=-1024, max_value=4096)),
+            min_size=1, max_size=6))
+    ]
+    unpadded = draw(st.booleans())
+    return build_merged_spec(requests, depth=1, unpadded=unpadded), not unpadded
+
+
+@st.composite
+def host_grids(draw):
+    """A host grid whose regions tile, leave gaps, overlap or repeat."""
+    items = np.array(draw(st.lists(st.integers(min_value=0, max_value=6),
+                                   min_size=1, max_size=300)))
+    stride = draw(st.integers(min_value=0, max_value=16))
+    # Each thread starts where the previous region ended, plus a shift
+    # (0 tiles); None repeats the previous thread's base.
+    shifts = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 7, -64, 128, None]),
+                           min_size=items.size, max_size=items.size))
+    bases = [draw(st.integers(min_value=-1024, max_value=1024))]
+    for t in range(1, items.size):
+        shift = shifts[t]
+        bases.append(bases[-1] if shift is None
+                     else bases[-1] + int(items[t - 1]) * stride + shift)
+    spec = KernelSpec(name="h", threads_per_cta=draw(st.integers(1, 96)),
+                      thread_items=items, mem_bases=np.array(bases),
+                      mem_stride=stride)
+    return spec, False
+
+
+class StreamRecorder(MemorySystem):
+    """Records every line stream handed to the caches."""
+
+    def __init__(self, max_lines_per_cta):
+        super().__init__(MemoryConfig(), max_lines_per_cta=max_lines_per_cta)
+        self.streams = []
+
+    def _access_lines(self, lines, smx_index, now=0.0):
+        self.streams.append(list(lines))
+        return super()._access_lines(lines, smx_index, now)
+
+
+@given(
+    grid=st.one_of(merged_grids(), host_grids()),
+    cost=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    max_lines=st.integers(min_value=1, max_value=24),
+)
+@settings(max_examples=80, deadline=None)
+def test_plan_ranges_and_maxima_match_the_array_path(grid, cost, max_lines):
+    spec, must_tile = grid
+    plan = GridPlan(spec)
+    ranged, arrays = StreamRecorder(max_lines), StreamRecorder(max_lines)
+    for index in range(spec.num_ctas):
+        start, stop, _, _, per_warp, base, extent = plan.cta(index)
+        items = spec.thread_items[start:stop]
+        reduced = np.maximum.reduceat(items * cost,
+                                      np.arange(0, stop - start, WARP_SIZE))
+        assert np.array([m * cost for m in per_warp]).tobytes() == reduced.tobytes()
+        assert base is not None or not must_tile
+        if base is not None:
+            assert ranged.cta_access([(base, extent)]) == arrays.cta_access_arrays(
+                spec.mem_bases[start:stop], items * spec.mem_stride
+            )
+            assert ranged.streams[-1] == arrays.streams[-1]

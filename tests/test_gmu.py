@@ -99,6 +99,51 @@ class TestDispatchIteration:
         assert first is not second
 
 
+def bound_gmu(threads, cursor):
+    """A GMU with one bound head per stream, CTAs of ``threads[i]`` threads."""
+    gmu = GMU(small_debug_gpu())  # 4 HWQs
+    for kid, tpc in enumerate(threads):
+        spec = KernelSpec(name=f"k{kid}", threads_per_cta=tpc,
+                          thread_items=np.ones(2 * tpc, dtype=np.int64))
+        gmu.submit(KernelInstance(kid, spec, stream_id=kid, is_child=False))
+    gmu._rr_cursor = cursor
+    return gmu
+
+
+class TestSkippedShapes:
+    THREADS = [32, 64, 32, 96]
+
+    @pytest.mark.parametrize("cursor", range(4))
+    @pytest.mark.parametrize("skipped", [(), (64,), (32,), (96,), (32, 96),
+                                         (32, 64, 96)])
+    def test_skip_filters_heads_and_keeps_the_cursor(self, cursor, skipped):
+        plain = bound_gmu(self.THREADS, cursor)
+        filtered = bound_gmu(self.THREADS, cursor)
+        skip = {k.shape for k in plain.executing_kernels()
+                if k.spec.threads_per_cta in skipped}
+        expected = [k.kernel_id for k in plain.dispatchable_kernels()
+                    if k.shape not in skip]
+        got = [k.kernel_id for k in filtered.dispatchable_kernels(skip)]
+        assert got == expected
+        assert filtered._rr_cursor == plain._rr_cursor
+
+    def test_skipped_last_head_still_moves_the_cursor(self):
+        gmu = bound_gmu(self.THREADS, 0)
+        skip = {gmu.executing_kernels()[3].shape}  # the 96-thread head
+        assert [k.kernel_id for k in gmu.dispatchable_kernels(skip)] == [0, 1, 2]
+        assert gmu._rr_cursor == 0  # past head 3, as a rejected yield leaves it
+
+    def test_skip_is_read_live_between_yields(self):
+        gmu = bound_gmu(self.THREADS, 0)
+        skip = set()
+        scan = gmu.dispatchable_kernels(skip)
+        first = next(scan)
+        assert first.kernel_id == 0
+        skip.add(first.shape)  # the caller failed to place it
+        assert [k.kernel_id for k in scan] == [1, 3]
+        assert gmu._rr_cursor == 0
+
+
 class TestCompletion:
     def test_complete_non_head_raises(self, gmu):
         first = make_kernel(kid=0, stream=3)

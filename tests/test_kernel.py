@@ -116,6 +116,13 @@ class TestKernelSpec:
         with pytest.raises(WorkloadError):
             simple_spec(mem_bases=np.zeros(3, dtype=np.int64))
 
+    def test_rejects_negative_costs(self):
+        with pytest.raises(WorkloadError):
+            simple_spec(cycles_per_item=-5.0)
+        with pytest.raises(WorkloadError):
+            simple_spec(accesses_per_item=-1.0)
+        assert simple_spec(cycles_per_item=0.0, accesses_per_item=0.0)
+
     def test_rejects_out_of_range_child_request(self):
         with pytest.raises(WorkloadError):
             simple_spec(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check.reference import ReferenceMemorySystem
 from repro.errors import ConfigError
 from repro.sim.config import CacheConfig, MemoryConfig
 from repro.sim.memory import MemorySystem, SetAssociativeCache
@@ -111,6 +112,30 @@ class TestMemorySystem:
         extents = np.array([256, 128, 300], dtype=np.int64)
         regions = list(zip(bases.tolist(), extents.tolist()))
         assert mem_a.region_lines(regions) == mem_b.region_lines_arrays(bases, extents)
+
+    @pytest.mark.parametrize("regions", [
+        [(-128, 128)],
+        [(-1, 1)],
+        [(-129, 2)],
+        [(-256, 384)],
+        [(-128, 64), (-64, 64)],
+        [(-128, 128), (0, 128)],
+        [(0, 128), (-128, 128)],
+        [(-384, 128), (-128, 0), (-128, 128)],
+    ])
+    def test_line_minus_one_is_a_real_line(self, regions):
+        bases = np.array([b for b, _ in regions], dtype=np.int64)
+        extents = np.array([e for _, e in regions], dtype=np.int64)
+        lines = make_memory().region_lines(regions)
+        assert -1 in lines
+        assert lines == make_memory().region_lines_arrays(bases, extents)
+        # A fresh L2 misses every line, whichever path streams them.
+        results = {
+            make_memory().cta_access(regions),
+            ReferenceMemorySystem(MemoryConfig()).cta_access(regions),
+            make_memory().cta_access_arrays(bases, extents),
+        }
+        assert len(results) == 1 and results.pop()[1] == 0.0
 
     def test_access_cta_reports_hit_rate(self):
         mem = make_memory()
