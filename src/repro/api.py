@@ -59,7 +59,6 @@ from repro.harness.store import (
     default_cache_dir,
     open_store,
 )
-from repro.harness.history import PerfRecord, load_history
 from repro.harness.sweep import SweepResult, offline_search, threshold_sweep
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -328,8 +327,6 @@ __all__ = [
     "ReplayReport",
     "drive_service",
     "replay_ledger",
-    "PerfRecord",
-    "load_history",
     # core types
     "RunConfig",
     "Runner",

@@ -32,12 +32,6 @@ Commands
     an intentional behaviour change.
 ``cache [stats|clear]``
     Inspect or empty the persistent result store.
-``bench``
-    Time the simulator on its slowest benchmark/scheme pairs and write
-    ``BENCH_<date>.json`` (speedup vs. recorded reference timings plus a
-    bit-identical-makespan check).  Exits non-zero when any pair drifts
-    in makespan or regresses past ``--min-speedup``; the report file is
-    written either way so a failing run still leaves evidence.
 ``serve [REQUESTS.json]``
     Drive the in-process simulation service with scripted or synthetic
     traffic: duplicate requests are coalesced, cache hits are answered
@@ -55,13 +49,6 @@ Commands
     reproduces its recorded makespan bit-for-bit, and gates the run on
     latency / shed-rate budgets (``--max-p99-ms``, ``--max-shed-rate``)
     with measured-vs-limit evidence on failure.
-``perf``
-    Measure the simulator (per-pair wall seconds + makespans via
-    the bench run-set) and the service (burst-soak throughput + shed
-    rate), append the records to the committed rolling history
-    (``bench_history.jsonl``), compare against the trailing window, and
-    render ASCII trend charts.  Exits non-zero on a timing regression
-    or any makespan drift.
 
 Examples
 --------
@@ -75,13 +62,10 @@ Examples
     python -m repro suite --jobs 4
     python -m repro check
     python -m repro cache stats
-    python -m repro bench --output BENCH.json
-    python -m repro bench --min-speedup 0.3
     python -m repro serve --synthetic 100 --deadline-ms 2000 --stats
     python -m repro serve requests.json --jobs 4 --stats-json stats.json
     python -m repro serve --synthetic 50 --record ledger.jsonl
     python -m repro replay ledger.jsonl --speed 10 --max-p99-ms 5000
-    python -m repro perf --pairs MM-small/spawn --soak 50
 """
 
 from __future__ import annotations
@@ -125,7 +109,7 @@ def _resolve_store_url(args, *, default: bool):
 
     ``default=True`` opens the default directory cache when no flag was
     given (suite/serve/replay/cache); ``default=False`` stays storeless
-    unless the user named one (run/bench/perf — historically cacheless).
+    unless the user named one (run — historically cacheless).
     ``url`` may be None with ``use_store=True``, meaning "the default
     location" (:func:`repro.harness.store.open_store` resolves it).
     """
@@ -243,20 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["stats", "clear"])
     _add_store_argument(cache)
 
-    bench = sub.add_parser(
-        "bench", help="time the slowest pairs; write BENCH_<date>.json"
-    )
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="timed repetitions per pair, best kept (default: 3)")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--output", default=None, metavar="FILE",
-                       help="report path (default: BENCH_<YYYYMMDD>.json)")
-    bench.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                       help="fail (exit 1) when any pair's speedup vs. its "
-                            "recorded reference drops below X, e.g. 0.25 "
-                            "(default: drift check only)")
-    _add_store_argument(bench)
-
     serve = sub.add_parser(
         "serve",
         help="drive the batched async simulation service with scripted traffic",
@@ -352,44 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--record", default=None, metavar="LEDGER.jsonl",
                         help="also write the replayed outcomes as a fresh "
                              "ledger")
-
-    perf = sub.add_parser(
-        "perf",
-        help="append simulator + service perf records to the rolling history",
-    )
-    perf.add_argument("--pairs", default=None, metavar="PAIR[,PAIR...]",
-                      help="benchmark/scheme pairs to time, e.g. "
-                           "'MM-small/spawn,BFS-graph500/spawn' "
-                           "(default: the bench run-set)")
-    perf.add_argument("--repeat", type=int, default=3,
-                      help="timed repetitions per pair, best kept (default: 3)")
-    perf.add_argument("--seed", type=int, default=1)
-    perf.add_argument("--soak", type=int, default=0, metavar="N",
-                      help="also soak the service with N burst requests and "
-                           "record throughput + shed rate (default: off)")
-    perf.add_argument("--traffic-seed", type=int, default=1,
-                      help="seed for --soak traffic (default: 1)")
-    perf.add_argument("--autotune", action="store_true",
-                      help="run the --soak with online autotuning enabled; "
-                           "records the service-soak@autotuned series so "
-                           "the closed-loop trajectory is tracked apart "
-                           "from static-scheme baselines")
-    perf.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
-                      help="soak shed deadline, as for serve (default: never)")
-    perf.add_argument("--history", default=None, metavar="FILE",
-                      help="history file (default: bench_history.jsonl)")
-    perf.add_argument("--no-append", action="store_true",
-                      help="compare and chart only; leave the history file "
-                           "untouched (CI smoke mode)")
-    perf.add_argument("--window", type=int, default=5, metavar="N",
-                      help="trailing records per series to compare against "
-                           "(default: 5)")
-    perf.add_argument("--max-ratio", type=float, default=1.5, metavar="X",
-                      help="regression threshold vs. the trailing mean "
-                           "(default: 1.5)")
-    perf.add_argument("--json", default=None, metavar="FILE",
-                      help="write the fresh records + verdicts as JSON")
-    _add_store_argument(perf)
 
     plot = sub.add_parser(
         "plot", help="ASCII concurrency timeline for one run (Fig. 6/19 style)"
@@ -764,79 +696,6 @@ def cmd_cache(args, out) -> int:
     return 0
 
 
-def cmd_bench(args, out) -> int:
-    from repro.harness.bench import (
-        DEFAULT_MIN_SPEEDUP,
-        regressions,
-        run_bench,
-        write_report,
-    )
-
-    if args.repeat < 1:
-        print(f"error: --repeat must be >= 1, got {args.repeat}", file=sys.stderr)
-        return 2
-    if args.min_speedup is not None and args.min_speedup <= 0:
-        print(
-            f"error: --min-speedup must be > 0, got {args.min_speedup}",
-            file=sys.stderr,
-        )
-        return 2
-
-    # Timed runs stay cold (a cache hit would measure nothing); --store
-    # write-throughs each result after its clock stops.
-    store = _open_cli_store(args, default=False)
-    store_kwargs = {"store": store} if store is not None else {}
-    min_speedup = (
-        args.min_speedup if args.min_speedup is not None else DEFAULT_MIN_SPEEDUP
-    )
-    report = run_bench(repeat=args.repeat, seed=args.seed, **store_kwargs)
-    # The report is written before any gate: a failing run must still
-    # leave its evidence on disk for CI to archive.
-    path = write_report(report, args.output)
-    rows = [
-        (
-            row["pair"],
-            row["seconds"],
-            row.get("reference_seconds", "-"),
-            row.get("speedup", "-"),
-            {True: "yes", False: "NO"}.get(row.get("makespan_identical"), "-"),
-        )
-        for row in report["pairs"]
-    ]
-    print(
-        format_table(
-            ["pair", "seconds", "reference_s", "speedup", "makespan identical"],
-            rows,
-            title=f"simulator benchmark (best of {report['repeat']})",
-        ),
-        file=out,
-    )
-    print(f"wrote {path}", file=sys.stderr)
-    failed = False
-    drifted = [
-        row["pair"]
-        for row in report["pairs"]
-        if row.get("makespan_identical") is False
-    ]
-    if drifted:
-        print(
-            f"error: makespan drift vs. reference on: {', '.join(drifted)}",
-            file=sys.stderr,
-        )
-        failed = True
-    regressed = regressions(report, min_speedup)
-    if regressed:
-        detail = ", ".join(
-            f"{row['pair']} ({row['speedup']}x)" for row in regressed
-        )
-        print(
-            f"error: speedup below {min_speedup}x vs. reference on: {detail}",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
 def _latency_rows(latency: dict) -> list:
     """Table rows (span, count, p50/p95/p99 in ms) from a latency digest."""
     rows = []
@@ -1198,191 +1057,6 @@ def cmd_replay(args, out) -> int:
     return 0
 
 
-def cmd_perf(args, out) -> int:
-    import asyncio
-    import datetime
-
-    from repro.harness.bench import BENCH_PAIRS, run_bench
-    from repro.harness.history import (
-        DEFAULT_HISTORY_PATH,
-        append_records,
-        compare,
-        load_history,
-        records_from_bench,
-        soak_record,
-        trend_chart,
-    )
-    from repro.service import (
-        ServiceConfig,
-        SimulationService,
-        drive_service,
-        generate_traffic,
-    )
-
-    if args.repeat < 1:
-        print(f"error: --repeat must be >= 1, got {args.repeat}",
-              file=sys.stderr)
-        return 2
-    if args.pairs:
-        pairs = []
-        for token in args.pairs.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            benchmark, sep, scheme = token.partition("/")
-            if not sep or not benchmark or not scheme:
-                print(
-                    f"error: --pairs entries must be benchmark/scheme, "
-                    f"got {token!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            pairs.append((benchmark, scheme))
-        if not pairs:
-            print("error: --pairs named no pairs", file=sys.stderr)
-            return 2
-    else:
-        pairs = list(BENCH_PAIRS)
-
-    at = datetime.datetime.now().isoformat(timespec="seconds")
-    history_path = args.history if args.history else DEFAULT_HISTORY_PATH
-    history = load_history(history_path)
-
-    bench_report = run_bench(
-        pairs=pairs,
-        repeat=args.repeat,
-        seed=args.seed,
-        store=_open_cli_store(args, default=False),
-    )
-    fresh = records_from_bench(bench_report, at)
-
-    if args.soak > 0:
-        import time as _time
-
-        from repro.harness.runner import Runner as _Runner
-
-        requests = generate_traffic(args.soak, seed=args.traffic_seed)
-        config = ServiceConfig(
-            jobs=2,
-            deadline_ms=args.deadline_ms,
-            autotune=args.autotune,
-            autotune_seed=args.traffic_seed,
-        )
-
-        async def soak():
-            # Memory-only runner: a warm disk store would turn the soak
-            # into a pure cache read and flatter the throughput number.
-            service = SimulationService(_Runner(), config=config)
-            async with service:
-                if config.autotune:
-                    # Converged-service soak: an un-timed sequential
-                    # warm-up pass first (each completion feeds the
-                    # tuner), so the timed pass below measures the
-                    # closed loop's steady state — incumbent arms over
-                    # a warm cache — not its exploration phase.
-                    for request in requests:
-                        job = await service.submit(request.config())
-                        await job.result()
-                before = service.stats()
-                start = _time.perf_counter()
-                await drive_service(service, requests)
-                seconds = _time.perf_counter() - start
-            return seconds, before, service.stats()
-
-        seconds, before, stats = asyncio.run(soak())
-        details = {
-            "coalesced": stats.coalesced - before.coalesced,
-            "cache_hits": stats.cache_hits - before.cache_hits,
-            "batches": stats.batches - before.batches,
-        }
-        # A label suffix makes the closed-loop soak its own history
-        # series, so `repro perf` trends and gates it separately from the
-        # static-scheme soak.
-        label = "service-soak@autotuned" if args.autotune else "service-soak"
-        if args.autotune:
-            details["autotuned"] = stats.autotuned
-            details["converged_pairs"] = sum(
-                1 for snap in stats.autotune.values() if snap["converged"]
-            )
-        fresh.append(
-            soak_record(
-                requests=stats.submitted - before.submitted,
-                seconds=seconds,
-                shed=stats.shed - before.shed,
-                at=at,
-                label=label,
-                details=details,
-            )
-        )
-
-    verdicts = compare(
-        history, fresh, window=args.window, max_ratio=args.max_ratio
-    )
-    if not args.no_append:
-        append_records(fresh, history_path)
-        print(
-            f"appended {len(fresh)} records to {history_path}",
-            file=sys.stderr,
-        )
-    if args.json:
-        payload = {
-            "at": at,
-            "records": [record.to_dict() for record in fresh],
-            "verdicts": verdicts,
-        }
-        write_json_atomic(payload, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-
-    rows = [
-        (
-            record.label,
-            record.kind,
-            f"{record.value:.4g} {record.unit}",
-            next(
-                (
-                    f"{v['baseline']:.4g} (x{v['ratio']})"
-                    for v in verdicts if v["label"] == record.label
-                ),
-                "-",
-            ),
-        )
-        for record in fresh
-    ]
-    print(
-        format_table(
-            ["series", "kind", "measured", "trailing baseline"],
-            rows,
-            title=f"perf records ({at})",
-        ),
-        file=out,
-    )
-    chart = trend_chart(
-        history + fresh, labels=[record.label for record in fresh]
-    )
-    print(file=out)
-    print(chart, file=out)
-
-    failed = False
-    for verdict in verdicts:
-        if verdict["drift"]:
-            print(
-                f"error: {verdict['label']}: makespan drifted from the "
-                "last recorded value (simulation results must be "
-                "deterministic)",
-                file=sys.stderr,
-            )
-            failed = True
-        if verdict["regressed"]:
-            print(
-                f"error: {verdict['label']}: {verdict['value']:.4g} vs. "
-                f"trailing mean {verdict['baseline']:.4g} "
-                f"(ratio {verdict['ratio']}, limit {args.max_ratio})",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
-
-
 def cmd_plot(args, out) -> int:
     from repro.harness.plotting import timeline
 
@@ -1432,14 +1106,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return cmd_check(args, out)
         if args.command == "cache":
             return cmd_cache(args, out)
-        if args.command == "bench":
-            return cmd_bench(args, out)
         if args.command == "serve":
             return cmd_serve(args, out)
         if args.command == "replay":
             return cmd_replay(args, out)
-        if args.command == "perf":
-            return cmd_perf(args, out)
         if args.command == "plot":
             return cmd_plot(args, out)
         raise AssertionError(f"unhandled command {args.command}")

@@ -17,7 +17,6 @@ from repro.harness.export import (
     result_to_dict,
     result_to_json,
 )
-from repro.harness.bench import BENCH_PAIRS, run_bench, write_report
 from repro.harness.faults import FaultPlan, FlakyStore
 from repro.harness.parallel import (
     ExecutionPolicy,
@@ -26,7 +25,7 @@ from repro.harness.parallel import (
     TaskOutcome,
     default_jobs,
 )
-from repro.harness.plotting import bar_chart, sparkline, timeline
+from repro.harness.plotting import bar_chart, timeline
 from repro.harness.replication import (
     ReplicationResult,
     SchemeStats,
@@ -50,7 +49,6 @@ from repro.harness.sweep import (
 
 __all__ = [
     "BASELINE_DP",
-    "BENCH_PAIRS",
     "DP_SCHEMES",
     "DTBL",
     "ExecutionPolicy",
@@ -85,10 +83,7 @@ __all__ = [
     "replication_plan",
     "result_to_dict",
     "result_to_json",
-    "run_bench",
-    "sparkline",
     "sweep_plan",
     "threshold_sweep",
     "timeline",
-    "write_report",
 ]

@@ -552,7 +552,6 @@ class ParallelRunner:
             if delay > 0:
                 time.sleep(delay)
             report.retries += 1
-            REGISTRY.count("parallel.retries")
             METRICS.counter("harness.retries_total").inc()
             self._emit(
                 HARNESS_RETRY,
@@ -566,7 +565,6 @@ class ParallelRunner:
         state.error = str(failure)
         state.failure = failure
         report.quarantined += 1
-        REGISTRY.count("parallel.quarantined")
         METRICS.counter("harness.quarantined_total").inc()
         self._emit(
             HARNESS_QUARANTINE,

@@ -11,9 +11,6 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import HarnessError
 
-#: Unicode eighth-blocks for sparklines, coarse to fine.
-_SPARK = " .:-=+*#%@"
-
 
 def bar_chart(
     labels: Sequence[str],
@@ -43,18 +40,6 @@ def bar_chart(
             bar[ref_col] = "|"
         lines.append(f"{str(label).ljust(label_width)}  {''.join(bar)} {value:.2f}")
     return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line sparkline of a series."""
-    if not values:
-        raise HarnessError("nothing to plot")
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK[0] * len(values)
-    steps = len(_SPARK) - 1
-    return "".join(_SPARK[round(steps * (v - lo) / span)] for v in values)
 
 
 def timeline(

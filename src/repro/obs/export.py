@@ -94,10 +94,10 @@ def write_json_atomic(payload: object, path) -> Path:
     """Serialize ``payload`` to ``path`` via temp file + ``os.replace``.
 
     The store's directory-backend idiom applied to report files
-    (``repro serve/replay --stats-json``, ``repro perf --json``): the
-    JSON is fully serialized before the disk is touched, written to a
-    temp file in the destination directory, and renamed into place — a
-    reader (or a crash mid-write) can never observe a truncated file.
+    (``repro serve/replay --stats-json``): the JSON is fully serialized
+    before the disk is touched, written to a temp file in the
+    destination directory, and renamed into place — a reader (or a crash
+    mid-write) can never observe a truncated file.
     Returns the destination path.
     """
     path = Path(path)

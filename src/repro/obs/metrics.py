@@ -5,7 +5,7 @@ vs. actual child-kernel time, queue occupancy — and the serving stack
 deserves the same treatment.  This module is the measurement substrate:
 a dependency-free metrics model (``time.perf_counter`` + dicts, exactly
 like :mod:`repro.obs.profile`) with three instrument kinds and a
-process-wide registry.
+registry.
 
 * :class:`Counter` — monotonically increasing totals (requests routed,
   cache hits, retries).
@@ -19,9 +19,14 @@ process-wide registry.
   reference).
 * :class:`MetricsRegistry` — named, labelled instruments with JSON
   (``to_dict``) and Prometheus text (``to_prometheus``) exporters.
-  :data:`METRICS` is the process-wide default, the sibling of
-  :data:`repro.obs.profile.REGISTRY` (wall-clock timers answer "which
-  simulator is slow"; these metrics answer "how is the *service* doing").
+  :data:`METRICS` is the process-wide registry of the harness
+  (``harness.*``) and store (``store.*``) instruments, the sibling of
+  :data:`repro.obs.profile.REGISTRY`.  Each
+  :class:`~repro.service.service.SimulationService`,
+  :class:`~repro.service.fleet.ServiceFleet` and
+  :class:`~repro.service.autotune.AutoTuner` builds a registry of its
+  own unless the caller injects one, so a service's ``stats().latency``
+  digests only that service's requests.
 
 Registries are per-process and unsynchronised, matching the rest of the
 observability layer: the service event loop and the harness both live in
@@ -376,6 +381,6 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-#: Process-wide default registry (the serving stack's instruments live
-#: here unless a caller injects its own registry for isolation).
+#: Process-wide registry of the harness and store instruments.  Services,
+#: fleets and tuners default to a registry of their own instead.
 METRICS = MetricsRegistry()

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import HarnessError
 from repro.harness import schemes as sch
 from repro.harness.runner import RunConfig, Runner
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -337,7 +337,7 @@ class AutoTuner:
         self.pulls_per_round = pulls_per_round
         self.seed = seed
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tuners: Dict[Tuple[str, str], SuccessiveHalvingTuner] = {}
 
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.harness.faults import FaultPlan
 from repro.harness.parallel import ExecutionPolicy
 from repro.harness.runner import Runner
 from repro.harness.store import open_store
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service.autotune import merge_autotune_snapshots
 from repro.service.jobs import RequestLike, ServiceJob, ServiceStats, as_run_config
@@ -263,7 +263,7 @@ class ServiceFleet:
                 f"fleet of {self.config.shards} shards needs exactly that "
                 f"many runners, got {len(runners)}"
             )
-        self.metrics = metrics if metrics is not None else METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._services = [
             SimulationService(
                 runner,

@@ -433,10 +433,9 @@ async def replay_ledger(
 ) -> ReplayReport:
     """Re-drive a recorded ledger against a fresh service and compare.
 
-    The service is built from the given knobs (defaulting to a private
-    metrics registry so replays do not pollute the process-wide one),
-    driven through :func:`drive_service` at ``speed``, and the replayed
-    entries are diffed against the recording: simulation results must be
+    The service is built from the given knobs, driven through
+    :func:`drive_service` at ``speed``, and the replayed entries are
+    diffed against the recording: simulation results must be
     bit-identical (any divergence is listed in ``mismatches``), while
     measured latencies feed the report for budget gating.
 
@@ -451,7 +450,6 @@ async def replay_ledger(
     if runners is not None and runner is not None:
         raise HarnessError("pass either runner or runners, not both")
     service_config = config if config is not None else ServiceConfig(jobs=2)
-    metrics = metrics if metrics is not None else MetricsRegistry()
     if shards > 1 or runners is not None:
         # Deferred import: fleet pulls in the store/backends stack,
         # which single-service replays never need.

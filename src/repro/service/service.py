@@ -66,7 +66,7 @@ from repro.harness.parallel import (
     TaskOutcome,
 )
 from repro.harness.runner import RunConfig, Runner
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -185,9 +185,9 @@ class SimulationService:
         self.runner = runner if runner is not None else Runner()
         self.config = config if config is not None else ServiceConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Latency/counter instruments; the process-wide registry unless
-        #: the caller injects its own (tests, per-replay isolation).
-        self.metrics = metrics if metrics is not None else METRICS
+        #: Latency/counter instruments: a registry of this service's own
+        #: unless the caller injects one (a fleet shares one across shards).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._stage_hist = {
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
             for stage in ("admit", "queue", "dispatch", "total")

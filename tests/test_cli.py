@@ -147,12 +147,6 @@ class TestSuiteCacheBench:
         assert args.experiments is None
         assert not args.no_store
 
-    def test_bench_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.repeat == 3
-        assert args.output is None
-        assert args.min_speedup is None  # None -> DEFAULT_MIN_SPEEDUP
-
     def test_suite_rejects_unknown_experiment(self):
         code, _ = run_cli("suite", "--experiments", "fig99", "--jobs", "1",
                           "--no-store")
@@ -179,83 +173,6 @@ class TestSuiteCacheBench:
         code, text = run_cli("cache", "clear", "--store", str(tmp_path))
         assert code == 0
         assert "removed 0 entries" in text
-
-
-def canned_bench_report(*, speedup=2.0, identical=True):
-    """A minimal run_bench-shaped report for exercising the CLI gate."""
-    return {
-        "repeat": 1,
-        "seed": 1,
-        "pairs": [
-            {
-                "pair": "SA-thaliana/spawn",
-                "seconds": 1.0,
-                "makespan": 42.0,
-                "reference_seconds": 2.0,
-                "speedup": speedup,
-                "makespan_identical": identical,
-            }
-        ],
-    }
-
-
-class TestBenchGate:
-    """`repro bench` must fail loudly on regression — but always emit
-    the report file first, so a failing CI run still leaves evidence."""
-
-    def fake_bench(self, monkeypatch, **kwargs):
-        import repro.harness.bench as bench
-
-        monkeypatch.setattr(
-            bench, "run_bench",
-            lambda *, repeat, seed: canned_bench_report(**kwargs),
-        )
-
-    def test_healthy_run_exits_zero(self, monkeypatch, tmp_path):
-        self.fake_bench(monkeypatch, speedup=2.0)
-        out = tmp_path / "BENCH.json"
-        code, text = run_cli("bench", "--output", str(out))
-        assert code == 0
-        assert out.is_file()
-        assert "SA-thaliana/spawn" in text
-
-    def test_speedup_regression_exits_nonzero_but_writes_report(
-        self, monkeypatch, tmp_path
-    ):
-        self.fake_bench(monkeypatch, speedup=0.1)  # below DEFAULT_MIN_SPEEDUP
-        out = tmp_path / "BENCH.json"
-        code, _ = run_cli("bench", "--output", str(out))
-        assert code == 1
-        # The evidence file exists despite the failure.
-        assert json.loads(out.read_text())["pairs"][0]["speedup"] == 0.1
-
-    def test_min_speedup_flag_tightens_the_gate(self, monkeypatch, tmp_path):
-        self.fake_bench(monkeypatch, speedup=2.0)
-        out = tmp_path / "BENCH.json"
-        code, _ = run_cli(
-            "bench", "--output", str(out), "--min-speedup", "3.0"
-        )
-        assert code == 1
-        assert out.is_file()
-        code, _ = run_cli(
-            "bench", "--output", str(out), "--min-speedup", "1.5"
-        )
-        assert code == 0
-
-    def test_makespan_drift_still_fails(self, monkeypatch, tmp_path):
-        self.fake_bench(monkeypatch, speedup=2.0, identical=False)
-        out = tmp_path / "BENCH.json"
-        code, _ = run_cli("bench", "--output", str(out))
-        assert code == 1
-        assert out.is_file()
-
-    def test_rejects_nonpositive_min_speedup(self):
-        code, _ = run_cli("bench", "--min-speedup", "0")
-        assert code == 2
-
-    def test_rejects_bad_repeat(self):
-        code, _ = run_cli("bench", "--repeat", "0")
-        assert code == 2
 
 
 class TestServe:

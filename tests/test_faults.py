@@ -29,6 +29,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.store import open_store
+from repro.obs.metrics import METRICS
 from repro.service import ServiceConfig, SimulationService
 
 #: The two cheapest end-to-end benchmarks.
@@ -215,9 +216,15 @@ class TestQuarantine:
         pr = ParallelRunner(
             Runner(), jobs=2, policy=ExecutionPolicy(max_retries=1), faults=plan
         )
+        retries = METRICS.counter("harness.retries_total")
+        quarantined = METRICS.counter("harness.quarantined_total")
+        before = (retries.value, quarantined.value)
         report = pr.run_suite(CONFIGS)
         assert not report.ok
         assert report.quarantined == 1
+        # The process-wide counters move by exactly the report's counts.
+        assert retries.value - before[0] == report.retries == 1
+        assert quarantined.value - before[1] == report.quarantined
         [failure] = report.failures
         assert failure.config.benchmark == FAST
         assert failure.config.scheme == "spawn"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HarnessError
-from repro.harness.plotting import bar_chart, sparkline, timeline
+from repro.harness.plotting import bar_chart, timeline
 
 
 class TestBarChart:
@@ -27,23 +27,6 @@ class TestBarChart:
             bar_chart([], [])
         with pytest.raises(HarnessError):
             bar_chart(["a"], [0.0])
-
-
-class TestSparkline:
-    def test_length_matches_input(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_constant_series_is_flat(self):
-        assert sparkline([5, 5, 5]) == "   "
-
-    def test_extremes_use_extreme_glyphs(self):
-        line = sparkline([0, 10])
-        assert line[0] == " "
-        assert line[1] == "@"
-
-    def test_empty_rejected(self):
-        with pytest.raises(HarnessError):
-            sparkline([])
 
 
 class TestTimeline:

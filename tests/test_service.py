@@ -249,6 +249,23 @@ def test_stats_to_dict_is_flat_and_complete():
     json.dumps(payload)
 
 
+def test_default_registry_latency_digest_is_per_service():
+    """Two services built one after the other with no injected registry
+    each digest only their own requests, like every other stats field."""
+
+    async def _scenario():
+        service = SimulationService(Runner())
+        async with service:
+            await (await service.submit(FAST))
+        return service.stats()
+
+    for _ in range(2):
+        stats = asyncio.run(_scenario())
+        assert stats.submitted == 1
+        resolved = stats.completed + stats.failed
+        assert stats.latency["end_to_end"]["count"] == resolved == 1
+
+
 def test_api_facade_round_trip():
     """repro.api serve/submit/gather wrap the service end to end."""
     from repro import api
