@@ -348,7 +348,6 @@ def cmd_config(out) -> int:
 
 def cmd_run(args, out) -> int:
     from repro.obs import Tracer, write_chrome_trace, write_jsonl
-    from repro.obs.profile import REGISTRY
 
     # The store stays off unless requested: `repro run` is historically
     # cacheless, and quick one-offs should not populate a store unasked.
@@ -391,13 +390,19 @@ def cmd_run(args, out) -> int:
             file=out,
         )
     if args.profile:
+        timers = []
+        for metric, labels, hist in runner.metrics.collect():
+            if metric == "runner.sim_seconds":
+                run = dict(labels)
+                timers.append((f"sim.run/{run['benchmark']}/{run['scheme']}", hist))
+        timers.sort(key=lambda timer: timer[1].sum, reverse=True)
         print(file=out)
         print(
             format_table(
                 ["timer", "calls", "total_s", "mean_s", "max_s"],
                 [
-                    (name, calls, f"{total:.3f}", f"{mean:.3f}", f"{mx:.3f}")
-                    for name, calls, total, mean, mx in REGISTRY.timer_rows()
+                    (name, h.count, f"{h.sum:.3f}", f"{h.mean:.3f}", f"{h.max:.3f}")
+                    for name, h in timers
                 ],
                 title="harness wall-clock profile",
             ),
@@ -510,7 +515,6 @@ def cmd_suite(args, out) -> int:
     from repro.experiments.plans import suite_plan
     from repro.harness.faults import FaultPlan
     from repro.harness.parallel import ExecutionPolicy, ParallelRunner, default_jobs
-    from repro.obs.profile import REGISTRY
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if jobs < 1:
@@ -586,11 +590,11 @@ def cmd_suite(args, out) -> int:
             continue
         print(result.table(), file=out)
         print(file=out)
-    counters = REGISTRY.counters
+    counters = runner.metrics.to_dict()["counters"]
     print(
         "suite done: "
         f"jobs={jobs} "
-        f"fanned_out={int(counters.get('parallel.fanned_out', 0))} "
+        f"fanned_out={len(report.outcomes)} "
         f"resumed={report.resumed} "
         f"retries={report.retries} "
         f"timeouts={report.timeouts} "

@@ -71,7 +71,6 @@ from repro.harness import schemes as sch
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import RunConfig, Runner
 from repro.obs.metrics import METRICS
-from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     HARNESS_POOL_REBUILD,
     HARNESS_QUARANTINE,
@@ -333,8 +332,6 @@ class ParallelRunner:
         expanded = self.expand(configs)
         work = [c for c in expanded if self.runner.cached(c) is None]
         resumed = len(expanded) - len(work)
-        if resumed:
-            REGISTRY.count("parallel.resumed", resumed)
         report = SuiteReport(configs=configs, resumed=resumed)
         if work:
             states = [_TaskState(config) for config in work]
@@ -346,7 +343,6 @@ class ParallelRunner:
     def _execute(
         self, states: List[_TaskState], jobs: int, report: SuiteReport
     ) -> None:
-        REGISTRY.count("parallel.fanned_out", len(states))
         pending: Deque[_TaskState] = deque(states)
         if jobs == 1 or len(states) == 1:
             self._execute_serial(pending, report)
@@ -379,7 +375,6 @@ class ParallelRunner:
                 self.runner.run(state.config)
             except WorkerCrash as exc:
                 report.worker_crashes += 1
-                REGISTRY.count("parallel.worker_crashes")
                 self._emit(
                     HARNESS_WORKER_CRASH,
                     benchmark=state.config.benchmark,
@@ -394,7 +389,6 @@ class ParallelRunner:
                     attempts=state.attempts,
                 )
                 failure.__cause__ = exc
-                REGISTRY.count("parallel.task_errors")
                 self._after_failure(state, failure, pending, report)
             else:
                 state.status = OK
@@ -431,7 +425,6 @@ class ParallelRunner:
                             attempts=state.attempts,
                         )
                         report.timeouts += 1
-                        REGISTRY.count("parallel.timeouts")
                         self._emit(
                             HARNESS_TIMEOUT,
                             benchmark=state.config.benchmark,
@@ -447,7 +440,6 @@ class ParallelRunner:
                             attempts=state.attempts,
                         )
                         failure.__cause__ = exc
-                        REGISTRY.count("parallel.task_errors")
                         self._after_failure(state, failure, pending, report)
                     else:
                         self.runner.cache_result(state.config, result)
@@ -461,18 +453,15 @@ class ParallelRunner:
                 if broken:
                     rebuilds += 1
                     report.worker_crashes += 1
-                    REGISTRY.count("parallel.worker_crashes")
                     self._emit(HARNESS_WORKER_CRASH, inflight=len(inflight))
                     self._requeue_lost(inflight, pending, report)
                     pool.shutdown(wait=False, cancel_futures=True)
                     if rebuilds > policy.max_pool_rebuilds:
                         report.serial_fallback = True
-                        REGISTRY.count("parallel.serial_fallback")
                         self._emit(HARNESS_SERIAL_FALLBACK, remaining=len(pending))
                         self._execute_serial(pending, report)
                         return
                     report.pool_rebuilds += 1
-                    REGISTRY.count("parallel.pool_rebuilds")
                     self._emit(HARNESS_POOL_REBUILD, rebuilds=rebuilds)
                     pool = ProcessPoolExecutor(max_workers=workers)
                 if self._fail_fast_triggered(report):
@@ -526,7 +515,6 @@ class ParallelRunner:
             )
             requeued = self._after_failure(state, failure, pending, report)
             if requeued:
-                REGISTRY.count("parallel.requeued")
                 self._emit(
                     HARNESS_REQUEUE,
                     benchmark=state.config.benchmark,

@@ -12,13 +12,14 @@ no disk cache).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import HarnessError
 from repro.harness import schemes as sch
 from repro.harness.store import ResultStore
-from repro.obs.profile import REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import MultiTracer, Tracer
 from repro.runtime.streams import PerChildStream, PerParentCTAStream
 from repro.sim.config import GPUConfig
@@ -73,6 +74,8 @@ class Runner:
         self._cache: Dict[Tuple, SimResult] = {}
         #: Optional persistent layer; None keeps the runner memory-only.
         self.store = store
+        #: This runner's lookup counts and simulation timings (``runner.*``).
+        self.metrics = MetricsRegistry()
 
     def run(
         self,
@@ -108,16 +111,12 @@ class Runner:
         if tracer is None:
             cached = self._cache.get(key)
             if cached is not None:
-                REGISTRY.count("runner.cache_hits")
+                self.metrics.counter("runner.cache_hits").inc()
                 return cached
-            if self.store is not None:
-                stored = self._store_load(run_config)
-                if stored is not None:
-                    REGISTRY.count("runner.disk_hits")
-                    self._cache[key] = stored
-                    return stored
-                REGISTRY.count("runner.disk_misses")
-        REGISTRY.count("runner.cache_misses")
+            stored = self._promote(run_config)
+            if stored is not None:
+                return stored
+        self.metrics.counter("runner.cache_misses").inc()
         benchmark = get_benchmark(run_config.benchmark)
         spec = sch.SchemeSpec.parse(run_config.scheme)
         if spec.name == sch.OFFLINE:
@@ -144,10 +143,13 @@ class Runner:
             max_events=self.max_events,
             **sim_kwargs,
         )
-        with REGISTRY.profile(
-            f"sim.run/{run_config.benchmark}/{run_config.scheme}"
-        ):
-            result = sim.run(app)
+        started = time.perf_counter()
+        result = sim.run(app)
+        self.metrics.histogram(
+            "runner.sim_seconds",
+            benchmark=run_config.benchmark,
+            scheme=run_config.scheme,
+        ).observe(max(time.perf_counter() - started, 0.0))
         if checker is not None:
             checker.finalize(result)
             checker.raise_if_violations()
@@ -157,19 +159,25 @@ class Runner:
     def cached(self, run_config: RunConfig) -> Optional[SimResult]:
         """Cached result (memory, then disk) without simulating, or None.
 
-        A disk hit is promoted into the memory cache.  No profiling
-        counters fire — this is the parallel harness's pre-filter, not a
-        run.
+        A disk hit is promoted into the memory cache and counted in
+        ``runner.disk_hits``, as in :meth:`run`.  Memory hits and misses
+        stay uncounted: this is the parallel harness's pre-filter and
+        result resolution, not a run.
         """
         cached = self._cache.get(run_config.key())
         if cached is not None:
             return cached
-        if self.store is not None:
-            stored = self._store_load(run_config)
-            if stored is not None:
-                self._cache[run_config.key()] = stored
-                return stored
-        return None
+        return self._promote(run_config)
+
+    def _promote(self, run_config: RunConfig) -> Optional[SimResult]:
+        """Load ``run_config`` from the store into memory, counting a hit."""
+        if self.store is None:
+            return None
+        stored = self._store_load(run_config)
+        if stored is not None:
+            self.metrics.counter("runner.disk_hits").inc()
+            self._cache[run_config.key()] = stored
+        return stored
 
     def cache_result(self, run_config: RunConfig, result: SimResult) -> None:
         """Install ``result`` in the memory cache and the disk store.
@@ -191,7 +199,7 @@ class Runner:
                 self.store.key_for(run_config, self.config, self.max_events)
             )
         except OSError:
-            REGISTRY.count("runner.store_errors")
+            self.metrics.counter("runner.store_errors").inc()
             return None
 
     def _store_save(self, run_config: RunConfig, result: SimResult) -> None:
@@ -201,7 +209,7 @@ class Runner:
                 result,
             )
         except OSError:
-            REGISTRY.count("runner.store_errors")
+            self.metrics.counter("runner.store_errors").inc()
 
     def run_simple(
         self,

@@ -1,15 +1,15 @@
-"""Serving-layer metrics: counters, gauges, and latency histograms.
+"""The metrics registry: counters, gauges, and latency histograms.
 
 The SPAWN controller is driven entirely by *measured* signals — predicted
-vs. actual child-kernel time, queue occupancy — and the serving stack
-deserves the same treatment.  This module is the measurement substrate:
-a dependency-free metrics model (``time.perf_counter`` + dicts, exactly
-like :mod:`repro.obs.profile`) with three instrument kinds and a
+vs. actual child-kernel time, queue occupancy — and the harness and the
+serving stack deserve the same treatment.  This module is the one
+measurement substrate: a dependency-free metrics model
+(``time.perf_counter`` + dicts) with three instrument kinds and a
 registry.
 
-* :class:`Counter` — monotonically increasing totals (requests routed,
-  cache hits, retries).
-* :class:`Gauge` — a value that goes both ways (queue depth, in-flight).
+* :class:`Counter` — monotonically increasing totals (store reads,
+  retries, cache hits).
+* :class:`Gauge` — a value that goes both ways.
 * :class:`Histogram` — fixed-bucket latency distributions.  Bucket
   boundaries are fixed at construction, counts are cumulative-free per
   bucket, and quantile extraction uses exact nearest-rank selection over
@@ -20,8 +20,10 @@ registry.
 * :class:`MetricsRegistry` — named, labelled instruments with JSON
   (``to_dict``) and Prometheus text (``to_prometheus``) exporters.
   :data:`METRICS` is the process-wide registry of the harness
-  (``harness.*``) and store (``store.*``) instruments, the sibling of
-  :data:`repro.obs.profile.REGISTRY`.  Each
+  (``harness.*``) and store (``store.*``) instruments.  Each
+  :class:`~repro.harness.runner.Runner` owns a registry of its lookup
+  counts and simulation timings (``runner.*``), which ``repro run
+  --profile`` and the ``repro suite`` summary read.  Each
   :class:`~repro.service.service.SimulationService`,
   :class:`~repro.service.fleet.ServiceFleet` and
   :class:`~repro.service.autotune.AutoTuner` builds a registry of its
@@ -33,17 +35,18 @@ observability layer: the service event loop and the harness both live in
 the parent process, and worker processes never report metrics directly —
 their effects are observed from the parent side.
 
-Well-known instrument names (the dashboard contract):
-
-* ``store.reads_total{backend=, outcome=hit|miss}`` and
-  ``store.io_seconds{backend=, op=load|save}`` — emitted by the
-  :class:`~repro.harness.store.ResultStore` *wrapper*, never by
-  individual backends, so every backend (``dir``/``sqlite``/``kv``)
-  reports under the same names and differs only in the ``backend`` label.
-* ``fleet.requests_total{shard=}``, ``fleet.failovers_total``,
-  ``fleet.shed_total`` — front-door accounting of
-  :class:`~repro.service.fleet.ServiceFleet`.  Shards share one
-  registry, so service-level latency histograms merge fleet-wide.
+Each quantity has one home.  A count that a ledger already keeps
+(:class:`~repro.harness.parallel.SuiteReport`,
+:class:`~repro.service.jobs.ServiceStats`, ``FleetStats``, the tuner
+snapshot) gets no counter or gauge beside it; instruments hold what no
+ledger does, chiefly distributions.  DESIGN §12 catalogues every
+instrument name with its kind, labels and emitting module, and
+``tests/test_instrument_catalogue.py`` keeps the two in step.  The
+store instruments, ``store.reads_total{backend=, outcome=hit|miss}``
+and ``store.io_seconds{backend=, op=load|save}``, are emitted by the
+:class:`~repro.harness.store.ResultStore` *wrapper*, never by individual
+backends, so every backend (``dir``/``sqlite``/``kv``) reports under the
+same names and differs only in the ``backend`` label.
 """
 
 from __future__ import annotations

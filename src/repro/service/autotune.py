@@ -56,7 +56,6 @@ from repro.errors import HarnessError
 from repro.harness import schemes as sch
 from repro.harness.runner import RunConfig, Runner
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     NULL_TRACER,
     SERVICE_AUTOTUNE_ARM,
@@ -388,12 +387,10 @@ class AutoTuner:
             if cached is None:
                 continue
             tuner.observe(arm, float(cached.makespan), warm=True)
-            REGISTRY.count("service.autotune.warm_hits")
             self._emit(
                 SERVICE_AUTOTUNE_WARM,
                 pair=pair, arm=arm, cost=float(cached.makespan),
             )
-        self._publish(pair, tuner)
         if tuner.converged:
             self._emit_converged(pair, tuner)
 
@@ -413,7 +410,6 @@ class AutoTuner:
             return config
         tuner = self.tuner_for(config.benchmark, family, template=config)
         arm = tuner.propose()
-        REGISTRY.count("service.autotune.proposals")
         self.metrics.counter(
             "autotune.proposals_total",
             pair=self.pair_name(config.benchmark, family),
@@ -454,7 +450,6 @@ class AutoTuner:
         rounds_before = len(tuner.history)
         tuner.observe(config.scheme, float(cost))
         for summary in tuner.history[rounds_before:]:
-            REGISTRY.count("service.autotune.rounds")
             self._emit(
                 SERVICE_AUTOTUNE_ROUND,
                 pair=pair, round=summary.round,
@@ -463,7 +458,6 @@ class AutoTuner:
                 incumbent=summary.incumbent,
                 incumbent_cost=summary.incumbent_cost,
             )
-        self._publish(pair, tuner)
         if tuner.converged and not was_converged:
             self._emit_converged(pair, tuner)
 
@@ -477,25 +471,9 @@ class AutoTuner:
             for (benchmark, family), tuner in sorted(self._tuners.items())
         }
 
-    def _publish(self, pair: str, tuner: SuccessiveHalvingTuner) -> None:
-        self.metrics.gauge("autotune.arms_alive", pair=pair).set(
-            len(tuner.alive)
-        )
-        incumbent = tuner.incumbent()
-        if incumbent is not None:
-            self.metrics.gauge("autotune.incumbent_cost", pair=pair).set(
-                incumbent[1]
-            )
-        regret = tuner.regret_estimate()
-        if regret is not None:
-            self.metrics.gauge("autotune.regret_estimate", pair=pair).set(
-                regret
-            )
-
     def _emit_converged(
         self, pair: str, tuner: SuccessiveHalvingTuner
     ) -> None:
-        REGISTRY.count("service.autotune.converged")
         incumbent = tuner.incumbent()
         self._emit(
             SERVICE_AUTOTUNE_CONVERGED,

@@ -339,15 +339,10 @@ class ServiceFleet:
                 decisions[shard] = exc.decision
                 continue
             self._routed[shard] += 1
-            self.metrics.counter(
-                "fleet.requests_total", shard=str(shard)
-            ).inc()
             if shard != home:
                 self._failovers += 1
-                self.metrics.counter("fleet.failovers_total").inc()
             return job
         self._fleet_shed += 1
-        self.metrics.counter("fleet.shed_total").inc()
         tried = ", ".join(str(shard) for shard in decisions)
         raise FleetOverloaded(
             f"{config.benchmark}/{config.scheme} shed fleet-wide: home "

@@ -27,19 +27,20 @@ hold behind the service too (a quarantined job fails its own handle;
 nothing else is disturbed).
 
 Observability: ``service.*`` tracer events (wall-clock stamped, like the
-``harness.*`` kinds) for every routing decision, ``service.*`` counters
-in :data:`repro.obs.profile.REGISTRY`, and a :class:`ServiceStats`
-ledger whose headline invariant is *zero lost submissions*.
+``harness.*`` kinds) for every routing decision, and a
+:class:`ServiceStats` ledger whose headline invariant is *zero lost
+submissions*.  The ledger is the one home of every per-route count; the
+live queue depth is :attr:`SimulationService.queue_depth`.
 
 Latency telemetry (:mod:`repro.obs.metrics`): every job is span-stamped
 submit -> dispatch -> finish, feeding per-stage histograms
 (``service.stage_seconds`` with ``stage`` in ``admit | queue | dispatch
-| total``) and per-admission-route end-to-end histograms
+| total``), per-admission-route end-to-end histograms
 (``service.route_latency_seconds`` with ``route`` in ``cached | inline |
-batch``), plus ``service.requests_total`` route counters and
-queue-depth/in-flight gauges.  :meth:`SimulationService.stats` digests
-them into ``ServiceStats.latency`` (p50/p95/p99 end-to-end and
-queue-wait), which ``repro serve --stats-json`` serializes.
+batch``) and a per-batch ``service.batch_seconds``.
+:meth:`SimulationService.stats` digests the stage and route histograms
+into ``ServiceStats.latency`` (p50/p95/p99 end-to-end and queue-wait),
+which ``repro serve --stats-json`` serializes.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import RunConfig, Runner
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     NULL_TRACER,
     SERVICE_ADMIT,
@@ -185,15 +185,14 @@ class SimulationService:
         self.runner = runner if runner is not None else Runner()
         self.config = config if config is not None else ServiceConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Latency/counter instruments: a registry of this service's own
-        #: unless the caller injects one (a fleet shares one across shards).
+        #: Latency histograms and the tuner's proposal counts: a registry of
+        #: this service's own unless the caller injects one (a fleet shares
+        #: one across shards).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._stage_hist = {
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
             for stage in ("admit", "queue", "dispatch", "total")
         }
-        self._queue_gauge = self.metrics.gauge("service.queue_depth")
-        self._inflight_gauge = self.metrics.gauge("service.in_flight")
         self.model = CostModel(
             alpha=self.config.ewma_alpha, window=self.config.ewma_window
         )
@@ -293,10 +292,8 @@ class SimulationService:
             tuned = self.autotuner.rewrite(config)
             if tuned is not config:
                 self._stats.autotuned += 1
-                REGISTRY.count("service.autotuned")
                 config = tuned
         self._stats.submitted += 1
-        REGISTRY.count("service.submitted")
         self._emit(
             SERVICE_SUBMIT,
             benchmark=config.benchmark, scheme=config.scheme, seed=config.seed,
@@ -308,9 +305,6 @@ class SimulationService:
             job.waiters += 1
             self._stats.coalesced += 1
             self._stats.in_flight += 1
-            self._inflight_gauge.inc()
-            REGISTRY.count("service.coalesced")
-            self.metrics.counter("service.requests_total", route="coalesced").inc()
             self._emit(
                 SERVICE_COALESCE,
                 benchmark=config.benchmark, scheme=config.scheme,
@@ -323,8 +317,6 @@ class SimulationService:
         if cached is not None:
             self._stats.cache_hits += 1
             self._stats.completed += 1
-            REGISTRY.count("service.cache_hits")
-            self.metrics.counter("service.requests_total", route="cached").inc()
             self._emit(
                 SERVICE_CACHE_HIT,
                 benchmark=config.benchmark, scheme=config.scheme,
@@ -347,8 +339,6 @@ class SimulationService:
         )
         if decision.verdict == SHED:
             self._stats.shed += 1
-            REGISTRY.count("service.shed")
-            self.metrics.counter("service.requests_total", route="shed").inc()
             self._emit(
                 SERVICE_SHED,
                 benchmark=config.benchmark, scheme=config.scheme,
@@ -376,10 +366,6 @@ class SimulationService:
         self._stats.peak_queue_depth = max(
             self._stats.peak_queue_depth, self._scheduler.queue_depth
         )
-        REGISTRY.count("service.admitted")
-        self.metrics.counter("service.requests_total", route="batch").inc()
-        self._queue_gauge.set(self._scheduler.queue_depth)
-        self._inflight_gauge.inc()
         self._emit(
             SERVICE_ADMIT,
             benchmark=config.benchmark, scheme=config.scheme,
@@ -415,8 +401,6 @@ class SimulationService:
         job = ServiceJob(config, decision=decision)
         job.submitted_at = submitted_at
         self._stats.inline += 1
-        REGISTRY.count("service.inline")
-        self.metrics.counter("service.requests_total", route="inline").inc()
         self._emit(
             SERVICE_INLINE,
             benchmark=config.benchmark, scheme=config.scheme,
@@ -434,7 +418,6 @@ class SimulationService:
             failure.__cause__ = exc
             self._stats.failed += 1
             self._stats.quarantined += 1
-            REGISTRY.count("service.quarantined")
             self._emit(
                 SERVICE_QUARANTINE,
                 benchmark=config.benchmark, scheme=config.scheme,
@@ -508,10 +491,7 @@ class SimulationService:
         self._stats.max_batch_size = max(
             self._stats.max_batch_size, len(batch)
         )
-        REGISTRY.count("service.batches")
-        REGISTRY.count("service.batched_jobs", len(batch))
         self.metrics.histogram("service.batch_seconds").observe(max(elapsed, 0.0))
-        self._queue_gauge.set(self._scheduler.queue_depth)
         self._emit(
             SERVICE_BATCH,
             size=len(batch), seconds=elapsed,
@@ -559,12 +539,10 @@ class SimulationService:
         if job.decision is not None:
             self.controller.on_finished(job.decision)
         self._stats.in_flight -= job.waiters
-        self._inflight_gauge.dec(job.waiters)
         self._observe_latency(job, "batch")
         if error is not None:
             self._stats.failed += job.waiters
             self._stats.quarantined += 1
-            REGISTRY.count("service.quarantined")
             self._emit(
                 SERVICE_QUARANTINE,
                 benchmark=job.config.benchmark, scheme=job.config.scheme,

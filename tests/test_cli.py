@@ -14,6 +14,17 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def suite_done(capsys, *argv):
+    """Run ``repro suite`` and parse its ``suite done:`` stderr line."""
+    code, _ = run_cli("suite", *argv)
+    assert code == 0
+    (line,) = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("suite done: ")
+    ]
+    return dict(field.split("=") for field in line.split()[2:])
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -116,6 +127,19 @@ class TestObservabilityCommands:
         assert "harness wall-clock profile" in text
         assert "sim.run/GC-citation/flat" in text
 
+    def test_run_profile_counts_one_invocation(self):
+        # A second in-process run times only its own simulation.
+        for _ in range(2):
+            code, text = run_cli(
+                "run", "GC-citation", "--scheme", "flat", "--profile"
+            )
+            assert code == 0
+            timers = [
+                line.split()[:2] for line in text.splitlines()
+                if line.startswith("sim.run/")
+            ]
+            assert timers == [["sim.run/GC-citation/flat", "1"]]
+
     def test_audit_prints_prediction_error_table(self):
         code, text = run_cli("audit", "GC-citation", "--scheme", "spawn")
         assert code == 0
@@ -165,6 +189,23 @@ class TestSuiteCacheBench:
         assert code == 0
         assert "fig19" in text
         assert cache.is_dir()  # results were persisted
+
+    def test_suite_summary_counts_one_invocation(self, capsys):
+        argv = ("--experiments", "fig19", "--no-store", "--jobs", "1")
+        first = suite_done(capsys, *argv)
+        second = suite_done(capsys, *argv)
+        assert second == first
+        assert (second["fanned_out"], second["simulated_inline"],
+                second["memory_hits"]) == ("2", "2", "2")
+
+    def test_warm_suite_counts_store_hits(self, tmp_path, capsys):
+        argv = ("--experiments", "fig19", "--jobs", "1",
+                "--store", str(tmp_path))
+        suite_done(capsys, *argv)
+        warm = suite_done(capsys, *argv)
+        assert warm["resumed"] == "2"
+        assert warm["disk_hits"] == warm["resumed"]
+        assert warm["fanned_out"] == warm["simulated_inline"] == "0"
 
     def test_cache_stats_and_clear(self, tmp_path):
         code, text = run_cli("cache", "stats", "--store", str(tmp_path))

@@ -83,6 +83,20 @@ class TestRunner:
         with pytest.raises(HarnessError):
             runner.run(RunConfig(benchmark=FAST, scheme="flat", stream_policy="bogus"))
 
+    def test_runner_times_simulations_and_counts_cache(self):
+        runner = Runner()
+        config = RunConfig(benchmark=FAST, scheme="flat")
+        runner.run(config)
+        runner.run(config)  # cache hit
+        metrics = runner.metrics.to_dict()
+        assert metrics["counters"] == {
+            "runner.cache_hits": 1.0,
+            "runner.cache_misses": 1.0,
+        }
+        (timer,) = metrics["histograms"].items()
+        assert timer[0] == f"runner.sim_seconds{{benchmark={FAST},scheme=flat}}"
+        assert timer[1]["count"] == 1 and timer[1]["sum"] > 0
+
 
 class TestSweep:
     def test_threshold_sweep_covers_thresholds(self, runner):

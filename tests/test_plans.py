@@ -12,7 +12,6 @@ from repro.experiments.plans import PLANS, suite_plan
 from repro.harness import schemes as sch
 from repro.harness.parallel import ParallelRunner
 from repro.harness.runner import Runner
-from repro.obs.profile import REGISTRY
 
 
 class TestPlanTable:
@@ -55,7 +54,7 @@ class TestPlanCoverage:
     def test_plan_covers_experiment(self, name, entry):
         runner = Runner()
         ParallelRunner(runner, jobs=1).run_many(PLANS[name](1))
-        before = REGISTRY.counters.get("runner.cache_misses", 0)
+        misses = runner.metrics.counter("runner.cache_misses")
+        planned = misses.value
         entry(runner, 1)
-        after = REGISTRY.counters.get("runner.cache_misses", 0)
-        assert after == before, f"{name}'s plan under-declares its run-set"
+        assert misses.value == planned, f"{name}'s plan under-declares its run-set"

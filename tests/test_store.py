@@ -7,7 +7,6 @@ import pytest
 from repro.harness import store as store_mod
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.store import ResultStore, open_store
-from repro.obs.profile import REGISTRY
 from repro.sim.config import GPUConfig
 
 FAST = "GC-citation"
@@ -131,15 +130,16 @@ class TestRunnerIntegration:
         first = Runner(store=open_store(tmp_path))
         result = first.run(run_config)
         # A second runner (fresh process stand-in) answers from disk.
-        REGISTRY.counters.pop("runner.disk_hits", None)
         second = Runner(store=open_store(tmp_path))
         loaded = second.run(run_config)
         assert loaded.summary() == result.summary()
-        assert REGISTRY.counters.get("runner.disk_hits", 0) == 1
+        assert second.metrics.to_dict()["counters"] == {"runner.disk_hits": 1.0}
         # The disk hit was promoted to memory: third call touches no disk.
-        REGISTRY.counters.pop("runner.disk_hits", None)
         second.run(run_config)
-        assert REGISTRY.counters.get("runner.disk_hits", 0) == 0
+        assert second.metrics.to_dict()["counters"] == {
+            "runner.disk_hits": 1.0,
+            "runner.cache_hits": 1.0,
+        }
 
     def test_cached_probe_does_not_simulate(self, tmp_path, run_config):
         warm = Runner(store=open_store(tmp_path))
@@ -147,6 +147,8 @@ class TestRunnerIntegration:
         probe = Runner(store=open_store(tmp_path))
         assert probe.cached(run_config) is not None
         assert probe.cached(RunConfig(benchmark=FAST, scheme="dtbl")) is None
+        # The promoted store hit counts; the pre-filter miss does not.
+        assert probe.metrics.to_dict()["counters"] == {"runner.disk_hits": 1.0}
 
     def test_no_store_by_default(self, run_config):
         runner = Runner()
