@@ -237,9 +237,9 @@ def serve(
 
     ``shards > 1`` returns a :class:`ServiceFleet` instead — the same
     awaitable surface, but requests consistent-hash onto ``shards``
-    independent services.  ``store_url`` (``dir://``, ``sqlite://``,
-    ``kv://``) then names the *shared* backend every shard opens its own
-    handle to; with one shard it is shorthand for
+    independent services.  ``store_url`` (``dir://`` or ``sqlite://``)
+    then names the *shared* backend every shard opens its own handle
+    to; with one shard it is shorthand for
     ``store=open_store(store_url)``.
     """
     config = ServiceConfig(

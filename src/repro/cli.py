@@ -88,12 +88,12 @@ def _add_store_argument(
     """The shared ``--store URL`` flag.
 
     Every store-touching command accepts the same URL syntax:
-    ``dir://PATH``, ``sqlite://PATH.db``, ``kv://HOST:PORT``, or a bare
-    path (meaning ``dir://``).
+    ``dir://PATH``, ``sqlite://PATH.db``, or a bare path (meaning
+    ``dir://``).
     """
     parser.add_argument(
         "--store", default=None, metavar="URL",
-        help="result store: dir://PATH, sqlite://PATH.db, kv://HOST:PORT, "
+        help="result store: dir://PATH, sqlite://PATH.db, "
              "or a bare directory path "
              "(default: $REPRO_CACHE_DIR or .repro-cache)",
     )
@@ -127,6 +127,21 @@ def _open_cli_store(args, *, default: bool):
 
     use, url = _resolve_store_url(args, default=default)
     return open_store(url) if use else None
+
+
+def _shared_store_url(args) -> Optional[str]:
+    """The store URL each serving shard opens, or None for ``--no-store``.
+
+    Every shard opens its own handle to the SAME URL (that shared
+    backend is what fleet-wide dedup rides on), so the default cache
+    directory is spelled out as a ``dir://`` URL.
+    """
+    from repro.harness.store import default_cache_dir
+
+    use, url = _resolve_store_url(args, default=True)
+    if not use:
+        return None
+    return url if url is not None else f"dir://{default_cache_dir()}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,8 +565,6 @@ def cmd_suite(args, out) -> int:
     faults = FaultPlan.from_env()
     if faults is not None:
         print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
-        if store is not None:
-            runner.store = faults.flaky_store(store)
     plan = suite_plan(args.seed, names)
     parallel = ParallelRunner(runner, policy=policy, faults=faults)
     report = parallel.run_suite(plan, jobs=jobs)
@@ -730,7 +743,6 @@ def cmd_serve(args, out) -> int:
     import asyncio
 
     from repro.harness.faults import FaultPlan
-    from repro.harness.store import default_cache_dir, open_store
     from repro.service import (
         FleetConfig,
         RequestLedger,
@@ -783,37 +795,19 @@ def cmd_serve(args, out) -> int:
         autotune_pulls=args.autotune_pulls,
         autotune_seed=args.traffic_seed,
     )
-    use_store, url = _resolve_store_url(args, default=True)
     faults = FaultPlan.from_env()
     if faults is not None:
         print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
 
+    runners = fleet_runners(args.shards, store_url=_shared_store_url(args))
     if args.shards > 1:
-        # Sharded fleet: every shard opens its own handle to the SAME
-        # store URL (that shared backend is what fleet-wide dedup rides
-        # on), so the default cache dir must be spelled out as a URL.
-        store_url = None
-        if use_store:
-            store_url = url if url is not None else f"dir://{default_cache_dir()}"
-        wrap = (
-            faults.flaky_store
-            if (faults is not None and store_url is not None)
-            else None
-        )
-        runners = fleet_runners(
-            args.shards, store_url=store_url, wrap_store=wrap
-        )
         service = ServiceFleet(
             runners,
             config=FleetConfig(shards=args.shards, service=config),
             faults=faults,
         )
     else:
-        store = open_store(url) if use_store else None
-        runner = Runner(store=store)
-        if faults is not None and store is not None:
-            runner.store = faults.flaky_store(store)
-        service = SimulationService(runner, config=config, faults=faults)
+        service = SimulationService(runners[0], config=config, faults=faults)
 
     async def drive():
         async with service:
@@ -950,7 +944,6 @@ def cmd_replay(args, out) -> int:
 
     from repro.errors import ReplayBudgetExceeded
     from repro.harness.faults import FaultPlan
-    from repro.harness.store import default_cache_dir, open_store
     from repro.service import (
         ReplayBudgets,
         RequestLedger,
@@ -978,7 +971,6 @@ def cmd_replay(args, out) -> int:
         max_batch=args.max_batch,
         max_queue=args.max_queue,
     )
-    use_store, url = _resolve_store_url(args, default=True)
     faults = FaultPlan.from_env()
     if faults is not None:
         print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
@@ -989,25 +981,11 @@ def cmd_replay(args, out) -> int:
         max_shed_rate=args.max_shed_rate,
     )
 
+    runners = fleet_runners(args.shards, store_url=_shared_store_url(args))
     if args.shards > 1:
-        store_url = None
-        if use_store:
-            store_url = url if url is not None else f"dir://{default_cache_dir()}"
-        wrap = (
-            faults.flaky_store
-            if (faults is not None and store_url is not None)
-            else None
-        )
-        runners = fleet_runners(
-            args.shards, store_url=store_url, wrap_store=wrap
-        )
         replay_kwargs = {"runners": runners, "shards": args.shards}
     else:
-        store = open_store(url) if use_store else None
-        runner = Runner(store=store)
-        if faults is not None and store is not None:
-            runner.store = faults.flaky_store(store)
-        replay_kwargs = {"runner": runner}
+        replay_kwargs = {"runner": runners[0]}
 
     report = asyncio.run(
         replay_ledger(

@@ -3,19 +3,15 @@
 The :class:`~repro.harness.store.ResultStore` façade owns *semantics* —
 keying, schema versioning, :class:`~repro.sim.engine.SimResult`
 serialization, metrics — while a :class:`StoreBackend` owns *transport*:
-how an opaque key maps to a durable JSON payload.  Three implementations
+how an opaque key maps to a durable JSON payload.  Two implementations
 ship:
 
 * :class:`~repro.harness.backends.directory.DirectoryBackend` — the
-  historical two-level-fanout directory of JSON files (``dir://path``).
+  default two-level-fanout directory of JSON files (``dir://path``).
 * :class:`~repro.harness.backends.sqlite.SQLiteBackend` — a single
   SQLite file in WAL mode, safe for concurrent readers/writers across
   processes (``sqlite://path``) — the natural fit for a shard fleet
   sharing one cache.
-* :class:`~repro.harness.backends.kv.KVBackend` — a client for the
-  in-process network KV shim (``kv://host:port``), whose server side
-  (:class:`~repro.harness.backends.kv.KVStoreServer`) fronts any other
-  backend over a newline-delimited JSON protocol.
 
 :func:`open_backend` parses store URLs into backend instances; the
 higher-level :func:`repro.harness.store.open_store` wraps the result in
@@ -24,7 +20,6 @@ a :class:`~repro.harness.store.ResultStore`.
 
 from repro.harness.backends.base import StoreBackend, StoreStats, open_backend
 from repro.harness.backends.directory import DirectoryBackend
-from repro.harness.backends.kv import KVBackend, KVStoreServer
 from repro.harness.backends.sqlite import SQLiteBackend
 
 __all__ = [
@@ -33,6 +28,4 @@ __all__ = [
     "open_backend",
     "DirectoryBackend",
     "SQLiteBackend",
-    "KVBackend",
-    "KVStoreServer",
 ]

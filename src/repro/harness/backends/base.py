@@ -4,8 +4,8 @@ A backend is a durable mapping from opaque string keys to JSON-object
 payloads.  It knows nothing about simulation results, cache schemas, or
 metrics — those live one level up, in
 :class:`~repro.harness.store.ResultStore` — which is exactly what lets
-one store façade run against a directory tree, a SQLite file, or a
-remote KV endpoint interchangeably.
+one store façade run against a directory tree or a SQLite file
+interchangeably.
 
 Contract every implementation must honour (pinned by the parametrized
 suite in ``tests/test_backends.py``):
@@ -18,29 +18,27 @@ suite in ``tests/test_backends.py``):
 * ``save`` rejects non-finite floats (``ValueError``) — the strict-JSON
   contract: NaN/Infinity must be tagged by the stats encoder upstream,
   never smuggled into storage as invalid JSON literals.
-* Infrastructure failures surface as ``OSError`` (SQLite and socket
-  errors are translated), so the runner's store-IO fault tolerance
-  applies uniformly to every backend.
+* Infrastructure failures surface as ``OSError`` (SQLite errors are
+  translated), so the runner's store-IO fault tolerance applies
+  uniformly to every backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 #: URL scheme names recognized by :func:`open_backend`.
 DIR_SCHEME = "dir"
 SQLITE_SCHEME = "sqlite"
-KV_SCHEME = "kv"
 
 
 @dataclass(frozen=True)
 class StoreStats:
     """Snapshot of a backend's contents, for ``repro cache stats``.
 
-    ``root`` is the backend's location string (directory path, database
-    file, or ``host:port``) — the name predates the backend split and is
-    kept for compatibility with existing callers and JSON consumers.
+    ``root`` is the backend's location string (directory path or
+    database file); ``repro cache stats`` prints it under that name.
     """
 
     root: str
@@ -53,7 +51,7 @@ class StoreBackend(Protocol):
     """Durable opaque-key -> JSON-payload mapping (see module docstring).
 
     ``name`` is the short backend identifier used as the ``backend=``
-    metric label (``dir`` / ``sqlite`` / ``kv``); ``location`` is the
+    metric label (``dir`` / ``sqlite``); ``location`` is the
     human-readable address the backend talks to.
     """
 
@@ -101,8 +99,7 @@ def open_backend(url) -> StoreBackend:
 
         dir://path/to/cache      directory of JSON files
         sqlite://path/to/file.db single SQLite database (WAL)
-        kv://host:port           network KV shim client
-        path/to/cache            bare path == dir:// (compatibility)
+        path/to/cache            bare path == dir://
 
     ``None`` resolves to the default directory cache
     (``$REPRO_CACHE_DIR`` or ``.repro-cache``).
@@ -110,7 +107,6 @@ def open_backend(url) -> StoreBackend:
     # Imported here (not at module top) to keep base free of circular
     # imports — directory.py imports StoreStats from this module.
     from repro.harness.backends.directory import DirectoryBackend
-    from repro.harness.backends.kv import KVBackend
     from repro.harness.backends.sqlite import SQLiteBackend
 
     if url is None:
@@ -125,24 +121,8 @@ def open_backend(url) -> StoreBackend:
         return DirectoryBackend(rest)
     if scheme == SQLITE_SCHEME:
         return SQLiteBackend(rest)
-    if scheme == KV_SCHEME:
-        host, _, port = rest.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(
-                f"kv:// URL must be kv://host:port, got {text!r}"
-            )
-        return KVBackend(host, int(port))
     raise ValueError(
         f"unknown store URL scheme {scheme!r} in {text!r} "
-        f"(choose from {DIR_SCHEME}, {SQLITE_SCHEME}, {KV_SCHEME})"
+        f"(choose from {DIR_SCHEME}, {SQLITE_SCHEME})"
     )
 
-
-def sum_stats(parts: Iterable[StoreStats], *, root: str) -> StoreStats:
-    """Aggregate per-shard/per-backend snapshots into one."""
-    entries = 0
-    total = 0
-    for part in parts:
-        entries += part.entries
-        total += part.total_bytes
-    return StoreStats(root=root, entries=entries, total_bytes=total)

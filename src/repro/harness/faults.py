@@ -16,7 +16,10 @@ on demand, deterministically:
   benchmark/scheme instead, so they fire on every attempt.
 * Store IO faults are injected by wrapping a
   :class:`~repro.harness.store.ResultStore` in :class:`FlakyStore`, whose
-  first *N* loads/saves raise :class:`OSError`.
+  first *N* loads/saves raise :class:`OSError`.  A
+  :class:`~repro.harness.parallel.ParallelRunner` given a plan wraps its
+  runner's store once, so every ``faults=`` entry point (``run_suite``,
+  ``serve``, ``replay_ledger``, the CLI) applies them the same way.
 
 Plans serialize to flat JSON dicts so they cross the process boundary to
 workers, and can be supplied to the CLI via the ``REPRO_FAULTS``
@@ -157,8 +160,15 @@ class FaultPlan:
             raise ValueError("injected corrupt payload (inline execution)")
 
     def flaky_store(self, store):
-        """Wrap ``store`` per this plan's IO-error budget (or pass through)."""
-        if store is None or (not self.store_save_errors and not self.store_load_errors):
+        """Wrap ``store`` per this plan's IO-error budget (or pass through).
+
+        A store that is already a :class:`FlakyStore` passes through, so
+        a runner reused across suites or services never gets a second
+        error budget.
+        """
+        if store is None or isinstance(store, FlakyStore):
+            return store
+        if not self.store_save_errors and not self.store_load_errors:
             return store
         return FlakyStore(
             store,

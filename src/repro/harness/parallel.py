@@ -19,11 +19,10 @@ split on top of :class:`~repro.harness.runner.Runner`:
    progress: a killed suite resumes from the store, re-simulating only
    the missing configs).  "Single-producer" is per *runner*, not per
    host: every store write goes through one
-   :class:`~repro.harness.store.StoreBackend`, and the shared backends
-   (``sqlite://`` WAL, ``kv://``) are safe under several parent
-   processes — which is what lets each shard of a
-   :class:`~repro.service.fleet.ServiceFleet` keep its own pool while
-   deduplicating results fleet-wide.
+   :class:`~repro.harness.store.StoreBackend`, and the ``sqlite://``
+   WAL backend is safe under several parent processes — which is what
+   lets each shard of a :class:`~repro.service.fleet.ServiceFleet` keep
+   its own pool while deduplicating results fleet-wide.
 3. **Resolve.**  Results are returned in input order via the now-warm
    runner, so ``run_many`` output is bit-identical to running the same
    configs serially (simulations are deterministic and workers use the
@@ -70,6 +69,7 @@ from repro.errors import HarnessError, RunFailure, TaskTimeout, WorkerCrash
 from repro.harness import schemes as sch
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import RunConfig, Runner
+from repro.harness.sweep import sweep_result, sweep_variants
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import (
     HARNESS_POOL_REBUILD,
@@ -82,7 +82,6 @@ from repro.obs.tracer import (
     NULL_TRACER,
     Tracer,
 )
-from repro.sim.config import GPUConfig
 from repro.sim.engine import SimResult
 from repro.workloads.base import get_benchmark
 
@@ -229,8 +228,10 @@ class ParallelRunner:
     the wrapped runner answers every planned config from cache, so
     experiment modules can keep their serial ``runner.run`` code and
     still benefit.  ``policy`` tunes timeouts/retries/quarantine;
-    ``faults`` injects deterministic failures (chaos tests only);
-    ``tracer`` receives ``harness.*`` events for every recovery action.
+    ``faults`` injects deterministic failures (chaos tests only); its
+    store IO errors take effect by wrapping ``runner.store`` in a
+    :class:`~repro.harness.faults.FlakyStore`.  ``tracer`` receives
+    ``harness.*`` events for every recovery action.
     """
 
     def __init__(
@@ -248,6 +249,8 @@ class ParallelRunner:
         if faults is not None and faults.is_noop():
             faults = None
         self.faults = faults
+        if faults is not None:
+            self.runner.store = faults.flaky_store(self.runner.store)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._dispatch_seq = 0
 
@@ -260,7 +263,7 @@ class ParallelRunner:
         ``offline`` is not directly runnable — it is *defined* as the best
         static threshold found by sweeping — so an offline entry expands
         into its benchmark's flat run plus every ``threshold:<T>`` in the
-        sweep list (matching :func:`repro.harness.sweep.offline_search`).
+        sweep list (:func:`repro.harness.sweep.sweep_variants`).
         """
         expanded: List[RunConfig] = []
         seen: set = set()
@@ -274,30 +277,11 @@ class ParallelRunner:
         for config in configs:
             spec = sch.SchemeSpec.parse(config.scheme)
             if spec.name == sch.OFFLINE:
-                for concrete in self._offline_expansion(config):
+                for concrete in sweep_variants(config):
                     add(concrete)
             else:
                 add(config)
         return expanded
-
-    @staticmethod
-    def _offline_expansion(config: RunConfig) -> List[RunConfig]:
-        benchmark = get_benchmark(config.benchmark)
-        variants = [sch.FLAT]
-        variants.extend(
-            f"threshold:{threshold}" for threshold in benchmark.sweep_thresholds
-        )
-        return [
-            RunConfig(
-                benchmark=config.benchmark,
-                scheme=scheme,
-                seed=config.seed,
-                cta_threads=config.cta_threads,
-                stream_policy=config.stream_policy,
-                trace_interval=config.trace_interval,
-            )
-            for scheme in variants
-        ]
 
     # ------------------------------------------------------------------
     # Execution
@@ -593,24 +577,15 @@ class ParallelRunner:
         spec = sch.SchemeSpec.parse(config.scheme)
         if spec.name != sch.OFFLINE:
             return self.runner.cached(config)
-        # Re-derive Offline-Search from the (now cached) sweep runs, with
-        # the same selection rule as harness.sweep.offline_search: best
-        # speedup over flat, first threshold winning ties.
-        variants = self._offline_expansion(config)
-        flat = self.runner.cached(variants[0])
-        if flat is None:
-            return None
-        best: Optional[Tuple[float, SimResult]] = None
-        for variant in variants[1:]:
+        # Re-derive Offline-Search from the (now cached) sweep runs with
+        # SweepResult.best, the rule harness.sweep.offline_search applies.
+        thresholds = get_benchmark(config.benchmark).sweep_thresholds
+        results = []
+        for variant in sweep_variants(config, thresholds):
             result = self.runner.cached(variant)
             if result is None:
                 return None
-            if result.makespan <= 0:
-                raise HarnessError(
-                    f"{config.benchmark}/{variant.scheme}: zero makespan"
-                )
-            speedup = flat.makespan / result.makespan
-            if best is None or speedup > best[0]:
-                best = (speedup, result)
-        assert best is not None  # sweep lists are never empty
-        return best[1]
+            results.append(result)
+        flat, *runs = results
+        best = sweep_result(config.benchmark, thresholds, flat, runs).best()
+        return runs[thresholds.index(best.threshold)]

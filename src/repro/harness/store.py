@@ -15,10 +15,9 @@ it had already done.  This module gives results a durable home:
 * **Pluggable transport.**  :class:`ResultStore` owns the semantics —
   keying, schema validation, :class:`~repro.sim.engine.SimResult`
   serialization, and metrics — and delegates durability to a
-  :class:`~repro.harness.backends.StoreBackend`: the historical
-  directory of JSON files (``dir://``), a WAL-mode SQLite file shards
-  can share (``sqlite://``), or a network KV shim (``kv://``).  Open one
-  from a URL with :func:`open_store`.
+  :class:`~repro.harness.backends.StoreBackend`: a directory of JSON
+  files (``dir://``, the default) or a WAL-mode SQLite file shards can
+  share (``sqlite://``).  Open one from a URL with :func:`open_store`.
 * **Corruption tolerance.**  An unreadable or schema-mismatched entry is
   treated as a miss and deleted; the run is simply redone.  Backends
   surface infrastructure failure uniformly as ``OSError``, which the
@@ -26,7 +25,7 @@ it had already done.  This module gives results a durable home:
 
 Every backend reports under the same metric names —
 ``store.reads_total`` (hit/miss) and ``store.io_seconds`` (load/save
-timings) — labeled with ``backend=dir|sqlite|kv``, because observation
+timings) — labeled with ``backend=dir|sqlite``, because observation
 happens here, above the protocol, not inside any one implementation.
 """
 
@@ -84,7 +83,6 @@ def open_store(url=None) -> "ResultStore":
         open_store()                      default directory cache
         open_store("dir://.repro-cache")  directory of JSON files
         open_store("sqlite://cache.db")   shared WAL-mode SQLite file
-        open_store("kv://127.0.0.1:7077") network KV shim client
         open_store("/some/path")          bare path == dir://
 
     """
@@ -103,16 +101,6 @@ class ResultStore:
             backend if backend is not None
             else DirectoryBackend(default_cache_dir())
         )
-
-    @property
-    def root(self) -> Path:
-        """The backend's location as a path (kept for compatibility).
-
-        Meaningful for directory and SQLite backends; for ``kv://`` it
-        is the ``host:port`` string wrapped in a Path.  Prefer
-        :attr:`url` for display.
-        """
-        return Path(self.backend.location)
 
     @property
     def url(self) -> str:
@@ -140,10 +128,6 @@ class ResultStore:
         }
         canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        """Directory-backend entry path (compatibility helper)."""
-        return self.backend.path_for(key)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Load / save
@@ -175,19 +159,12 @@ class ResultStore:
             self.backend.delete(key)
             return None
 
-    def save(self, key: str, result: SimResult) -> Optional[Path]:
-        """Durably persist ``result`` under ``key`` (atomic, last wins).
-
-        Returns the entry's on-disk path when the backend is file-per-key
-        (the historical return value); backends without per-entry paths
-        return None.
-        """
+    def save(self, key: str, result: SimResult) -> None:
+        """Durably persist ``result`` under ``key`` (atomic, last wins)."""
         payload = {"schema": SCHEMA_VERSION, "result": result.to_dict()}
         started = time.perf_counter()
         self.backend.save(key, payload)
         self._observe_io("save", started)
-        path_for = getattr(self.backend, "path_for", None)
-        return path_for(key) if path_for is not None else None
 
     def _observe_io(self, op: str, started: float) -> None:
         METRICS.histogram(

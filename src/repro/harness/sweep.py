@@ -8,9 +8,11 @@ keep the fastest.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.errors import HarnessError
 from repro.harness import schemes as sch
 from repro.harness.runner import RunConfig, Runner
 from repro.sim.engine import SimResult
@@ -34,6 +36,8 @@ class SweepResult:
     points: Tuple[SweepPoint, ...]
 
     def best(self) -> SweepPoint:
+        """Offline-Search's pick: the highest speedup over flat, the
+        first threshold winning ties."""
         return max(self.points, key=lambda p: p.speedup_over_flat)
 
 
@@ -49,16 +53,54 @@ def sweep_plan(
     to warm the cache before :func:`threshold_sweep` /
     :func:`offline_search`, which then complete without simulating.
     """
-    benchmark = get_benchmark(benchmark_name)
-    sweep = thresholds if thresholds is not None else benchmark.sweep_thresholds
-    plan = [RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed)]
-    plan.extend(
-        RunConfig(
-            benchmark=benchmark_name, scheme=f"threshold:{threshold}", seed=seed
-        )
-        for threshold in sweep
+    return sweep_variants(
+        RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed),
+        thresholds,
     )
-    return plan
+
+
+def sweep_variants(
+    config: RunConfig, thresholds: Optional[Tuple[int, ...]] = None
+) -> List[RunConfig]:
+    """``config`` under flat, then under every ``threshold:<T>`` of the sweep.
+
+    Only the scheme changes: every run keeps ``config``'s seed, child CTA
+    size, stream policy and trace interval.  ``thresholds`` defaults to
+    the benchmark's sweep list.
+    """
+    if thresholds is None:
+        thresholds = get_benchmark(config.benchmark).sweep_thresholds
+    schemes = [sch.FLAT, *(f"threshold:{threshold}" for threshold in thresholds)]
+    return [dataclasses.replace(config, scheme=scheme) for scheme in schemes]
+
+
+def sweep_result(
+    benchmark_name: str,
+    thresholds: Sequence[int],
+    flat: SimResult,
+    results: Sequence[SimResult],
+) -> SweepResult:
+    """The sweep over finished runs (``results`` in ``thresholds`` order).
+
+    Raises :class:`~repro.errors.HarnessError` on a zero makespan, which
+    has no speedup over flat.
+    """
+    points = []
+    for threshold, result in zip(thresholds, results):
+        if result.makespan <= 0:
+            raise HarnessError(
+                f"{benchmark_name}/threshold:{threshold}: zero makespan"
+            )
+        points.append(
+            SweepPoint(
+                threshold=threshold,
+                offload_fraction=result.stats.offload_fraction,
+                makespan=result.makespan,
+                speedup_over_flat=flat.makespan / result.makespan,
+                child_kernels=result.stats.child_kernels_launched,
+            )
+        )
+    return SweepResult(benchmark=benchmark_name, points=tuple(points))
 
 
 def threshold_sweep(
@@ -80,34 +122,13 @@ def threshold_sweep(
     """
     benchmark = get_benchmark(benchmark_name)
     sweep = thresholds if thresholds is not None else benchmark.sweep_thresholds
+    plan = sweep_plan(benchmark_name, seed=seed, thresholds=sweep)
     if jobs > 1:
         from repro.harness.parallel import ParallelRunner
 
-        ParallelRunner(runner, policy=policy).run_many(
-            sweep_plan(benchmark_name, seed=seed, thresholds=sweep), jobs=jobs
-        )
-    flat = runner.run(RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed))
-    points: List[SweepPoint] = []
-    for threshold in sweep:
-        result = runner.run(
-            RunConfig(
-                benchmark=benchmark_name,
-                scheme=f"threshold:{threshold}",
-                seed=seed,
-            )
-        )
-        points.append(_point(threshold, flat, result))
-    return SweepResult(benchmark=benchmark_name, points=tuple(points))
-
-
-def _point(threshold: int, flat: SimResult, result: SimResult) -> SweepPoint:
-    return SweepPoint(
-        threshold=threshold,
-        offload_fraction=result.stats.offload_fraction,
-        makespan=result.makespan,
-        speedup_over_flat=flat.makespan / result.makespan,
-        child_kernels=result.stats.child_kernels_launched,
-    )
+        ParallelRunner(runner, policy=policy).run_many(plan, jobs=jobs)
+    flat, *results = [runner.run(config) for config in plan]
+    return sweep_result(benchmark_name, sweep, flat, results)
 
 
 def offline_search(

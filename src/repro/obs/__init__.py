@@ -6,16 +6,15 @@
   actual child completion times (controller prediction error);
 * :mod:`repro.obs.export` — JSONL dumps and Chrome ``trace_event`` JSON
   (``chrome://tracing`` / Perfetto);
-* :mod:`repro.obs.metrics` — the one metrics registry: counters, gauges
-  and latency histograms with p50/p95/p99 extraction and JSON/Prometheus
-  exporters, for the harness, the store and the serving layer.
+* :mod:`repro.obs.metrics` — the one metrics registry: counters and
+  latency histograms with p50/p95/p99 extraction and a JSON snapshot,
+  for the harness, the store and the serving layer.
 """
 
 from repro.obs.audit import DecisionAudit, DecisionAuditRecord
 from repro.obs.metrics import (
     METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     exact_quantile,
@@ -41,7 +40,6 @@ __all__ = [
     "DecisionAuditRecord",
     "METRICS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "exact_quantile",

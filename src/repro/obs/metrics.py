@@ -1,15 +1,14 @@
-"""The metrics registry: counters, gauges, and latency histograms.
+"""The metrics registry: counters and latency histograms.
 
 The SPAWN controller is driven entirely by *measured* signals — predicted
 vs. actual child-kernel time, queue occupancy — and the harness and the
 serving stack deserve the same treatment.  This module is the one
 measurement substrate: a dependency-free metrics model
-(``time.perf_counter`` + dicts) with three instrument kinds and a
+(``time.perf_counter`` + dicts) with two instrument kinds and a
 registry.
 
 * :class:`Counter` — monotonically increasing totals (store reads,
   retries, cache hits).
-* :class:`Gauge` — a value that goes both ways.
 * :class:`Histogram` — fixed-bucket latency distributions.  Bucket
   boundaries are fixed at construction, counts are cumulative-free per
   bucket, and quantile extraction uses exact nearest-rank selection over
@@ -17,13 +16,12 @@ registry.
   bucket interval as the exact rank-selected sample, so it is off by at
   most one bucket width (the property tests pin this against a sorted
   reference).
-* :class:`MetricsRegistry` — named, labelled instruments with JSON
-  (``to_dict``) and Prometheus text (``to_prometheus``) exporters.
-  :data:`METRICS` is the process-wide registry of the harness
-  (``harness.*``) and store (``store.*``) instruments.  Each
-  :class:`~repro.harness.runner.Runner` owns a registry of its lookup
-  counts and simulation timings (``runner.*``), which ``repro run
-  --profile`` and the ``repro suite`` summary read.  Each
+* :class:`MetricsRegistry` — named, labelled instruments with a JSON
+  snapshot (``to_dict``).  :data:`METRICS` is the process-wide registry
+  of the harness (``harness.*``) and store (``store.*``) instruments.
+  Each :class:`~repro.harness.runner.Runner` owns a registry of its
+  lookup counts and simulation timings (``runner.*``), which ``repro
+  run --profile`` and the ``repro suite`` summary read.  Each
   :class:`~repro.service.service.SimulationService`,
   :class:`~repro.service.fleet.ServiceFleet` and
   :class:`~repro.service.autotune.AutoTuner` builds a registry of its
@@ -38,15 +36,15 @@ their effects are observed from the parent side.
 Each quantity has one home.  A count that a ledger already keeps
 (:class:`~repro.harness.parallel.SuiteReport`,
 :class:`~repro.service.jobs.ServiceStats`, ``FleetStats``, the tuner
-snapshot) gets no counter or gauge beside it; instruments hold what no
+snapshot) gets no counter beside it; instruments hold what no
 ledger does, chiefly distributions.  DESIGN §12 catalogues every
 instrument name with its kind, labels and emitting module, and
 ``tests/test_instrument_catalogue.py`` keeps the two in step.  The
 store instruments, ``store.reads_total{backend=, outcome=hit|miss}``
 and ``store.io_seconds{backend=, op=load|save}``, are emitted by the
 :class:`~repro.harness.store.ResultStore` *wrapper*, never by individual
-backends, so every backend (``dir``/``sqlite``/``kv``) reports under the
-same names and differs only in the ``backend`` label.
+backends, so both backends (``dir``/``sqlite``) report under the
+same names and differ only in the ``backend`` label.
 """
 
 from __future__ import annotations
@@ -101,27 +99,6 @@ class Counter:
         if delta < 0:
             raise ValueError(f"counter increments must be >= 0, got {delta}")
         self.value += delta
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value that can move both ways."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> float:
-        self.value = float(value)
-        return self.value
-
-    def inc(self, delta: float = 1.0) -> float:
-        self.value += delta
-        return self.value
-
-    def dec(self, delta: float = 1.0) -> float:
-        self.value -= delta
         return self.value
 
 
@@ -251,29 +228,8 @@ def _render_labels(labels: LabelSet) -> str:
     return "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
 
 
-def _prom_name(name: str) -> str:
-    """Sanitize a dotted metric name into the Prometheus charset."""
-    return "".join(
-        ch if ch.isalnum() or ch in "_:" else "_" for ch in name
-    )
-
-
-def _prom_labels(labels: LabelSet) -> str:
-    if not labels:
-        return ""
-    return "{" + ",".join(f'{k}="{v}"' for k, v in labels) + "}"
-
-
-def _format_value(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
 class MetricsRegistry:
-    """Named, labelled counters/gauges/histograms with two exporters.
+    """Named, labelled counters and histograms with a JSON snapshot.
 
     Instruments are created on first use and shared on every later call
     with the same ``(name, labels)``; re-requesting a name as a different
@@ -298,9 +254,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get(name, _labelset(labels), Counter, Counter)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(name, _labelset(labels), Gauge, Gauge)
 
     def histogram(
         self,
@@ -327,61 +280,18 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # -- exporters ------------------------------------------------------
+    # -- export ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready snapshot, keyed ``name{label=value,...}``."""
-        out: Dict[str, Dict[str, object]] = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
+        out: Dict[str, Dict[str, object]] = {"counters": {}, "histograms": {}}
         for name, labels, metric in self.collect():
             key = f"{name}{_render_labels(labels)}"
             if isinstance(metric, Counter):
                 out["counters"][key] = metric.value
-            elif isinstance(metric, Gauge):
-                out["gauges"][key] = metric.value
             else:
                 assert isinstance(metric, Histogram)
                 out["histograms"][key] = metric.summary()
         return out
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (v0.0.4)."""
-        by_name: Dict[str, List[Tuple[LabelSet, object]]] = {}
-        kinds: Dict[str, str] = {}
-        for name, labels, metric in self.collect():
-            by_name.setdefault(name, []).append((labels, metric))
-            kinds[name] = (
-                "counter" if isinstance(metric, Counter)
-                else "gauge" if isinstance(metric, Gauge)
-                else "histogram"
-            )
-        lines: List[str] = []
-        for name in sorted(by_name):
-            prom = _prom_name(name)
-            lines.append(f"# TYPE {prom} {kinds[name]}")
-            for labels, metric in by_name[name]:
-                if isinstance(metric, (Counter, Gauge)):
-                    lines.append(
-                        f"{prom}{_prom_labels(labels)} "
-                        f"{_format_value(metric.value)}"
-                    )
-                    continue
-                assert isinstance(metric, Histogram)
-                cumulative = 0
-                for index, bound in enumerate(metric.bounds):
-                    cumulative += metric.counts[index]
-                    le = labels + (("le", _format_value(bound)),)
-                    lines.append(f"{prom}_bucket{_prom_labels(le)} {cumulative}")
-                le = labels + (("le", "+Inf"),)
-                lines.append(f"{prom}_bucket{_prom_labels(le)} {metric.count}")
-                lines.append(
-                    f"{prom}_sum{_prom_labels(labels)} "
-                    f"{_format_value(metric.sum)}"
-                )
-                lines.append(f"{prom}_count{_prom_labels(labels)} {metric.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 #: Process-wide registry of the harness and store instruments.  Services,

@@ -13,8 +13,8 @@ door:
   balance), so identical requests always land on the same shard.  That
   is what makes coalescing and cache dedup work *fleet-wide*: the home
   shard sees every duplicate, and a result any shard persisted is a
-  store hit for the rest through the shared backend
-  (``sqlite://`` WAL file or ``kv://`` shim).
+  store hit for the rest through the shared backend (a ``sqlite://``
+  WAL file).
 * **Failover.**  If the home shard sheds, the front door walks the
   ring-order preference list; a request only fails over when its home
   is saturated, so dedup degrades gracefully instead of collapsing.
@@ -37,7 +37,7 @@ import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import (
     FleetOverloaded,
@@ -57,29 +57,28 @@ from repro.service.service import ServiceConfig, SimulationService
 from repro.sim.config import GPUConfig
 from repro.sim.engine import SimResult
 
+#: Points each shard contributes to the :class:`ConsistentHashRing`.
+VIRTUAL_NODES = 64
+
 
 class ConsistentHashRing:
     """Map opaque keys onto shard indices with a virtual-node hash ring.
 
     Classic consistent hashing: each shard contributes
-    ``virtual_nodes`` points (SHA-256 of ``shard-<i>#<v>``) on a ring;
+    :data:`VIRTUAL_NODES` points (SHA-256 of ``shard-<i>#<v>``) on a ring;
     a key routes to the first point clockwise of its own hash.
     :meth:`preference` extends that to the full failover order — the
     distinct shards encountered walking the ring — so "next best shard"
     is deterministic and evenly distributed, not just ``(i + 1) % N``.
     """
 
-    def __init__(self, shards: int, *, virtual_nodes: int = 64):
+    def __init__(self, shards: int):
         if shards < 1:
             raise HarnessError(f"ring needs >= 1 shard, got {shards}")
-        if virtual_nodes < 1:
-            raise HarnessError(
-                f"virtual_nodes must be >= 1, got {virtual_nodes}"
-            )
         self.shards = shards
         points = []
         for shard in range(shards):
-            for node in range(virtual_nodes):
+            for node in range(VIRTUAL_NODES):
                 points.append((self._hash(f"shard-{shard}#{node}"), shard))
         points.sort()
         self._points = points
@@ -121,9 +120,8 @@ class ConsistentHashRing:
 class FleetConfig:
     """Tunables of one :class:`ServiceFleet`.
 
-    ``service`` is applied to every shard; ``failover`` lets a shed
-    request try the next shards in ring order before the front door
-    gives up (disable it to measure pure per-shard admission).  When
+    ``service`` is applied to every shard; a shed request tries the next
+    shards in ring order before the front door gives up.  When
     ``service.autotune`` is set, every shard runs its own
     :class:`~repro.service.autotune.AutoTuner` over its own traffic —
     but arms any shard has already persisted to the shared store
@@ -132,17 +130,11 @@ class FleetConfig:
     """
 
     shards: int = 2
-    virtual_nodes: int = 64
-    failover: bool = True
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise HarnessError(f"shards must be >= 1, got {self.shards}")
-        if self.virtual_nodes < 1:
-            raise HarnessError(
-                f"virtual_nodes must be >= 1, got {self.virtual_nodes}"
-            )
 
 
 def _sum_service_stats(parts: Iterable[ServiceStats]) -> ServiceStats:
@@ -212,21 +204,17 @@ def fleet_runners(
     store_url: Optional[str] = None,
     gpu_config: Optional[GPUConfig] = None,
     max_events: int = 50_000_000,
-    wrap_store: Optional[Callable] = None,
 ) -> List[Runner]:
     """One :class:`Runner` per shard, each with its *own* store handle.
 
     Opening the URL once per shard is the point: every shard gets a
-    private connection/client to the **shared** backend (N SQLite
-    connections into one WAL file, N KV clients of one server), which is
-    what the fleet's cross-shard cache dedup rides on.  ``wrap_store``
-    (e.g. :meth:`FaultPlan.flaky_store`) is applied to each handle.
+    private connection to the **shared** backend (N SQLite connections
+    into one WAL file), which is what the fleet's cross-shard cache
+    dedup rides on.
     """
     runners = []
     for _ in range(shards):
         store = open_store(store_url) if store_url is not None else None
-        if store is not None and wrap_store is not None:
-            store = wrap_store(store)
         runners.append(Runner(gpu_config, max_events=max_events, store=store))
     return runners
 
@@ -275,9 +263,7 @@ class ServiceFleet:
             )
             for runner in runners
         ]
-        self._ring = ConsistentHashRing(
-            self.config.shards, virtual_nodes=self.config.virtual_nodes
-        )
+        self._ring = ConsistentHashRing(self.config.shards)
         self._routed: Dict[int, int] = {i: 0 for i in range(self.config.shards)}
         self._failovers = 0
         self._fleet_shed = 0
@@ -328,8 +314,6 @@ class ServiceFleet:
         config = as_run_config(entry, seed)
         key = ConsistentHashRing.canonical_key(config.key())
         order = self._ring.preference(key)
-        if not self.config.failover:
-            order = order[:1]
         home = order[0]
         decisions: Dict[int, object] = {}
         for shard in order:

@@ -125,8 +125,6 @@ class ServiceConfig:
     inline_threshold_ms: float = 0.0  # small-job inline cutoff
     max_batch: int = 8  # jobs per run_suite dispatch
     max_queue: Optional[int] = None  # admitted-but-unfinished job cap
-    ewma_alpha: float = 0.3  # cost model responsiveness
-    ewma_window: int = 32  # cost model observation window
     autotune: bool = False  # online successive halving over the sweep grids
     autotune_pulls: int = 1  # observations per arm per halving round
     autotune_seed: int = 0  # exploration-order seed (see autotune module)
@@ -193,9 +191,7 @@ class SimulationService:
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
             for stage in ("admit", "queue", "dispatch", "total")
         }
-        self.model = CostModel(
-            alpha=self.config.ewma_alpha, window=self.config.ewma_window
-        )
+        self.model = CostModel()
         deadline_s = (
             self.config.deadline_ms / 1000.0
             if self.config.deadline_ms is not None

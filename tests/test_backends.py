@@ -1,8 +1,8 @@
 """Backend contract suite: every StoreBackend obeys the same rules.
 
-One parametrized fixture yields a directory backend, a WAL-mode SQLite
-backend, and a KV client talking to an in-process server; every contract
-test runs against all three.  The contract under test is the one
+One parametrized fixture yields a directory backend and a WAL-mode
+SQLite backend; every contract test runs against both.  The contract
+under test is the one
 :class:`~repro.harness.store.ResultStore` (and through it the runner and
 the service fleet) relies on: raw-dict round trips, corrupt entries
 orphaned on read, strict JSON (NaN rejected with ``ValueError`` before
@@ -18,15 +18,13 @@ import pytest
 from repro.harness import store as store_mod
 from repro.harness.backends import (
     DirectoryBackend,
-    KVBackend,
-    KVStoreServer,
     SQLiteBackend,
     StoreBackend,
     open_backend,
 )
 from repro.harness.backends.base import describe
 from repro.harness.runner import RunConfig, Runner
-from repro.harness.store import ResultStore, open_store
+from repro.harness.store import ResultStore
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
@@ -64,26 +62,10 @@ def _sqlite_case(tmp_path):
     return BackendCase(backend, corrupt, backend.close)
 
 
-def _kv_case(tmp_path):
-    inner = DirectoryBackend(tmp_path / "kv-root")
-    server = KVStoreServer(inner).start()
-    host, port = server.address
-    client = KVBackend(host, port)
-
-    def corrupt(key):
-        inner.path_for(key).write_text("{ not json", encoding="utf-8")
-
-    def cleanup():
-        client.close()
-        server.close()
-
-    return BackendCase(client, corrupt, cleanup)
-
-
-@pytest.fixture(params=["dir", "sqlite", "kv"])
+@pytest.fixture(params=["dir", "sqlite"])
 def case(request, tmp_path):
-    builder = {"dir": _dir_case, "sqlite": _sqlite_case, "kv": _kv_case}
-    built = builder[request.param](tmp_path)
+    make_case = {"dir": _dir_case, "sqlite": _sqlite_case}
+    built = make_case[request.param](tmp_path)
     yield built
     built.cleanup()
 
@@ -219,30 +201,6 @@ class TestContract:
         assert not case.backend.contains(key)
 
 
-class TestKVTransport:
-    def test_ping_and_server_url(self, tmp_path):
-        with KVStoreServer(DirectoryBackend(tmp_path)) as server:
-            store = open_store(server.url)
-            assert store.backend.ping()
-            assert store.url == server.url
-
-    def test_unreachable_server_is_oserror(self):
-        client = KVBackend("127.0.0.1", 1)  # nothing listens on port 1
-        with pytest.raises(OSError):
-            client.load(KEY)
-
-    def test_server_side_failure_is_oserror(self, tmp_path):
-        class Broken(DirectoryBackend):
-            def load(self, key):
-                raise RuntimeError("authoritative backend on fire")
-
-        with KVStoreServer(Broken(tmp_path)) as server:
-            host, port = server.address
-            client = KVBackend(host, port)
-            with pytest.raises(OSError):
-                client.load(KEY)
-
-
 class TestOpenBackend:
     def test_bare_path_is_directory(self, tmp_path):
         backend = open_backend(tmp_path / "cache")
@@ -260,18 +218,6 @@ class TestOpenBackend:
             assert describe(backend) == f"sqlite://{tmp_path}/cache.db"
         finally:
             backend.close()
-
-    def test_kv_url(self):
-        backend = open_backend("kv://127.0.0.1:7077")
-        assert isinstance(backend, KVBackend)
-        assert backend.location == "127.0.0.1:7077"
-
-    @pytest.mark.parametrize(
-        "url", ["kv://no-port", "kv://:7077", "kv://host:notaport"]
-    )
-    def test_malformed_kv_url(self, url):
-        with pytest.raises(ValueError):
-            open_backend(url)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.api import run_suite
 from repro.errors import HarnessError, RunFailure, SimulationError, WorkerCrash
 from repro.harness.faults import ENV_FAULTS, FaultPlan, FlakyStore
 from repro.harness.parallel import (
@@ -150,6 +151,28 @@ class TestFlakyStore:
         store = open_store(tmp_path)
         assert FaultPlan().flaky_store(store) is store
         assert FaultPlan().flaky_store(None) is None
+
+    def test_run_suite_applies_the_plans_store_faults(self, tmp_path):
+        """``faults=`` alone reaches the store: no hand-made wrap needed."""
+        runner = Runner(store=open_store(tmp_path))
+        report = run_suite(
+            [RunConfig(benchmark=FAST, scheme="flat")],
+            jobs=1,
+            runner=runner,
+            faults=FaultPlan(store_save_errors=1),
+        )
+        assert report.ok
+        assert open_store(tmp_path).stats().entries == 0
+        assert runner.metrics.counter("runner.store_errors").value == 1
+
+    def test_store_is_wrapped_once(self, tmp_path):
+        plan = FaultPlan(store_save_errors=1)
+        runner = Runner(store=open_store(tmp_path))
+        ParallelRunner(runner, faults=plan)
+        wrapped = runner.store
+        assert isinstance(wrapped, FlakyStore)
+        ParallelRunner(runner, faults=plan)
+        assert runner.store is wrapped
 
 
 class TestChaosDeterminism:
@@ -359,7 +382,7 @@ class TestServiceChaos:
 
     def test_flaky_store_under_live_traffic(self, baseline, tmp_path):
         plan = FaultPlan(store_save_errors=10, store_load_errors=10)
-        runner = Runner(store=plan.flaky_store(open_store(tmp_path)))
+        runner = Runner(store=open_store(tmp_path))
         stats, results = serve_chaos(CONFIGS, faults=plan, runner=runner)
         assert stats.failed == 0
         assert stats.lost == 0
@@ -379,7 +402,7 @@ class TestServiceChaos:
             store_save_errors=10,
             store_load_errors=10,
         )
-        runner = Runner(store=plan.flaky_store(open_store(tmp_path)))
+        runner = Runner(store=open_store(tmp_path))
         stats, results = serve_chaos(
             CONFIGS,
             faults=plan,

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.metrics: instruments, registry, exporters.
+"""Tests for repro.obs.metrics: instruments, registry, JSON snapshot.
 
 The headline property: a Histogram's p50/p95/p99 always lands within one
 bucket width of the exact nearest-rank quantile computed over the raw
@@ -16,7 +16,6 @@ from repro.obs.metrics import (
     DEFAULT_IO_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     exact_quantile,
@@ -34,15 +33,6 @@ class TestCounter:
     def test_rejects_negative_increments(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)
-
-
-class TestGauge:
-    def test_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(12)
-        assert gauge.value == 3.0
 
 
 class TestHistogramBasics:
@@ -185,8 +175,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
-        with pytest.raises(ValueError):
             registry.histogram("x")
 
     def test_histogram_buckets_respected_on_first_use(self):
@@ -203,35 +191,11 @@ class TestRegistry:
     def test_to_dict_sections_and_keys(self):
         registry = MetricsRegistry()
         registry.counter("req", route="batch").inc(3)
-        registry.gauge("depth").set(7)
         registry.histogram("lat").observe(0.02)
         payload = registry.to_dict()
         assert payload["counters"] == {"req{route=batch}": 3.0}
-        assert payload["gauges"] == {"depth": 7.0}
         assert payload["histograms"]["lat"]["count"] == 1
         json.dumps(payload)  # JSON-ready, no exotic values
-
-    def test_prometheus_exposition_format(self):
-        registry = MetricsRegistry()
-        registry.counter("service.requests_total", route="cached").inc(2)
-        registry.gauge("service.queue_depth").set(4)
-        hist = registry.histogram("service.lat", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(3.0)
-        text = registry.to_prometheus()
-        assert "# TYPE service_requests_total counter" in text
-        assert 'service_requests_total{route="cached"} 2' in text
-        assert "service_queue_depth 4" in text
-        # Cumulative buckets: 1 at <=0.1, 2 at <=1.0, 3 at +Inf.
-        assert 'service_lat_bucket{le="0.1"} 1' in text
-        assert 'service_lat_bucket{le="1"} 2' in text
-        assert 'service_lat_bucket{le="+Inf"} 3' in text
-        assert "service_lat_count 3" in text
-        assert text.endswith("\n")
-
-    def test_prometheus_empty_registry_is_empty_string(self):
-        assert MetricsRegistry().to_prometheus() == ""
 
 
 class TestDefaultBucketLadders:

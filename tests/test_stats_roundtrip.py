@@ -178,8 +178,8 @@ class TestStoreRoundtrip:
         stats.trace = [TraceSample(float("inf"), 0, 1, float("nan"))]
         result = SimResult("app", "policy", stats)
         store = open_store(tmp_path)
-        path = store.save("ab" + "0" * 62, result)
-        raw = path.read_text()
+        store.save("ab" + "0" * 62, result)
+        raw = store.backend.path_for("ab" + "0" * 62).read_text()
         assert "NaN" not in raw and "Infinity" not in raw
         loaded = store.load("ab" + "0" * 62)
         assert math.isnan(loaded.stats.makespan)

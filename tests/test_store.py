@@ -81,7 +81,7 @@ class TestRoundTrip:
         store = open_store(tmp_path)
         key = store.key_for(run_config, runner.config, runner.max_events)
         store.save(key, runner.run(run_config))
-        path = store._path(key)
+        path = store.backend.path_for(key)
         path.write_text("{ not json")
         assert store.load(key) is None
         assert not path.exists()
@@ -120,9 +120,9 @@ class TestMaintenance:
 
     def test_env_var_overrides_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(store_mod.ENV_CACHE_DIR, str(tmp_path / "elsewhere"))
-        assert ResultStore().root == tmp_path / "elsewhere"
+        assert ResultStore().backend.root == tmp_path / "elsewhere"
         monkeypatch.delenv(store_mod.ENV_CACHE_DIR)
-        assert str(ResultStore().root) == store_mod.DEFAULT_CACHE_DIR
+        assert str(ResultStore().backend.root) == store_mod.DEFAULT_CACHE_DIR
 
 
 class TestRunnerIntegration:
