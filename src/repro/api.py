@@ -10,13 +10,14 @@ Everything a caller needs to run simulations lives here::
         jobs=4, timeout=300.0, max_retries=2,
     )
 
-**API stability.**  Names exported from ``repro.api`` follow a
-deprecation policy: they are never removed or re-signatured without at
-least one release in which the old spelling still works and emits
-``DeprecationWarning``.  Internal modules
-(``repro.sim``, ``repro.harness`` internals, ``repro.core``) remain free
-to refactor between releases — import them directly only when you accept
-that churn.
+**API stability.**  :func:`simulate`, :func:`run_suite`,
+:func:`speedup` and the types their signatures mention follow a
+deprecation policy: they are never removed or re-signatured without a
+release in which the old spelling still works and emits
+``DeprecationWarning``.  Every other exported name may change or go
+without one, as may the internal modules (``repro.sim``,
+``repro.harness`` internals, ``repro.core``) — import those directly
+only when you accept that churn.
 
 The façade deliberately re-exports the few types its signatures mention
 (:class:`RunConfig`, :class:`Runner`, :class:`SimResult`,
@@ -27,7 +28,7 @@ alone.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 from repro.errors import (
     HarnessError,
@@ -64,43 +65,24 @@ from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service import (
     AutoTuner,
-    FleetConfig,
-    FleetOverloaded,
-    FleetStats,
     ReplayBudgetExceeded,
     ReplayBudgets,
     ReplayReport,
     RequestLedger,
     ServiceClosed,
     ServiceConfig,
-    ServiceFleet,
     ServiceJob,
     ServiceOverloaded,
     ServiceStats,
     SimulationService,
     TrafficRequest,
     drive_service,
-    fleet_runners,
     generate_traffic,
     replay_ledger,
 )
+from repro.service.jobs import RequestLike, as_run_config
 from repro.sim.config import GPUConfig, kepler_k20m, small_debug_gpu
 from repro.sim.engine import SimResult
-
-#: Things run_suite accepts as one entry: a full config or (benchmark, scheme).
-ConfigLike = Union[RunConfig, Tuple[str, str]]
-
-
-def _as_config(entry: ConfigLike, seed: int) -> RunConfig:
-    if isinstance(entry, RunConfig):
-        return entry
-    try:
-        benchmark, scheme = entry
-    except (TypeError, ValueError):
-        raise HarnessError(
-            f"suite entries must be RunConfig or (benchmark, scheme), got {entry!r}"
-        ) from None
-    return RunConfig(benchmark=benchmark, scheme=scheme, seed=seed)
 
 
 def _make_runner(
@@ -164,7 +146,7 @@ def speedup(
 
 
 def run_suite(
-    configs: Sequence[ConfigLike],
+    configs: Sequence[RequestLike],
     *,
     gpu: Optional[GPUConfig] = None,
     seed: int = 1,
@@ -199,7 +181,7 @@ def run_suite(
     )
     parallel = ParallelRunner(runner, policy=policy, faults=faults, tracer=tracer)
     return parallel.run_suite(
-        [_as_config(entry, seed) for entry in configs], jobs=jobs
+        [as_run_config(entry, seed) for entry in configs], jobs=jobs
     )
 
 
@@ -211,14 +193,13 @@ def serve(
     max_batch: int = 8,
     max_queue: Optional[int] = None,
     autotune: bool = False,
-    shards: int = 1,
     store_url: Optional[str] = None,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Optional[Tracer] = None,
-) -> Union[SimulationService, ServiceFleet]:
+) -> SimulationService:
     """Build a :class:`SimulationService` (not yet started).
 
     The async serving entry point::
@@ -235,13 +216,15 @@ def serve(
     search (:mod:`repro.service.autotune`): tunable requests run the
     tuner's current arm and every completion feeds the search.
 
-    ``shards > 1`` returns a :class:`ServiceFleet` instead — the same
-    awaitable surface, but requests consistent-hash onto ``shards``
-    independent services.  ``store_url`` (``dir://`` or ``sqlite://``)
-    then names the *shared* backend every shard opens its own handle
-    to; with one shard it is shorthand for
-    ``store=open_store(store_url)``.
+    ``store_url`` (``dir://`` or ``sqlite://``) is shorthand for
+    ``store=open_store(store_url)``.  It cannot be combined with
+    ``runner`` or ``store``: either would leave the URL unused.
     """
+    if store_url is not None and (runner is not None or store is not None):
+        raise HarnessError(
+            "serve(store_url=...) opens its own store; pass store_url, "
+            "or runner/store, not both"
+        )
     config = ServiceConfig(
         jobs=jobs,
         deadline_ms=deadline_ms,
@@ -250,20 +233,7 @@ def serve(
         max_queue=max_queue,
         autotune=autotune,
     )
-    if shards > 1:
-        if runner is not None or store is not None:
-            raise HarnessError(
-                "serve(shards=N) builds one runner per shard from "
-                "store_url; pass store_url, not runner/store"
-            )
-        return ServiceFleet(
-            fleet_runners(shards, store_url=store_url),
-            config=FleetConfig(shards=shards, service=config),
-            policy=policy,
-            faults=faults,
-            tracer=tracer,
-        )
-    if store is None and store_url is not None:
+    if store_url is not None:
         store = open_store(store_url)
     if runner is None:
         runner = _make_runner(None, None, store)
@@ -277,7 +247,7 @@ def serve(
 
 
 async def submit(
-    service: SimulationService, entry: ConfigLike, *, seed: int = 1
+    service: SimulationService, entry: RequestLike, *, seed: int = 1
 ) -> ServiceJob:
     """Submit one request to a running service; returns its job handle."""
     return await service.submit(entry, seed=seed)
@@ -312,10 +282,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceJob",
     "ServiceStats",
-    "ServiceFleet",
-    "FleetConfig",
-    "FleetStats",
-    "fleet_runners",
     "AutoTuner",
     "TrafficRequest",
     "generate_traffic",
@@ -358,7 +324,6 @@ __all__ = [
     "WorkerCrash",
     "TaskTimeout",
     "ServiceOverloaded",
-    "FleetOverloaded",
     "ServiceClosed",
     "ReplayBudgetExceeded",
 ]

@@ -129,21 +129,6 @@ def _open_cli_store(args, *, default: bool):
     return open_store(url) if use else None
 
 
-def _shared_store_url(args) -> Optional[str]:
-    """The store URL each serving shard opens, or None for ``--no-store``.
-
-    Every shard opens its own handle to the SAME URL (that shared
-    backend is what fleet-wide dedup rides on), so the default cache
-    directory is spelled out as a ``dir://`` URL.
-    """
-    from repro.harness.store import default_cache_dir
-
-    use, url = _resolve_store_url(args, default=True)
-    if not use:
-        return None
-    return url if url is not None else f"dir://{default_cache_dir()}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -283,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--autotune-pulls", type=int, default=1, metavar="N",
                        help="observations per arm per halving round "
                             "(default: 1)")
-    serve.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="shard the service N ways behind a consistent-"
-                            "hash front door: each shard runs its own "
-                            "admission controller and worker pool, and "
-                            "identical requests always route to the same "
-                            "shard (default: 1 = unsharded)")
     _add_store_argument(serve, no_store=True)
     serve.add_argument("--stats", action="store_true",
                        help="print the admission ledger, latency percentiles, "
@@ -319,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="jobs per pool dispatch (default: 8)")
     replay.add_argument("--max-queue", type=int, default=None, metavar="N",
                         help="hard queue-depth cap (default: unbounded)")
-    replay.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="replay against an N-shard fleet instead of a "
-                             "single service (default: 1)")
     _add_store_argument(replay, no_store=True)
     replay.add_argument("--max-p99-ms", type=float, default=None, metavar="MS",
                         help="budget: fail when the exact p99 of answered-"
@@ -744,22 +720,15 @@ def cmd_serve(args, out) -> int:
 
     from repro.harness.faults import FaultPlan
     from repro.service import (
-        FleetConfig,
         RequestLedger,
         ServiceConfig,
-        ServiceFleet,
         SimulationService,
         drive_service,
-        fleet_runners,
         generate_traffic,
         load_requests,
     )
     from repro.service.ledger import SHED as LEDGER_SHED
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
     if args.requests is not None:
         requests = load_requests(args.requests)
         source = args.requests
@@ -799,15 +768,11 @@ def cmd_serve(args, out) -> int:
     if faults is not None:
         print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
 
-    runners = fleet_runners(args.shards, store_url=_shared_store_url(args))
-    if args.shards > 1:
-        service = ServiceFleet(
-            runners,
-            config=FleetConfig(shards=args.shards, service=config),
-            faults=faults,
-        )
-    else:
-        service = SimulationService(runners[0], config=config, faults=faults)
+    service = SimulationService(
+        Runner(store=_open_cli_store(args, default=True)),
+        config=config,
+        faults=faults,
+    )
 
     async def drive():
         async with service:
@@ -842,8 +807,6 @@ def cmd_serve(args, out) -> int:
         model = payload.pop("model")
         autotune = payload.pop("autotune", None)
         latency = payload.pop("latency")
-        fleet_info = payload.pop("fleet", None)
-        per_shard = payload.pop("per_shard", None)
         print(
             format_table(
                 ["counter", "value"],
@@ -852,32 +815,6 @@ def cmd_serve(args, out) -> int:
             ),
             file=out,
         )
-        if fleet_info is not None and per_shard is not None:
-            routed = fleet_info.get("routed", {})
-            print(file=out)
-            print(
-                format_table(
-                    ["shard", "routed", "completed", "shed", "cache_hits",
-                     "coalesced"],
-                    [
-                        (
-                            index,
-                            routed.get(str(index), 0),
-                            shard["completed"],
-                            shard["shed"],
-                            shard["cache_hits"],
-                            shard["coalesced"],
-                        )
-                        for index, shard in enumerate(per_shard)
-                    ],
-                    title=(
-                        f"fleet routing ({fleet_info['shards']} shards, "
-                        f"failovers={fleet_info['failovers']}, "
-                        f"fleet_shed={fleet_info['fleet_shed']})"
-                    ),
-                ),
-                file=out,
-            )
         latency_rows = _latency_rows(latency)
         if latency_rows:
             print(file=out)
@@ -948,14 +885,9 @@ def cmd_replay(args, out) -> int:
         ReplayBudgets,
         RequestLedger,
         ServiceConfig,
-        fleet_runners,
         replay_ledger,
     )
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
     ledger = RequestLedger.read(args.ledger)
     if not len(ledger):
         print(f"error: {args.ledger} holds no requests", file=sys.stderr)
@@ -981,19 +913,13 @@ def cmd_replay(args, out) -> int:
         max_shed_rate=args.max_shed_rate,
     )
 
-    runners = fleet_runners(args.shards, store_url=_shared_store_url(args))
-    if args.shards > 1:
-        replay_kwargs = {"runners": runners, "shards": args.shards}
-    else:
-        replay_kwargs = {"runner": runners[0]}
-
     report = asyncio.run(
         replay_ledger(
             ledger,
             speed=args.speed,
+            runner=Runner(store=_open_cli_store(args, default=True)),
             config=config,
             faults=faults,
-            **replay_kwargs,
         )
     )
     percentiles = report.percentiles()

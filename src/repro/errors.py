@@ -83,23 +83,6 @@ class ServiceOverloaded(HarnessError):
         self.decision = decision
 
 
-class FleetOverloaded(ServiceOverloaded):
-    """Every shard a fleet could try shed this request.
-
-    The front-door rejection of :mod:`repro.service.fleet`: the home
-    shard (named by ``shard``) shed, and so did every failover candidate
-    in ring order.  ``decision`` (inherited) is the home shard's
-    :class:`~repro.service.admission.AdmissionDecision`; ``decisions``
-    maps each attempted shard index to its decision, so the evidence
-    names *which* shards were saturated and why, not just "the fleet".
-    """
-
-    def __init__(self, message: str, *, shard=None, decisions=None, decision=None):
-        super().__init__(message, decision=decision)
-        self.shard = shard
-        self.decisions = dict(decisions) if decisions is not None else {}
-
-
 class ServiceClosed(HarnessError):
     """A request was submitted to a service that is shutting down."""
 

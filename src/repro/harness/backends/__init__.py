@@ -10,8 +10,7 @@ ship:
   default two-level-fanout directory of JSON files (``dir://path``).
 * :class:`~repro.harness.backends.sqlite.SQLiteBackend` — a single
   SQLite file in WAL mode, safe for concurrent readers/writers across
-  processes (``sqlite://path``) — the natural fit for a shard fleet
-  sharing one cache.
+  processes (``sqlite://path``).
 
 :func:`open_backend` parses store URLs into backend instances; the
 higher-level :func:`repro.harness.store.open_store` wraps the result in

@@ -1,8 +1,8 @@
 """Single-file SQLite backend (``sqlite://``) in WAL mode.
 
-The shard-fleet store: WAL journaling lets many processes read while one
-writes (readers never block writers and vice versa), so N shard services
-can share one cache file and still dedup each other's work.  One table::
+WAL journaling lets many processes read while one writes (readers never
+block writers and vice versa), so several services or suites can share
+one cache file and reuse each other's results.  One table::
 
     entries(key TEXT PRIMARY KEY, payload TEXT NOT NULL)
 

@@ -20,9 +20,7 @@ split on top of :class:`~repro.harness.runner.Runner`:
    the missing configs).  "Single-producer" is per *runner*, not per
    host: every store write goes through one
    :class:`~repro.harness.store.StoreBackend`, and the ``sqlite://``
-   WAL backend is safe under several parent processes — which is what
-   lets each shard of a :class:`~repro.service.fleet.ServiceFleet` keep
-   its own pool while deduplicating results fleet-wide.
+   WAL backend is safe under several parent processes sharing one file.
 3. **Resolve.**  Results are returned in input order via the now-warm
    runner, so ``run_many`` output is bit-identical to running the same
    configs serially (simulations are deterministic and workers use the

@@ -16,8 +16,9 @@ it had already done.  This module gives results a durable home:
   keying, schema validation, :class:`~repro.sim.engine.SimResult`
   serialization, and metrics — and delegates durability to a
   :class:`~repro.harness.backends.StoreBackend`: a directory of JSON
-  files (``dir://``, the default) or a WAL-mode SQLite file shards can
-  share (``sqlite://``).  Open one from a URL with :func:`open_store`.
+  files (``dir://``, the default) or a WAL-mode SQLite file several
+  processes can share (``sqlite://``).  Open one from a URL with
+  :func:`open_store`.
 * **Corruption tolerance.**  An unreadable or schema-mismatched entry is
   treated as a miss and deleted; the run is simply redone.  Backends
   surface infrastructure failure uniformly as ``OSError``, which the

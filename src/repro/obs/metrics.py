@@ -22,11 +22,10 @@ registry.
   Each :class:`~repro.harness.runner.Runner` owns a registry of its
   lookup counts and simulation timings (``runner.*``), which ``repro
   run --profile`` and the ``repro suite`` summary read.  Each
-  :class:`~repro.service.service.SimulationService`,
-  :class:`~repro.service.fleet.ServiceFleet` and
-  :class:`~repro.service.autotune.AutoTuner` builds a registry of its
-  own unless the caller injects one, so a service's ``stats().latency``
-  digests only that service's requests.
+  :class:`~repro.service.service.SimulationService` builds a registry
+  of its own and hands it to the
+  :class:`~repro.service.autotune.AutoTuner` it builds, so a service's
+  ``stats().latency`` digests only that service's requests.
 
 Registries are per-process and unsynchronised, matching the rest of the
 observability layer: the service event loop and the harness both live in
@@ -35,9 +34,9 @@ their effects are observed from the parent side.
 
 Each quantity has one home.  A count that a ledger already keeps
 (:class:`~repro.harness.parallel.SuiteReport`,
-:class:`~repro.service.jobs.ServiceStats`, ``FleetStats``, the tuner
-snapshot) gets no counter beside it; instruments hold what no
-ledger does, chiefly distributions.  DESIGN §12 catalogues every
+:class:`~repro.service.jobs.ServiceStats`, the tuner snapshot) gets no
+counter beside it; instruments hold what no ledger does, chiefly
+distributions.  DESIGN §12 catalogues every
 instrument name with its kind, labels and emitting module, and
 ``tests/test_instrument_catalogue.py`` keeps the two in step.  The
 store instruments, ``store.reads_total{backend=, outcome=hit|miss}``
@@ -294,6 +293,6 @@ class MetricsRegistry:
         return out
 
 
-#: Process-wide registry of the harness and store instruments.  Services,
-#: fleets and tuners default to a registry of their own instead.
+#: Process-wide registry of the harness and store instruments.  Each
+#: service, and the tuner it builds, uses a registry of its own instead.
 METRICS = MetricsRegistry()

@@ -17,26 +17,15 @@ to the service itself), and batches admitted jobs into
 * :mod:`repro.service.ledger` — request-ledger record/replay with
   latency/shed-rate budget gating (``repro serve --record`` /
   ``repro replay``);
-* :mod:`repro.service.fleet` — consistent-hash sharding: N services
-  behind one front door (``repro serve --shards N``), per-shard
-  admission, fleet-wide coalescing/dedup and ledger invariants;
 * :mod:`repro.service.autotune` — online successive halving over the
   Offline-Search sweep grids (``repro serve --autotune``), warm-started
-  from the shared store and fed by live completions.
+  from the result store and fed by live completions.
 """
 
 from repro.errors import (
-    FleetOverloaded,
     ReplayBudgetExceeded,
     ServiceClosed,
     ServiceOverloaded,
-)
-from repro.service.fleet import (
-    ConsistentHashRing,
-    FleetConfig,
-    FleetStats,
-    ServiceFleet,
-    fleet_runners,
 )
 from repro.service.ledger import (
     LedgerEntry,
@@ -60,7 +49,6 @@ from repro.service.autotune import (
     SuccessiveHalvingTuner,
     arm_grid,
     family_of,
-    merge_autotune_snapshots,
 )
 from repro.service.jobs import RequestLike, ServiceJob, ServiceStats
 from repro.service.scheduler import BatchScheduler
@@ -81,12 +69,8 @@ __all__ = [
     "AdmissionDecision",
     "AutoTuner",
     "BatchScheduler",
-    "ConsistentHashRing",
     "CostModel",
     "DEFAULT_MATRIX",
-    "FleetConfig",
-    "FleetOverloaded",
-    "FleetStats",
     "LedgerEntry",
     "ReplayBudgetExceeded",
     "ReplayBudgets",
@@ -95,7 +79,6 @@ __all__ = [
     "RequestLike",
     "ServiceClosed",
     "ServiceConfig",
-    "ServiceFleet",
     "ServiceJob",
     "ServiceOverloaded",
     "ServiceStats",
@@ -107,9 +90,7 @@ __all__ = [
     "drive_service",
     "dump_requests",
     "family_of",
-    "fleet_runners",
     "generate_traffic",
     "load_requests",
-    "merge_autotune_snapshots",
     "replay_ledger",
 ]

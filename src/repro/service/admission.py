@@ -22,13 +22,6 @@ serialize in parent    run inline on the event-loop thread
 (no SPAWN analog)      shed with :class:`~repro.errors.ServiceOverloaded`
 =====================  ==============================================
 
-Each shard of a :class:`~repro.service.fleet.ServiceFleet` runs its own
-controller over its own cost model — admission stays a purely local
-decision (like each SMX's launch check), and the fleet's front door
-turns a ring of local sheds into one
-:class:`~repro.errors.FleetOverloaded` carrying every shard's
-:class:`AdmissionDecision`.
-
 The cost model mirrors :mod:`repro.core.metrics` in structure: a
 windowed, exponentially-weighted average per ``benchmark/scheme`` pair
 (the service's ``t_cta``), updated online as jobs complete, plus a

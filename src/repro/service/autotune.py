@@ -37,10 +37,9 @@ Determinism contract (property-tested in ``tests/test_autotune.py``):
 
 Warm start: on first contact with a pair, any arm whose run is already
 in the :class:`~repro.harness.runner.Runner` caches (memory or the
-shared :class:`~repro.harness.store.ResultStore` backend) is credited
-with its stored makespan as a free pull — a fleet shard inherits every
-other shard's completed exploration through the shared store without any
-direct coordination.
+persistent :class:`~repro.harness.store.ResultStore`) is credited with
+its stored makespan as a free pull — a service started over a store an
+earlier service or suite filled inherits that completed exploration.
 """
 
 from __future__ import annotations
@@ -315,8 +314,8 @@ class AutoTuner:
     current proposal (identity for non-tunable schemes);
     :meth:`observe` routes a completion's cost back to the owning tuner.
     Tuners are created lazily on first contact with a pair and
-    warm-started from the runner's caches, so a shared store backend
-    lets fleet shards inherit each other's completed exploration.
+    warm-started from the runner's caches, so a persistent store lets a
+    new service inherit the exploration earlier ones completed.
     """
 
     def __init__(
@@ -485,28 +484,3 @@ class AutoTuner:
     def _emit(self, kind: str, **args) -> None:
         if self.tracer.enabled:
             self.tracer.emit(kind, ts=time.perf_counter(), **args)
-
-
-def merge_autotune_snapshots(
-    parts: Sequence[Dict[str, Dict[str, object]]],
-) -> Dict[str, Dict[str, object]]:
-    """Fleet-aggregate view: per pair, the shard that has learned most.
-
-    Shards tune independently (their traffic mixes differ), so a sum is
-    meaningless; the aggregate reports each pair's furthest-along tuner
-    (most pulls, converged preferred) — the fleet's best current answer.
-    """
-    merged: Dict[str, Dict[str, object]] = {}
-    for part in parts:
-        for pair, snap in part.items():
-            held = merged.get(pair)
-            if held is None:
-                merged[pair] = snap
-                continue
-            better = (
-                (bool(snap.get("converged")), snap.get("pulls", 0))
-                > (bool(held.get("converged")), held.get("pulls", 0))
-            )
-            if better:
-                merged[pair] = snap
-    return merged

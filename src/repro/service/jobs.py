@@ -27,11 +27,6 @@ defining invariant — checked by the load tests — is that no submission
 is ever lost::
 
     submitted == completed + failed + shed + in_flight
-
-The ledger fields are plain sums, so the invariant composes: a
-:class:`~repro.service.fleet.ServiceFleet` adds its shards' ledgers
-field-by-field and the same equation holds fleet-wide (the front door
-never drops a submission between shards).
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from repro.errors import (
 from repro.harness.faults import FaultPlan
 from repro.harness.parallel import ExecutionPolicy
 from repro.harness.runner import Runner
-from repro.obs.metrics import MetricsRegistry, exact_quantile
+from repro.obs.metrics import exact_quantile
 from repro.obs.tracer import Tracer
 from repro.service.jobs import ServiceStats
 from repro.service.service import ServiceConfig, SimulationService
@@ -239,7 +239,7 @@ class RequestLedger:
 # Driving a service from a request script
 # ----------------------------------------------------------------------
 async def drive_service(
-    service,  # SimulationService or ServiceFleet (duck-typed submit)
+    service: SimulationService,
     requests: Sequence[TrafficRequest],
     *,
     speed: float = 1.0,
@@ -423,13 +423,10 @@ async def replay_ledger(
     *,
     speed: float = 1.0,
     runner: Optional[Runner] = None,
-    runners: Optional[Sequence[Runner]] = None,
-    shards: int = 1,
     config: Optional[ServiceConfig] = None,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> ReplayReport:
     """Re-drive a recorded ledger against a fresh service and compare.
 
@@ -438,41 +435,14 @@ async def replay_ledger(
     diffed against the recording: simulation results must be
     bit-identical (any divergence is listed in ``mismatches``), while
     measured latencies feed the report for budget gating.
-
-    ``shards > 1`` replays against a
-    :class:`~repro.service.fleet.ServiceFleet` instead of a single
-    service — pass per-shard ``runners`` (see
-    :func:`~repro.service.fleet.fleet_runners`) to share a store across
-    the fleet; ``drive_service`` treats the two identically, and
-    :class:`~repro.errors.FleetOverloaded` records as ``shed`` like any
-    other :class:`~repro.errors.ServiceOverloaded`.
     """
-    if runners is not None and runner is not None:
-        raise HarnessError("pass either runner or runners, not both")
-    service_config = config if config is not None else ServiceConfig(jobs=2)
-    if shards > 1 or runners is not None:
-        # Deferred import: fleet pulls in the store/backends stack,
-        # which single-service replays never need.
-        from repro.service.fleet import FleetConfig, ServiceFleet
-
-        shard_count = max(shards, len(runners) if runners else 0, 1)
-        service = ServiceFleet(
-            runners,
-            config=FleetConfig(shards=shard_count, service=service_config),
-            policy=policy,
-            faults=faults,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    else:
-        service = SimulationService(
-            runner,
-            config=service_config,
-            policy=policy,
-            faults=faults,
-            tracer=tracer,
-            metrics=metrics,
-        )
+    service = SimulationService(
+        runner,
+        config=config if config is not None else ServiceConfig(jobs=2),
+        policy=policy,
+        faults=faults,
+        tracer=tracer,
+    )
     async with service:
         replayed_entries = await drive_service(
             service, ledger.requests(), speed=speed

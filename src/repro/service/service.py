@@ -178,15 +178,13 @@ class SimulationService:
         policy: Optional[ExecutionPolicy] = None,
         faults: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.runner = runner if runner is not None else Runner()
         self.config = config if config is not None else ServiceConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Latency histograms and the tuner's proposal counts: a registry of
-        #: this service's own unless the caller injects one (a fleet shares
-        #: one across shards).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Latency histograms and the tuner's proposal counts, for this
+        #: service's requests only.
+        self.metrics = MetricsRegistry()
         self._stage_hist = {
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
             for stage in ("admit", "queue", "dispatch", "total")

@@ -43,9 +43,7 @@ from repro.harness.runner import RunConfig, Runner
 from repro.harness.store import open_store
 from repro.harness.sweep import offline_search
 from repro.service import (
-    FleetConfig,
     ServiceConfig,
-    ServiceFleet,
     SimulationService,
     generate_traffic,
 )
@@ -58,7 +56,6 @@ from repro.service.autotune import (
     SuccessiveHalvingTuner,
     arm_grid,
     family_of,
-    merge_autotune_snapshots,
 )
 from repro.workloads.base import get_benchmark
 from tests.strategies import arm_schedules, observation_sequences, sweep_grids
@@ -337,16 +334,6 @@ class TestAutoTuner:
         assert inner.round == 1
         assert len(inner.alive) == math.ceil(len(arms) / 2)
 
-    def test_merge_prefers_converged_then_most_pulls(self):
-        a = {"p": {"converged": False, "pulls": 9, "incumbent": "x"}}
-        b = {"p": {"converged": True, "pulls": 3, "incumbent": "y"}}
-        c = {"p": {"converged": False, "pulls": 2, "incumbent": "z"},
-             "q": {"converged": False, "pulls": 1, "incumbent": "w"}}
-        merged = merge_autotune_snapshots([a, b, c])
-        assert merged["p"]["incumbent"] == "y"  # converged beats pulls
-        assert merged["q"]["incumbent"] == "w"
-        assert merge_autotune_snapshots([a, c])["p"]["incumbent"] == "x"
-
 
 # ----------------------------------------------------------------------
 # Service integration: seeded traffic converges to the offline optimum
@@ -443,34 +430,9 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
-# Fleet: shards tune independently, learn through the shared store
+# Warm start across tuners: a new tuner learns through the shared store
 # ----------------------------------------------------------------------
 class TestFleet:
-    def test_fleet_aggregates_shard_tuners(self):
-        async def main():
-            fleet = ServiceFleet(
-                config=FleetConfig(
-                    shards=2,
-                    service=ServiceConfig(jobs=1, autotune=True),
-                ),
-            )
-            async with fleet:
-                for request in generate_traffic(12, seed=5):
-                    job = await fleet.submit(request.config())
-                    await job.result()
-                return fleet.stats()
-
-        stats = asyncio.run(main())
-        assert stats.aggregate.lost == 0
-        merged = stats.aggregate.autotune
-        assert merged  # at least one tunable pair saw traffic
-        for pair, snap in merged.items():
-            benchmark, family = pair.split("/")
-            grid = arm_grid(benchmark, family)
-            assert snap["arms"] == len(grid)
-            if snap["incumbent"] is not None:
-                assert snap["incumbent"] in grid
-
     def test_second_shard_warm_starts_from_the_shared_store(self, tmp_path):
         url = f"dir://{tmp_path}"
         first = Runner(store=open_store(tmp_path))
@@ -480,7 +442,7 @@ class TestFleet:
         while not inner.converged:
             config = tuned.rewrite(template)
             tuned.observe(config, makespan=first.run(config).makespan)
-        # A fresh shard over the same store inherits the exploration.
+        # A fresh tuner over the same store inherits the exploration.
         second = AutoTuner(runner=Runner(store=open_store(url)))
         snap = second.tuner_for(
             BENCH, THRESHOLD_FAMILY, template=template

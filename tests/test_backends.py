@@ -4,7 +4,7 @@ One parametrized fixture yields a directory backend and a WAL-mode
 SQLite backend; every contract test runs against both.  The contract
 under test is the one
 :class:`~repro.harness.store.ResultStore` (and through it the runner and
-the service fleet) relies on: raw-dict round trips, corrupt entries
+the service) relies on: raw-dict round trips, corrupt entries
 orphaned on read, strict JSON (NaN rejected with ``ValueError`` before
 anything is written), concurrent writers, and schema-version bumps
 invalidating stale entries end to end.

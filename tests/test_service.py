@@ -3,8 +3,9 @@
 The load/soak, property, chaos, and CLI suites cover the happy paths;
 this file pins down the corners: lifecycle (submit-after-close, undrained
 shutdown, idempotent close), submit-time validation, the batch-dispatch
-failure containment, job-handle semantics, and the ``service.*`` tracer
-stream.
+failure containment, job-handle semantics, the ``service.*`` tracer
+stream, ``repro.api.serve``'s store arguments, and a pooled service over
+a ``sqlite://`` store.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.harness.runner import RunConfig, Runner
+from repro.harness.store import open_store
 from repro.obs.tracer import Tracer
 from repro.service import (
     ServiceConfig,
     ServiceStats,
     SimulationService,
+    generate_traffic,
 )
 from repro.service.jobs import as_run_config
 
@@ -250,8 +253,8 @@ def test_stats_to_dict_is_flat_and_complete():
 
 
 def test_default_registry_latency_digest_is_per_service():
-    """Two services built one after the other with no injected registry
-    each digest only their own requests, like every other stats field."""
+    """Two services built one after the other each digest only their
+    own requests, like every other stats field."""
 
     async def _scenario():
         service = SimulationService(Runner())
@@ -281,3 +284,61 @@ def test_api_facade_round_trip():
     assert result.makespan > 0
     serial = Runner().run(RunConfig("GC-citation", "flat"))
     assert result.to_dict() == serial.to_dict()
+
+
+def test_serve_refuses_store_url_beside_runner_or_store(tmp_path):
+    """A URL next to a runner or a store would be opened, then dropped."""
+    from repro import api
+
+    url = f"sqlite://{tmp_path}/a.db"
+    with pytest.raises(HarnessError, match="store_url"):
+        api.serve(runner=Runner(), store_url=url)
+    assert list(tmp_path.iterdir()) == []
+    store = open_store(tmp_path / "kept")
+    with pytest.raises(HarnessError, match="store_url"):
+        api.serve(store=store, store_url=url)
+    assert not (tmp_path / "a.db").exists()
+
+
+def test_pooled_sqlite_service_matches_serial_runner(tmp_path):
+    """serve(jobs=2) over sqlite://: pool replies equal serial Runner.run,
+    each unique config is stored once, and a second service over the same
+    URL answers every request from the store."""
+    from repro import api
+
+    url = f"sqlite://{tmp_path}/service.db"
+    requests = generate_traffic(40, seed=3)
+    unique = {request.config().key() for request in requests}
+
+    async def _scenario():
+        service = api.serve(jobs=2, store_url=url)
+        try:
+            async with service:
+                jobs = [
+                    await service.submit(request.config())
+                    for request in requests
+                ]
+                results = await service.gather(jobs)
+        finally:
+            service.runner.store.close()
+        return results, service.stats()
+
+    results, stats = asyncio.run(_scenario())
+    assert stats.lost == 0
+    assert stats.failed == 0
+    assert stats.pool_runs > 0
+    serial = Runner()
+    for request, result in zip(requests, results):
+        expected = serial.run(request.config())
+        assert result.makespan == expected.makespan
+        assert result.summary() == expected.summary()
+    store = open_store(url)
+    try:
+        assert store.stats().entries == len(unique)
+    finally:
+        store.close()
+
+    _, warm = asyncio.run(_scenario())
+    assert warm.submitted == len(requests)
+    assert warm.cache_hits == warm.submitted
+    assert warm.pool_runs == 0
