@@ -85,15 +85,38 @@ from repro.sim.config import GPUConfig, kepler_k20m, small_debug_gpu
 from repro.sim.engine import SimResult
 
 
-def _make_runner(
-    gpu: Optional[GPUConfig],
-    max_events: Optional[int],
-    store: Optional[ResultStore],
+def _runner_for(
+    caller: str,
+    runner: Optional[Runner],
+    *,
+    gpu: Optional[GPUConfig] = None,
+    max_events: Optional[int] = None,
+    store: Optional[ResultStore] = None,
 ) -> Runner:
-    kwargs = {}
-    if max_events is not None:
-        kwargs["max_events"] = max_events
-    return Runner(gpu, store=store, **kwargs)
+    """``runner``, or a new one built from the runner arguments.
+
+    A given runner keeps its own GPU, event budget and store, so any of
+    those passed beside it would go unused: that is an error.
+    """
+    if runner is None:
+        kwargs = {}
+        if max_events is not None:
+            kwargs["max_events"] = max_events
+        return Runner(gpu, store=store, **kwargs)
+    conflicts = [
+        name
+        for name, value in (("gpu", gpu), ("max_events", max_events),
+                            ("store", store))
+        if value is not None
+    ]
+    if conflicts:
+        named = ", ".join(f"{name}=" for name in conflicts)
+        raise HarnessError(
+            f"{caller}(runner=...) runs on the runner's own configuration, "
+            f"so {named} would go unused; pass them to Runner(...), or drop "
+            "runner"
+        )
+    return runner
 
 
 def simulate(
@@ -116,10 +139,13 @@ def simulate(
     scheme, simulates on ``gpu`` (default: the paper's K20m-like
     configuration) and returns the :class:`SimResult`.  Pass ``runner`` to
     share caches across calls; otherwise ``store`` controls persistence
-    for this call's throwaway runner.
+    for this call's throwaway runner.  ``gpu``, ``max_events`` and
+    ``store`` configure that throwaway runner; passing any of them beside
+    ``runner`` raises :class:`HarnessError`.
     """
-    if runner is None:
-        runner = _make_runner(gpu, max_events, store)
+    runner = _runner_for(
+        "simulate", runner, gpu=gpu, max_events=max_events, store=store
+    )
     config = RunConfig(
         benchmark=benchmark,
         scheme=scheme,
@@ -139,9 +165,11 @@ def speedup(
     seed: int = 1,
     runner: Optional[Runner] = None,
 ) -> float:
-    """Speedup of ``scheme`` over the flat variant (the paper's metric)."""
-    if runner is None:
-        runner = _make_runner(gpu, None, None)
+    """Speedup of ``scheme`` over the flat variant (the paper's metric).
+
+    ``gpu`` and ``runner`` exclude each other (:class:`HarnessError`).
+    """
+    runner = _runner_for("speedup", runner, gpu=gpu)
     return runner.speedup(benchmark, scheme, seed=seed)
 
 
@@ -169,10 +197,13 @@ def run_suite(
     fail permanently — inspect :attr:`SuiteReport.failures` afterwards, or
     call :meth:`SuiteReport.raise_if_failed`.  Attach a ``store`` to
     checkpoint completed runs: re-invoking after a mid-suite kill
-    re-simulates only the missing configs.
+    re-simulates only the missing configs.  ``gpu``, ``max_events`` and
+    ``store`` build the suite's runner; passing any of them beside
+    ``runner`` raises :class:`HarnessError`.
     """
-    if runner is None:
-        runner = _make_runner(gpu, max_events, store)
+    runner = _runner_for(
+        "run_suite", runner, gpu=gpu, max_events=max_events, store=store
+    )
     policy = ExecutionPolicy(
         timeout=timeout,
         max_retries=max_retries,
@@ -218,7 +249,8 @@ def serve(
 
     ``store_url`` (``dir://`` or ``sqlite://``) is shorthand for
     ``store=open_store(store_url)``.  It cannot be combined with
-    ``runner`` or ``store``: either would leave the URL unused.
+    ``runner`` or ``store``: either would leave the URL unused.  Nor can
+    ``store`` be combined with ``runner``, which keeps its own store.
     """
     if store_url is not None and (runner is not None or store is not None):
         raise HarnessError(
@@ -235,8 +267,7 @@ def serve(
     )
     if store_url is not None:
         store = open_store(store_url)
-    if runner is None:
-        runner = _make_runner(None, None, store)
+    runner = _runner_for("serve", runner, store=store)
     return SimulationService(
         runner,
         config=config,

@@ -11,7 +11,8 @@ here with *identical semantics*:
   counter;
 * :class:`ReferenceGMU` — a dispatch scan that always runs and yields
   every dispatchable head, against the GMU's dispatchable-head counter
-  and its skipping of heads whose shape already failed to fit;
+  (which also lets the engine skip a pass with nothing to place) and its
+  skipping of heads whose shape already failed to fit;
 * :class:`ReferenceLRUCache` / :class:`ReferenceMemorySystem` — list-based
   LRU sets and a materialized line list for every footprint, against the
   dict LRU and the range-fed single-region path;
@@ -20,8 +21,8 @@ here with *identical semantics*:
   ``np.maximum.reduceat``, streams every non-contiguous footprint through
   ``cta_access_arrays``, materializes child specs with
   :func:`~repro.sim.kernel.spec_from_request` and builds CTAs with
-  :class:`~repro.sim.instances.CTAInstance`, against the per-spec and
-  closed-form dispatch plans of :mod:`repro.sim.engine`.
+  :class:`~repro.sim.instances.CTAInstance`, against the per-spec plans
+  and the closed-form child grids of :mod:`repro.sim.engine`.
 
 :func:`run_differential` runs the same application through the simulator
 and the reference and asserts the event streams are identical
@@ -198,10 +199,13 @@ class ReferenceSMX(SMXResources):
 class ReferenceGMU(GMU):
     """GMU whose dispatch scan always runs (no dispatchable-head count).
 
-    It ignores ``skip`` and yields every dispatchable head, so the
-    differential compares the skipping scan against the engine's own
-    failed-shape check.
+    It never lets the engine skip a dispatch pass, ignores ``skip`` and
+    yields every dispatchable head, so the differential compares the
+    skipping scan against the engine's own failed-shape check.
     """
+
+    def can_dispatch(self) -> bool:
+        return True
 
     def dispatchable_kernels(self, skip=()) -> Iterator[KernelInstance]:
         bound = self._bound_list
@@ -283,7 +287,8 @@ class ReferenceSimulator(GPUSimulator):
     gmu_factory = ReferenceGMU
     memory_factory = ReferenceMemorySystem
 
-    def _find_smx(self, *, threads: int, regs: int, shmem: int) -> Optional[SMX]:
+    def _find_smx(self, shape) -> Optional[SMX]:
+        threads, regs, shmem = shape
         n = len(self.smxs)
         for offset in range(n):
             smx = self.smxs[(self._smx_rr + offset) % n]

@@ -69,7 +69,15 @@ class WindowedConcurrencyAverage:
         self._integrate(now)
 
     def change(self, now: float, delta: int) -> None:
-        self.advance(now)
+        if now - self._window_start >= self.window:
+            self.advance(now)
+        else:
+            # No window closes: ``advance``'s final ``_integrate``, inline.
+            last = self._last_time
+            if now < last:
+                raise SimulationError("time moved backwards in metric window")
+            self._acc += self._level * (now - last)
+            self._last_time = now
         self._level += delta
         if self._level < 0:
             raise SimulationError("concurrency level went negative")

@@ -20,6 +20,7 @@ the header reads and the asynchronous API call cost.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from collections import deque
 from functools import partial
@@ -34,7 +35,7 @@ from repro.core.policies import (
     LaunchPolicy,
     LaunchRequest,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.obs.tracer import (
     CTA_DISPATCH,
     CTA_FINISH,
@@ -59,7 +60,12 @@ from repro.sim.instances import (
     KernelState,
     PendingDecision,
 )
-from repro.sim.kernel import Application, ChildRequest, KernelSpec, spec_from_request
+from repro.sim.kernel import (
+    Application,
+    ChildRequest,
+    KernelSpec,
+    normalize_requests,
+)
 from repro.sim.launch import LaunchUnit
 from repro.sim.memory import MemorySystem
 from repro.sim.merge import build_merged_spec, merge_key
@@ -76,11 +82,12 @@ from repro.sim.stats import SimStats
 # the engine reads them from a plan instead of slicing the spec's
 # per-thread arrays for every CTA.  ``GridPlan`` derives them once from
 # any spec's arrays and is cached on the spec (host-launched and merged
-# grids).  ``ChildGridPlan`` computes them in closed form from the
-# ChildRequest a child grid was built from: all its threads carry
-# ``items_per_thread`` items except the last, which carries the remainder,
-# and thread t reads from ``mem_base + t * items_per_thread * mem_stride``.
-# It keeps nothing per CTA.  Both return, for CTA i, ``(start, stop,
+# grids).  A launched child grid is a ``ChildGridPlan``: it stands in for
+# ``spec_from_request(req)`` and computes every CTA's plan in closed form
+# from the request: all its threads carry ``items_per_thread`` items
+# except the last, which carries the remainder, and thread t reads from
+# ``mem_base + t * items_per_thread * mem_stride``.  It builds no array and
+# keeps nothing per CTA.  Both return, for CTA i, ``(start, stop,
 # num_warps, executed, per_warp, base, extent)``.  ``per_warp`` is one int
 # for a ``contiguous_footprint`` grid (its uniform per-thread count) and
 # the list of exact per-warp maxima for any other grid.  ``base`` and
@@ -206,25 +213,68 @@ class GridPlan:
 
 
 class ChildGridPlan:
-    """Closed-form plan of a grid built by ``spec_from_request(req)``."""
+    """A launched child grid: ``spec_from_request(req, depth=depth)`` in
+    closed form.
 
-    __slots__ = ("tpc", "num_threads", "items_per_thread", "last_items",
-                 "mem_base", "mem_stride", "dec_tids")
+    It carries every field the engine reads from a child grid's spec
+    (name, depth, CTA shape, per-item costs, stride, nested requests,
+    ``header_items``, ``num_ctas``) and plans each CTA from the request's
+    numbers, so launching a child builds no array.  The checks
+    ``spec_from_request`` makes through ``KernelSpec.__post_init__`` are
+    restated on the request: every request it rejects raises
+    :class:`~repro.errors.WorkloadError` here.
+    """
 
-    def __init__(self, req: ChildRequest):
+    __slots__ = ("name", "depth", "threads_per_cta", "regs_per_thread",
+                 "shmem_per_cta", "cycles_per_item", "accesses_per_item",
+                 "mem_base", "mem_stride", "child_requests", "num_threads",
+                 "num_ctas", "items_per_thread", "last_items", "dec_tids")
+
+    #: ``spec_from_request`` leaves both at KernelSpec's values for a
+    #: child grid: the default header reads, and regions tiling one range.
+    header_items = KernelSpec.header_items
+    contiguous_footprint = True
+
+    def __init__(self, req: ChildRequest, depth: int):
+        ipt = req.items_per_thread
+        if ipt <= 0 or req.cta_threads <= 0:
+            raise WorkloadError("child CTA dimensions must be positive")
         num_threads = req.num_threads
-        self.num_threads = num_threads
-        self.tpc = min(req.cta_threads, num_threads)
-        self.items_per_thread = req.items_per_thread
-        self.last_items = req.items - (num_threads - 1) * req.items_per_thread
+        if num_threads <= 0:
+            raise WorkloadError(f"kernel {req.name!r} needs a 1-D non-empty grid")
+        # The remainder thread's items; every other thread carries ipt > 0.
+        last = req.items - (num_threads - 1) * ipt
+        if last < 0:
+            raise WorkloadError("thread_items must be non-negative")
+        if req.cycles_per_item < 0 or req.accesses_per_item < 0:
+            raise WorkloadError("per-item costs must be non-negative")
+        nested = normalize_requests(req.nested) if req.nested else {}
+        for tid in nested:
+            if tid < 0 or tid >= num_threads:
+                raise WorkloadError(
+                    f"child request bound to thread {tid} outside kernel grid"
+                )
+        tpc = min(req.cta_threads, num_threads)
+        self.name = req.name
+        self.depth = depth
+        self.threads_per_cta = tpc
+        self.regs_per_thread = req.regs_per_thread
+        self.shmem_per_cta = req.shmem_per_cta
+        self.cycles_per_item = req.cycles_per_item
+        self.accesses_per_item = req.accesses_per_item
         self.mem_base = req.mem_base
         self.mem_stride = req.mem_stride
-        self.dec_tids = _decision_tids(req.nested)
+        self.child_requests = nested
+        self.num_threads = num_threads
+        self.num_ctas = math.ceil(num_threads / tpc)
+        self.items_per_thread = ipt
+        self.last_items = last
+        self.dec_tids = _decision_tids(nested)
 
     def cta(self, index: int) -> CTAPlan:
         ipt = self.items_per_thread
-        start = index * self.tpc
-        stop = start + self.tpc
+        start = index * self.threads_per_cta
+        stop = start + self.threads_per_cta
         if stop >= self.num_threads:  # the CTA holding the remainder thread
             stop = self.num_threads
             last = self.last_items
@@ -243,19 +293,15 @@ class ChildGridPlan:
         )
 
 
-def plan_of(spec: KernelSpec):
-    """The spec's dispatch plan, built on first use and kept on the spec."""
+def plan_of(spec):
+    """The spec's dispatch plan; a host or merged grid's is built on first
+    use and kept on the spec, a child grid is its own."""
+    if spec.__class__ is ChildGridPlan:
+        return spec
     plan = spec.__dict__.get("_dispatch_plan")
     if plan is None:
         plan = spec._dispatch_plan = GridPlan(spec)
     return plan
-
-
-def child_spec(req: ChildRequest, *, depth: int) -> KernelSpec:
-    """``spec_from_request`` (every check included), plus its closed-form plan."""
-    spec = spec_from_request(req, depth=depth)
-    spec._dispatch_plan = ChildGridPlan(req)
-    return spec
 
 
 class SimResult:
@@ -368,6 +414,12 @@ class GPUSimulator:
         self._host_index = 0
         self._submit_next_root()
         self.queue.run(self.max_events)
+        # The queue is drained: nothing calls back into this simulator any
+        # more.  Dropping the callbacks that point back at it lets reference
+        # counting free it, L2 model included, as soon as the caller lets
+        # go, instead of leaving it to the cyclic garbage collector.
+        self._smx_callbacks = []
+        self.launch_unit.deliver = None
         if self._unfinished_kernels:
             raise SimulationError(
                 f"simulation drained with {self._unfinished_kernels} kernels "
@@ -509,6 +561,9 @@ class GPUSimulator:
             # Nested completion notifications re-enter here; the outer loop
             # picks up any newly dispatchable work.
             return
+        if not self._dtbl_pending and not self.gmu.can_dispatch():
+            # Nothing to place: a pass would change no state at all.
+            return
         self._dispatching = True
         # Within one dispatch pass resources only shrink, so a CTA shape
         # that failed to fit once cannot fit later in the same pass.
@@ -527,36 +582,42 @@ class GPUSimulator:
             return False
         placed = False
         gmu = self.gmu
-        for kernel in gmu.dispatchable_kernels(self._failed_shapes):
-            if self._place_cta_of(kernel):
-                gmu.note_cta_taken(kernel)
-                placed = True
-                free_slots -= 1
-                if free_slots == 0:
-                    return placed
-        while self._dtbl_pending:
-            head = self._dtbl_pending[0]
-            if not head.has_undispatched_ctas:
-                self._dtbl_pending.popleft()
+        failed = self._failed_shapes
+        for kernel in gmu.dispatchable_kernels(failed):
+            shape = kernel.shape
+            if shape in failed:
                 continue
-            if not self._place_cta_of(head):
+            smx = self._find_smx(shape)
+            if smx is None:
+                failed.add(shape)
+                continue
+            self._dispatch_cta(kernel, smx)
+            gmu.note_cta_taken(kernel)
+            placed = True
+            free_slots -= 1
+            if free_slots == 0:
+                return placed
+        pending = self._dtbl_pending
+        while pending:
+            head = pending[0]
+            if head.next_cta_index >= head.num_ctas:
+                pending.popleft()
+                continue
+            shape = head.shape
+            if shape in failed:
                 break
+            smx = self._find_smx(shape)
+            if smx is None:
+                failed.add(shape)
+                break
+            self._dispatch_cta(head, smx)
             placed = True
         return placed
 
-    def _place_cta_of(self, kernel: KernelInstance) -> bool:
-        shape = kernel.shape
-        if shape in self._failed_shapes:
-            return False
-        smx = self._find_smx(threads=shape[0], regs=shape[1], shmem=shape[2])
-        if smx is None:
-            self._failed_shapes.add(shape)
-            return False
-        self._dispatch_cta(kernel, smx)
-        return True
-
-    def _find_smx(self, *, threads: int, regs: int, shmem: int) -> Optional[SMX]:
-        """Next SMX round-robin with room for the shape (``can_fit``, inlined)."""
+    def _find_smx(self, shape: Tuple[int, int, int]) -> Optional[SMX]:
+        """Next SMX round-robin with room for a ``(threads, regs, shmem)``
+        CTA shape (``can_fit``, inlined)."""
+        threads, regs, shmem = shape
         smxs = self.smxs
         n = len(smxs)
         cfg = self.config
@@ -603,11 +664,13 @@ class GPUSimulator:
                     queuing_latency=record.queuing_latency,
                 )
 
-        # Memory footprint of the CTA's unconditional work.
-        if spec.mem_bases is None:
-            stall = self.memory.stall_cycles(1.0)
-        elif base is not None:
+        # Memory footprint of the CTA's unconditional work.  A grid without
+        # ``mem_bases`` plans every base as None, so the range test comes
+        # first: a child grid has no per-thread arrays to look at.
+        if base is not None:
             stall, _ = self.memory.cta_access([(base, extent)], smx.index, now)
+        elif spec.mem_bases is None:
+            stall = self.memory.stall_cycles(1.0)
         else:
             items = spec.thread_items[start:stop]
             stall, _ = self.memory.cta_access_arrays(
@@ -672,21 +735,22 @@ class GPUSimulator:
     def _place_on_smx(self, cta: CTAInstance, smx: SMX, now: float) -> None:
         smx.add(cta, now)
         cta.dispatch_time = now
+        kernel = cta.kernel
         if self.tracer.enabled:
             self.tracer.emit(
                 CTA_DISPATCH,
                 ts=now,
-                kernel_id=cta.kernel.kernel_id,
-                kernel=cta.kernel.spec.name,
+                kernel_id=kernel.kernel_id,
+                kernel=kernel.spec.name,
                 cta_index=cta.cta_index,
                 smx=smx.index,
-                is_child=cta.is_child,
+                is_child=kernel.is_child,
                 warps=cta.num_warps,
                 threads=cta.num_threads,
                 regs=cta.regs,
                 shmem=cta.shmem,
             )
-        if cta.is_child:
+        if kernel.is_child:
             self.metrics.on_cta_started(now)
             self._res_child_ctas += 1
         else:
@@ -695,8 +759,24 @@ class GPUSimulator:
         self._res_warps += cta.num_warps
         self._res_regs += cta.regs
         self._res_shmem += cta.shmem
-        self._record_state()
-        self._reschedule_smx(smx)
+        self.stats.record_state(
+            now,
+            parent_ctas=self._res_parent_ctas,
+            child_ctas=self._res_child_ctas,
+            warps=self._res_warps,
+            regs=self._res_regs,
+            shmem=self._res_shmem,
+        )
+        # Reschedule the SMX's event as ``_reschedule_smx`` does; the SMX
+        # has a resident now, so it has a horizon.
+        i = smx.index
+        event = self._smx_events[i]
+        if event is not None:
+            event.cancel()
+        when = smx.next_event_time(now)
+        self._smx_events[i] = self.queue.schedule(
+            when if when > now else now, self._smx_callbacks[i]
+        )
 
     # ------------------------------------------------------------------
     # Launch decisions (fired on the progress axis)
@@ -863,7 +943,7 @@ class GPUSimulator:
     def _make_child_kernel(
         self, parent: KernelInstance, parent_cta: CTAInstance, req: ChildRequest
     ) -> KernelInstance:
-        spec = child_spec(req, depth=parent.spec.depth + 1)
+        spec = ChildGridPlan(req, parent.spec.depth + 1)
         stream = self.stream_policy.stream_for(parent.kernel_id, parent_cta.cta_index)
         child = KernelInstance(
             next(self._kernel_ids),
@@ -1005,9 +1085,36 @@ class GPUSimulator:
         finished = smx.pop_finished(now)
         if finished:
             progressed = True
+            tracing = self.tracer.enabled
             for cta in finished:
-                self._detach_cta(cta, smx, now)
-            self._record_state()
+                # Detach: the CTA gives its resources back.
+                if cta.kernel.is_child:
+                    self._res_child_ctas -= 1
+                else:
+                    self._res_parent_ctas -= 1
+                self._res_total_ctas -= 1
+                self._res_warps -= cta.num_warps
+                self._res_regs -= cta.regs
+                self._res_shmem -= cta.shmem
+                cta.compute_done_time = now
+                if tracing:
+                    self.tracer.emit(
+                        CTA_FINISH,
+                        ts=now,
+                        kernel_id=cta.kernel.kernel_id,
+                        cta_index=cta.cta_index,
+                        smx=smx.index,
+                        is_child=cta.is_child,
+                        exec_time=now - cta.dispatch_time,
+                    )
+            self.stats.record_state(
+                now,
+                parent_ctas=self._res_parent_ctas,
+                child_ctas=self._res_child_ctas,
+                warps=self._res_warps,
+                regs=self._res_regs,
+                shmem=self._res_shmem,
+            )
             for cta in finished:
                 self._on_cta_compute_done(cta, now)
             self._dispatch()
@@ -1020,27 +1127,6 @@ class GPUSimulator:
                 self._smx_events[smx.index] = self.queue.schedule(
                     max(when, now + 1e-3), self._smx_callbacks[smx.index]
                 )
-
-    def _detach_cta(self, cta: CTAInstance, smx: SMX, now: float) -> None:
-        if cta.is_child:
-            self._res_child_ctas -= 1
-        else:
-            self._res_parent_ctas -= 1
-        self._res_total_ctas -= 1
-        self._res_warps -= cta.num_warps
-        self._res_regs -= cta.regs
-        self._res_shmem -= cta.shmem
-        cta.compute_done_time = now
-        if self.tracer.enabled:
-            self.tracer.emit(
-                CTA_FINISH,
-                ts=now,
-                kernel_id=cta.kernel.kernel_id,
-                cta_index=cta.cta_index,
-                smx=smx.index,
-                is_child=cta.is_child,
-                exec_time=now - cta.dispatch_time,
-            )
 
     def _on_cta_compute_done(self, cta: CTAInstance, now: float) -> None:
         kernel = cta.kernel
@@ -1134,16 +1220,3 @@ class GPUSimulator:
             self._host_index += 1
             self._submit_next_root()
         self._dispatch()
-
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-    def _record_state(self) -> None:
-        self.stats.record_state(
-            self.queue.now,
-            parent_ctas=self._res_parent_ctas,
-            child_ctas=self._res_child_ctas,
-            warps=self._res_warps,
-            regs=self._res_regs,
-            shmem=self._res_shmem,
-        )

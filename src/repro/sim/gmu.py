@@ -189,6 +189,14 @@ class GMU:
     # ------------------------------------------------------------------
     # Dispatch iteration
     # ------------------------------------------------------------------
+    def can_dispatch(self) -> bool:
+        """False only when no bound head has a CTA left to dispatch.
+
+        The engine skips a whole dispatch pass on False: the scan
+        :meth:`dispatchable_kernels` would make yields nothing then.
+        """
+        return self._dispatchable > 0
+
     def dispatchable_kernels(
         self, skip: Container[tuple] = ()
     ) -> Iterator[KernelInstance]:

@@ -259,7 +259,9 @@ def spec_from_request(
 
     Child threads each carry ``items_per_thread`` items (the last thread may
     carry the remainder) and read from the parent's offloaded memory range so
-    the cache model observes parent->child reuse.
+    the cache model observes parent->child reuse.  The engine launches the
+    closed form of this grid (:class:`repro.sim.engine.ChildGridPlan`);
+    this materialized one is what the reference simulator runs.
     """
     num_threads = req.num_threads
     items = np.full(num_threads, req.items_per_thread, dtype=np.int64)

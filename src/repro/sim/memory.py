@@ -281,7 +281,8 @@ class MemorySystem:
             if l2_lines:
                 h2, m2 = self.l2.access_lines(l2_lines)
                 l2_rate = h2 / (h2 + m2)
-                dram_factor = self._dram_factor(now, m2)
+                dram = self.dram
+                dram_factor = 1.0 if dram is None else dram.record(now, m2)
             else:
                 l2_rate = 1.0
                 dram_factor = 1.0
@@ -291,13 +292,10 @@ class MemorySystem:
             )
         hits, misses = self.l2.access_lines(lines)
         rate = hits / (hits + misses)
-        dram_factor = self._dram_factor(now, misses)
-        return self.config.stall_cycles(rate, dram_factor), rate
-
-    def _dram_factor(self, now: float, misses: int) -> float:
-        if self.dram is None:
-            return 1.0
-        return self.dram.record(now, misses)
+        dram = self.dram
+        if dram is None:
+            return self.config.stall_cycles(rate), rate
+        return self.config.stall_cycles(rate, dram.record(now, misses)), rate
 
     @property
     def hit_rate(self) -> float:

@@ -189,10 +189,12 @@ class SMX(SMXResources):
     Two caches turn the engine's per-event scans into O(1) checks:
 
     * The event horizon ``min(next_target - consumed)`` is cached until
-      the clock moves or a resident changes.  Placements at the same
-      timestamp update it incrementally (``min`` is order-independent,
-      so the incremental value equals the full reduction bit for bit);
-      that makes the engine's reschedule-after-every-placement O(1).
+      the clock moves or a resident changes.  :meth:`pop_finished` takes
+      it over the survivors in its retire pass, and placements at the
+      same timestamp update it incrementally (each is the comparison
+      sequence the full reduction would make, so the value is equal bit
+      for bit); that makes the engine's reschedule after every placement
+      and every completion O(1).
     * ``_dec_count`` counts residents that had a pending decision when
       last seen (at placement or :meth:`refresh_demand`).  Decisions never
       appear on a resident CTA, so the count is an upper bound, and zero
@@ -333,19 +335,38 @@ class SMX(SMXResources):
         ]
 
     def pop_finished(self, now: float) -> List[CTAInstance]:
-        """Advance to ``now`` and detach every CTA whose compute is done."""
+        """Advance to ``now`` and detach every CTA whose compute is done.
+
+        The same pass takes the survivors' ``min(next_target - consumed)``
+        in resident order, which is the horizon :meth:`next_event_time`
+        would compute next, so the cache is left valid.
+        """
         self.advance(now)
         resident = self.resident
         consumed = self._consumed
         total = self._total
-        rows = [
-            i
-            for i in range(len(resident))
-            if consumed[i] >= total[i] - EPSILON
-            and resident[i].next_decision >= len(resident[i].decisions)
-        ]
+        target = self._target
+        rows: List[int] = []
+        slack = None
+        for i in range(len(consumed)):
+            c = consumed[i]
+            if c >= total[i] - EPSILON:
+                cta = resident[i]
+                if cta.next_decision >= len(cta.decisions):
+                    rows.append(i)
+                    continue
+            s = target[i] - c
+            if slack is None or s < slack:
+                slack = s
+        if slack is None:
+            # No survivor, no horizon: a placement must not fold into a
+            # stale one.
+            self._slack_valid = False
+        else:
+            self._slack = slack
+            self._slack_valid = True
         if not rows:
-            return []
+            return rows
         # Drop rows from the highest index so lower row numbers stay valid,
         # then release in resident order: the sequential demand subtraction
         # (with its underflow clamp) matches remove() once per CTA.
@@ -353,5 +374,4 @@ class SMX(SMXResources):
         finished.reverse()
         for cta in finished:
             self._release(cta)
-        self._slack_valid = False
         return finished

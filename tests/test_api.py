@@ -60,6 +60,46 @@ class TestRunSuite:
             api.run_suite([(FAST, "flat")], jobs=1, timeout=-1.0)
 
 
+class TestRunnerConflicts:
+    """Arguments that configure a new runner cannot ride beside one."""
+
+    @pytest.mark.parametrize("call,names", [
+        ("simulate", ["store"]),
+        ("simulate", ["gpu"]),
+        ("simulate", ["max_events"]),
+        ("run_suite", ["store"]),
+        ("run_suite", ["gpu", "max_events"]),
+        ("speedup", ["gpu"]),
+        ("serve", ["store"]),
+    ])
+    def test_conflict_raises_naming_the_arguments(self, runner, tmp_path,
+                                                  call, names):
+        values = {
+            "store": api.open_store(f"dir://{tmp_path}"),
+            "gpu": api.small_debug_gpu(),
+            "max_events": 10,
+        }
+        args = {name: values[name] for name in names}
+        positional = {
+            "simulate": (FAST, "flat"),
+            "run_suite": ([(FAST, "flat")],),
+            "speedup": (FAST, "spawn"),
+            "serve": (),
+        }[call]
+        with pytest.raises(HarnessError) as raised:
+            getattr(api, call)(*positional, runner=runner, **args)
+        for name in names:
+            assert f"{name}=" in str(raised.value)
+        assert (runner.store, runner.config) == (None, api.GPUConfig())
+
+    def test_arguments_without_a_runner_build_it(self, tmp_path):
+        store = api.open_store(f"dir://{tmp_path}")
+        result = api.simulate(FAST, "flat", gpu=api.GPUConfig(num_smx=6),
+                              store=store)
+        assert result.makespan > 0
+        assert store.stats().entries == 1
+
+
 class TestSurface:
     def test_every_exported_name_resolves(self):
         for name in api.__all__:

@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import WorkloadError
 from repro.sim.config import WARP_SIZE, MemoryConfig
-from repro.sim.engine import ChildGridPlan, GridPlan, child_spec, plan_of
+from repro.sim.engine import ChildGridPlan, GridPlan, plan_of
 from repro.sim.kernel import ChildRequest, KernelSpec, spec_from_request
 from repro.sim.memory import MemorySystem
 from repro.sim.merge import build_merged_spec
@@ -45,26 +46,114 @@ def sliced(spec: KernelSpec, index: int):
             per_warp, base, extent)
 
 
-@given(
-    items=st.integers(min_value=1, max_value=3000),
-    per_thread=st.integers(min_value=1, max_value=9),
-    cta_threads=st.integers(min_value=1, max_value=300),
-    stride=st.integers(min_value=0, max_value=16),
-    base=st.integers(min_value=0, max_value=10**9),
+#: Every field the engine reads from a launched child grid's spec.
+ENGINE_FIELDS = (
+    "name", "depth", "threads_per_cta", "regs_per_thread", "shmem_per_cta",
+    "cycles_per_item", "accesses_per_item", "mem_stride", "child_requests",
+    "header_items", "num_ctas", "num_threads", "contiguous_footprint",
 )
+
+
+@st.composite
+def child_requests(draw):
+    """A valid ChildRequest: zero or positive stride, a remainder thread
+    alone in its CTA as often as any other shape, nested requests."""
+    per_thread = draw(st.integers(min_value=1, max_value=9))
+    cta_threads = draw(st.integers(min_value=1, max_value=300))
+    if draw(st.booleans()):
+        # num_threads = k * cta_threads + 1: the last CTA has one thread.
+        num_threads = draw(st.integers(min_value=0, max_value=6)) * cta_threads + 1
+        items = (num_threads - 1) * per_thread + draw(
+            st.integers(min_value=1, max_value=per_thread))
+    else:
+        items = draw(st.integers(min_value=1, max_value=3000))
+    num_threads = -(-items // per_thread)
+    tids = draw(st.lists(st.integers(min_value=0, max_value=num_threads - 1),
+                         max_size=3, unique=True))
+    nested = {
+        tid: [ChildRequest(name="g", items=draw(st.integers(1, 40)),
+                           cta_threads=draw(st.integers(1, 64)))
+              for _ in range(draw(st.integers(1, 2)))]
+        for tid in tids
+    }
+    return ChildRequest(
+        name=draw(st.sampled_from(["c", "expand"])), items=items,
+        cta_threads=cta_threads, items_per_thread=per_thread,
+        regs_per_thread=draw(st.integers(1, 64)),
+        shmem_per_cta=draw(st.integers(0, 4096)),
+        cycles_per_item=draw(st.floats(0, 100, allow_nan=False)),
+        accesses_per_item=draw(st.floats(0, 4, allow_nan=False)),
+        mem_base=draw(st.integers(min_value=0, max_value=10**9)),
+        mem_stride=draw(st.sampled_from([0, 0, 1, 4, 8, 16])),
+        nested=nested,
+    )
+
+
+@given(req=child_requests(), depth=st.integers(min_value=1, max_value=4))
 @settings(max_examples=150, deadline=None)
-def test_child_plan_is_the_closed_form_of_the_child_grid(
-    items, per_thread, cta_threads, stride, base
-):
-    req = ChildRequest(name="c", items=items, cta_threads=cta_threads,
-                       items_per_thread=per_thread, mem_base=base,
-                       mem_stride=stride)
-    spec = spec_from_request(req, depth=1)
-    plan = ChildGridPlan(req)
-    grid = GridPlan(spec)
+def test_child_plan_is_the_closed_form_of_the_child_grid(req, depth):
+    spec = spec_from_request(req, depth=depth)
+    grid = ChildGridPlan(req, depth)
+    for name in ENGINE_FIELDS:
+        assert getattr(grid, name) == getattr(spec, name), name
+    assert plan_of(grid) is grid
+    plan = GridPlan(spec)
+    assert grid.dec_tids == plan.dec_tids
     for index in range(spec.num_ctas):
-        assert plan.cta(index) == sliced(spec, index)
-        assert grid.cta(index) == sliced(spec, index)
+        assert grid.cta(index) == plan.cta(index) == sliced(spec, index)
+
+
+#: Values that make a constructed request one ``spec_from_request``
+#: rejects, or (positive sizes) keep it valid.
+MUTATIONS = {
+    "items": [0, -1, -7, 1, 5, 64],
+    "items_per_thread": [0, -1, -3, 2],
+    "cta_threads": [0, -4, 1, 33],
+    "cycles_per_item": [-1.0, -1e-9, 0.0, 7.5],
+    "accesses_per_item": [-0.5, 0.0, 2.0],
+    "nested": ["far", "negative", "empty list", "not requests", "valid"],
+}
+
+
+def _mutated_nested(kind, num_threads):
+    child = ChildRequest(name="g", items=3, cta_threads=8)
+    return {
+        "far": {num_threads + 2: [child]},
+        "negative": {-1: [child]},
+        "empty list": {0: []},
+        "not requests": {0: ["g"]},
+        "valid": {0: child},
+    }[kind]
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:  # noqa: BLE001 - which one is compared below
+        return None, exc
+
+
+@given(req=child_requests(), field=st.sampled_from(sorted(MUTATIONS)),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_requests_are_rejected_exactly_when_spec_from_request_rejects(
+    req, field, data
+):
+    value = data.draw(st.sampled_from(MUTATIONS[field]))
+    if field == "nested":
+        value = _mutated_nested(value, req.num_threads)
+    setattr(req, field, value)  # after construction: no __post_init__
+    spec, spec_error = _outcome(lambda: spec_from_request(req, depth=1))
+    grid, grid_error = _outcome(lambda: ChildGridPlan(req, 1))
+    if spec_error is not None:
+        assert isinstance(grid_error, WorkloadError), (spec_error, grid_error)
+        return
+    assert grid_error is None, grid_error
+    for name in ENGINE_FIELDS:
+        assert getattr(grid, name) == getattr(spec, name), name
+    plan = GridPlan(spec)
+    for index in range(spec.num_ctas):
+        assert grid.cta(index) == plan.cta(index)
 
 
 @given(
@@ -85,12 +174,12 @@ def test_grid_plan_matches_slicing_any_grid(thread_items, tpc, with_bases):
         assert plan.cta(index) == sliced(spec, index)
 
 
-def test_child_spec_carries_its_closed_form_plan_and_checks():
+def test_child_grid_is_its_own_plan():
     nested = {1: [ChildRequest(name="g", items=3, cta_threads=32)]}
     req = ChildRequest(name="c", items=70, cta_threads=32, nested=nested)
-    spec = child_spec(req, depth=2)
-    assert isinstance(plan_of(spec), ChildGridPlan)
-    assert plan_of(spec).dec_tids == [1]
+    spec = ChildGridPlan(req, 2)
+    assert plan_of(spec) is spec
+    assert spec.dec_tids == [1]
     assert spec.depth == 2 and spec.contiguous_footprint
     # Host grids get a cached array-derived plan.
     host = KernelSpec(name="h", threads_per_cta=32,

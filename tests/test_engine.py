@@ -1,5 +1,8 @@
 """Integration tests for the GPU simulator engine on micro-applications."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,23 @@ class TestStatsConsistency:
             "offload_fraction",
         ):
             assert key in summary
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("policy", [NeverLaunchPolicy, AlwaysLaunchPolicy,
+                                        lambda: DTBLPolicy(0)])
+    def test_finished_simulator_is_freed_without_the_cyclic_gc(self, dp_app,
+                                                               policy):
+        """A finished run leaves no reference cycle through the simulator,
+        so dropping it frees its L2 model at once."""
+        sim = GPUSimulator(config=small_debug_gpu(), policy=policy())
+        gc.collect()
+        gc.disable()
+        try:
+            result = sim.run(dp_app)
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert result.makespan > 0

@@ -1,6 +1,8 @@
 """Unit tests for SPAWN's monitored metrics (Section IV-B)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import MetricsMonitor, RunningMean, WindowedConcurrencyAverage
 from repro.errors import SimulationError
@@ -120,3 +122,64 @@ class TestMetricsMonitor:
         monitor.advance(128.0)
         assert monitor.ncon == 4
         assert monitor.current_concurrency == 4
+
+
+class _WindowBeforeInlining(WindowedConcurrencyAverage):
+    """``change`` as it was: always through ``advance``."""
+
+    def change(self, now, delta):
+        self.advance(now)
+        self._level += delta
+        if self._level < 0:
+            raise SimulationError("concurrency level went negative")
+
+
+def _observed(monitor):
+    window = monitor._ncon
+    return (monitor.ncon, monitor.tcta, monitor.twarp, monitor.n,
+            monitor.current_concurrency, window.windows_completed,
+            window._acc, window._last_time, window._window_start)
+
+
+def _step(monitor, op):
+    kind, when, value = op
+    try:
+        if kind == "admit":
+            monitor.on_ctas_admitted(value)
+        elif kind == "start":
+            monitor.on_cta_started(when)
+        elif kind == "finish":
+            monitor.on_cta_finished(when, value, 1 + int(value) % 4)
+        else:
+            monitor.advance(when)
+    except SimulationError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    window=st.sampled_from([16, 128, 1024]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["admit", "start", "start", "finish", "finish",
+                             "advance"]),
+            # Mostly forward in time, sometimes backwards (a raise), and
+            # often landing exactly on a window boundary.
+            st.one_of(st.floats(0.0, 3000.0), st.floats(-50.0, 0.0),
+                      st.sampled_from([0.0, 16.0, 64.0, 128.0, 1024.0])),
+            st.floats(0.0, 5000.0),
+        ),
+        max_size=80,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_inline_window_update_matches_the_advance_path(window, steps):
+    fast = MetricsMonitor(window_cycles=window)
+    old = MetricsMonitor(window_cycles=window)
+    old._ncon = _WindowBeforeInlining(window)
+    now = 0.0
+    for kind, delta_t, value in steps:
+        now += delta_t
+        op = (kind, now, int(value) % 5 + 1 if kind == "admit" else value)
+        assert _step(fast, op) == _step(old, op)
+        assert _observed(fast) == _observed(old)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.check.reference import ReferenceSMX
 from repro.errors import SimulationError
-from repro.sim.config import small_debug_gpu
+from repro.sim.config import GPUConfig, small_debug_gpu
 from repro.sim.instances import CTAInstance, KernelInstance, PendingDecision
 from repro.sim.kernel import ChildRequest, KernelSpec
 from repro.sim.smx import SMX
@@ -173,3 +176,76 @@ class TestDecisionHorizon:
         cta = make_cta(work=100.0, issue=100.0)
         smx.add(cta, 0.0)
         assert 0.0 < smx.compute_utilization <= 1.0
+
+
+def _cta_pair(draw):
+    """Two identical CTAs, one for each SMX under comparison."""
+    warps = draw(st.integers(min_value=1, max_value=4))
+    totals = [draw(st.floats(1.0, 1e4, allow_nan=False)) for _ in range(warps)]
+    issues = [t * draw(st.floats(0.0, 1.0)) for t in totals]
+    points = [(draw(st.floats(0.0, 1.0)), draw(st.integers(0, warps - 1)))
+              for _ in range(draw(st.integers(0, 3)))]
+    scale = draw(st.sampled_from([0.35, 1.0]))
+    req = ChildRequest(name="c", items=4, cta_threads=32)
+
+    def build():
+        return CTAInstance(
+            make_kernel(), 0, num_threads=32, num_warps=warps, regs=512,
+            shmem=0, warp_total=list(totals), warp_issue=list(issues),
+            decisions=[PendingDecision(at_consumed=f * totals[w], warp=w,
+                                       tid=w * 32, request=req)
+                       for f, w in points],
+            demand_scale=scale,
+        )
+
+    return build(), build()
+
+
+def _bits(when):
+    return None if when is None else when.hex()
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_pop_finished_leaves_the_from_scratch_horizon(data):
+    """After the one-pass retire, the cached horizon is the one the
+    reference SMX derives from scratch, bit for bit, also after more
+    placements at the same timestamp."""
+    draw = data.draw
+    config = GPUConfig()
+    fast, ref = SMX(0, config), ReferenceSMX(0, config)
+    twin = {}
+    now = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            if fast.can_fit(threads=32, regs=512, shmem=0):
+                a, b = _cta_pair(draw)
+                twin[a] = b
+                fast.add(a, now)
+                ref.add(b, now)
+        when = fast.next_event_time(now)
+        assert _bits(when) == _bits(ref.next_event_time(now))
+        if when is None:
+            continue
+        # The event time, or a point short of it (a placement elsewhere).
+        now = when if draw(st.booleans()) else now + (when - now) * draw(
+            st.floats(0.0, 1.0))
+        fast.advance(now)
+        ref.advance(now)
+        fired = fast.ctas_with_fired_decisions()
+        assert [twin[c] for c in fired] == ref.ctas_with_fired_decisions()
+        for cta in fired:
+            extra = draw(st.floats(0.0, 500.0))
+            for side, smx in ((cta, fast), (twin[cta], ref)):
+                decisions = side.pop_fired_decisions()
+                for decision in decisions:
+                    side.extend_thread(decision.warp, decision.tid, extra, extra / 2)
+                smx.refresh_demand(side, now)
+        if draw(st.booleans()):  # a query first leaves a valid cache to retire
+            assert _bits(fast.next_event_time(now)) == _bits(
+                ref.next_event_time(now))
+        finished = fast.pop_finished(now)
+        assert [twin[c] for c in finished] == ref.pop_finished(now)
+        if fast.resident:
+            assert fast._slack_valid
+        assert _bits(fast.next_event_time(now)) == _bits(ref.next_event_time(now))
