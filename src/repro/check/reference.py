@@ -297,6 +297,11 @@ class ReferenceSimulator(GPUSimulator):
                 return smx
         return None
 
+    def _note_placement(self, smx: SMX) -> None:
+        """Cancel and reschedule the SMX's event at every placement, where
+        the engine schedules each placed-on SMX once per dispatch pass."""
+        self._reschedule_smx(smx)
+
     def _dispatch_cta(self, kernel: KernelInstance, smx: SMX) -> None:
         """Per-CTA dispatch from the spec's per-thread arrays."""
         now = self.queue.now

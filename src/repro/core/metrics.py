@@ -69,15 +69,7 @@ class WindowedConcurrencyAverage:
         self._integrate(now)
 
     def change(self, now: float, delta: int) -> None:
-        if now - self._window_start >= self.window:
-            self.advance(now)
-        else:
-            # No window closes: ``advance``'s final ``_integrate``, inline.
-            last = self._last_time
-            if now < last:
-                raise SimulationError("time moved backwards in metric window")
-            self._acc += self._level * (now - last)
-            self._last_time = now
+        self.advance(now)
         self._level += delta
         if self._level < 0:
             raise SimulationError("concurrency level went negative")
@@ -117,20 +109,49 @@ class MetricsMonitor:
         self.n += count
         self.peak_n = max(self.peak_n, self.n)
 
+    # ``on_cta_started`` and ``on_cta_finished`` run once per child CTA.
+    # Unless ``now`` closes a window, they make ``change``'s statements in
+    # place: ``advance`` would only integrate up to ``now``.
     def on_cta_started(self, now: float) -> None:
         """A child CTA began executing on an SMX."""
-        self._ncon.change(now, +1)
+        ncon = self._ncon
+        if now - ncon._window_start >= ncon.window:
+            ncon.change(now, +1)
+            return
+        last = ncon._last_time
+        if now < last:
+            raise SimulationError("time moved backwards in metric window")
+        ncon._acc += ncon._level * (now - last)
+        ncon._last_time = now
+        ncon._level += 1
+        if ncon._level < 0:
+            raise SimulationError("concurrency level went negative")
 
     def on_cta_finished(self, now: float, exec_time: float, items_per_thread: int) -> None:
         """A child CTA finished and left the CCQS."""
         if self.n <= 0:
             raise SimulationError("child CTA finished with empty CCQS")
         self.n -= 1
-        self._ncon.change(now, -1)
-        self._tcta.add(exec_time)
+        ncon = self._ncon
+        if now - ncon._window_start >= ncon.window:
+            ncon.change(now, -1)
+        else:
+            last = ncon._last_time
+            if now < last:
+                raise SimulationError("time moved backwards in metric window")
+            ncon._acc += ncon._level * (now - last)
+            ncon._last_time = now
+            ncon._level -= 1
+            if ncon._level < 0:
+                raise SimulationError("concurrency level went negative")
+        tcta = self._tcta
+        tcta.count += 1
+        tcta.total += exec_time
         # A serial parent loop iteration processes one item; a child warp
         # spans the CTA's execution while covering items_per_thread items.
-        self._twarp.add(exec_time / max(items_per_thread, 1))
+        twarp = self._twarp
+        twarp.count += 1
+        twarp.total += exec_time / max(items_per_thread, 1)
 
     # -- Reads ----------------------------------------------------------
     def advance(self, now: float) -> None:

@@ -496,9 +496,15 @@ class GPUSimulator:
         self._res_regs = 0
         self._res_shmem = 0
         self._dispatching = False
-        # CTA shapes that failed placement this dispatch pass (re-seeded at
+        # CTA shapes that failed placement this dispatch pass (cleared at
         # the top of every _dispatch call).
         self._failed_shapes: set = set()
+        # SMXs placed on in this dispatch pass, one entry per placement;
+        # their events are scheduled when the pass ends.
+        self._placed: List[SMX] = []
+        # The SMX whose event is being handled; ``_on_smx_event``
+        # reschedules it itself, after every dispatch pass it runs.
+        self._handled_smx: Optional[SMX] = None
 
     def _submit_next_root(self) -> None:
         spec = self._app.kernels[self._host_index]
@@ -567,12 +573,33 @@ class GPUSimulator:
         self._dispatching = True
         # Within one dispatch pass resources only shrink, so a CTA shape
         # that failed to fit once cannot fit later in the same pass.
-        self._failed_shapes = set()
+        self._failed_shapes.clear()
         try:
             while self._dispatch_round():
                 pass
+            if self._placed:
+                self._schedule_placed()
         finally:
             self._dispatching = False
+
+    def _schedule_placed(self) -> None:
+        """Schedule each SMX placed on in this pass once, in the order of
+        its last placement.
+
+        A pass schedules no event but SMX events, so every event scheduled
+        before it keeps its rank, and these come after them in the order
+        that rescheduling at every placement would have left them in.  The
+        SMX being handled is skipped: its handler reschedules it last.
+        """
+        placed = self._placed
+        self._placed = []
+        if len(placed) > 1:
+            placed = list(dict.fromkeys(reversed(placed)))
+            placed.reverse()
+        handled = self._handled_smx
+        for smx in placed:
+            if smx is not handled:
+                self._reschedule_smx(smx)
 
     def _dispatch_round(self) -> bool:
         free_slots = (
@@ -647,8 +674,13 @@ class GPUSimulator:
     def _dispatch_cta(self, kernel: KernelInstance, smx: SMX) -> None:
         now = self.queue.now
         spec = kernel.spec
-        cta_index = kernel.take_next_cta_index()
-        plan = plan_of(spec)
+        cta_index = kernel.next_cta_index
+        if cta_index >= kernel.num_ctas:
+            raise SimulationError(
+                f"kernel {spec.name!r} has no CTAs left to dispatch"
+            )
+        kernel.next_cta_index = cta_index + 1
+        plan = spec if spec.__class__ is ChildGridPlan else plan_of(spec)
         start, stop, num_warps, executed, per_warp, base, extent = plan.cta(
             cta_index
         )
@@ -707,24 +739,21 @@ class GPUSimulator:
                 for req in child_requests[tid]:
                     decisions.append(
                         PendingDecision(
-                            at_consumed=req.at_fraction * warp_total[warp],
-                            warp=warp,
-                            tid=tid,
-                            request=req,
+                            req.at_fraction * warp_total[warp], warp, tid, req
                         )
                     )
 
         cta = CTAInstance(
             kernel,
             cta_index,
-            num_threads=spec.threads_per_cta,
-            num_warps=num_warps,
-            regs=spec.threads_per_cta * spec.regs_per_thread,
-            shmem=spec.shmem_per_cta,
-            warp_total=warp_total,
-            warp_issue=warp_issue,
-            decisions=decisions,
-            demand_scale=self.latency_hiding,
+            spec.threads_per_cta,
+            num_warps,
+            spec.threads_per_cta * spec.regs_per_thread,
+            spec.shmem_per_cta,
+            warp_total,
+            warp_issue,
+            decisions,
+            self.latency_hiding,
         )
         if kernel.is_child:
             self.stats.items_in_child += executed
@@ -761,22 +790,17 @@ class GPUSimulator:
         self._res_shmem += cta.shmem
         self.stats.record_state(
             now,
-            parent_ctas=self._res_parent_ctas,
-            child_ctas=self._res_child_ctas,
-            warps=self._res_warps,
-            regs=self._res_regs,
-            shmem=self._res_shmem,
+            self._res_parent_ctas,
+            self._res_child_ctas,
+            self._res_warps,
+            self._res_regs,
+            self._res_shmem,
         )
-        # Reschedule the SMX's event as ``_reschedule_smx`` does; the SMX
-        # has a resident now, so it has a horizon.
-        i = smx.index
-        event = self._smx_events[i]
-        if event is not None:
-            event.cancel()
-        when = smx.next_event_time(now)
-        self._smx_events[i] = self.queue.schedule(
-            when if when > now else now, self._smx_callbacks[i]
-        )
+        self._note_placement(smx)
+
+    def _note_placement(self, smx: SMX) -> None:
+        """Defer the placed-on SMX's reschedule to the end of the pass."""
+        self._placed.append(smx)
 
     # ------------------------------------------------------------------
     # Launch decisions (fired on the progress axis)
@@ -796,11 +820,11 @@ class GPUSimulator:
             req = decision.request
             kind = self.policy.decide(
                 LaunchRequest(
-                    time=now,
-                    items=req.items,
-                    num_ctas=req.num_ctas,
-                    items_per_thread=req.items_per_thread,
-                    depth=spec.depth + 1,
+                    now,
+                    req.items,
+                    req.num_ctas,
+                    req.items_per_thread,
+                    spec.depth + 1,
                 )
             )
             if kind is DecisionKind.SERIAL:
@@ -1076,6 +1100,7 @@ class GPUSimulator:
 
     def _on_smx_event(self, smx: SMX) -> None:
         self._smx_events[smx.index] = None
+        self._handled_smx = smx
         now = self.queue.now
         smx.advance(now)
         progressed = False
@@ -1109,15 +1134,16 @@ class GPUSimulator:
                     )
             self.stats.record_state(
                 now,
-                parent_ctas=self._res_parent_ctas,
-                child_ctas=self._res_child_ctas,
-                warps=self._res_warps,
-                regs=self._res_regs,
-                shmem=self._res_shmem,
+                self._res_parent_ctas,
+                self._res_child_ctas,
+                self._res_warps,
+                self._res_regs,
+                self._res_shmem,
             )
             for cta in finished:
                 self._on_cta_compute_done(cta, now)
             self._dispatch()
+        self._handled_smx = None
         if progressed:
             self._reschedule_smx(smx)
         else:
@@ -1131,8 +1157,8 @@ class GPUSimulator:
     def _on_cta_compute_done(self, cta: CTAInstance, now: float) -> None:
         kernel = cta.kernel
         kernel.computing_ctas -= 1
-        if cta.is_child:
-            exec_time = cta.exec_time
+        if kernel.is_child:
+            exec_time = now - cta.dispatch_time
             self.stats.child_cta_exec_times.append(exec_time)
             self.metrics.on_cta_finished(now, exec_time, kernel.items_per_thread)
         if self._merge_scope is not None:

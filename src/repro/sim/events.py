@@ -17,9 +17,12 @@ Implementation notes (hot path):
   total order a single heap of events would give.  Draining a bucket at
   once is safe because an event scheduled *during* the batch at the same
   timestamp gets a larger seq than every drained event, lands in a fresh
-  bucket for that timestamp, and is drained next.  What is not safe is
-  changing which seq an event gets: deferring the cancel/reschedule churn
-  renumbers surviving events and reorders same-time ties.
+  bucket for that timestamp, and is drained next.  A caller may change
+  when it schedules an event only where that keeps the relative seq order
+  of every live event: the engine schedules each SMX once at the end of a
+  dispatch pass, in the order of its last placement, which is exact
+  because a pass schedules nothing else.  Scheduling them in any other
+  order reorders same-time ties and changes results.
 * Cancellation is lazy: the entry stays in its bucket, marked dead, and
   the queue counts dead entries so ``len(queue)`` needs no scan and a
   drained queue answers ``pop``/``peek_time`` from the counters alone.

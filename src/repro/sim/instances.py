@@ -104,12 +104,7 @@ class KernelInstance:
         #: None because no single CTA owns the kernel.
         self.merged_parents: Optional[List[tuple]] = None
         self.record = KernelRecord(
-            kernel_id=kernel_id,
-            name=spec.name,
-            is_child=is_child,
-            depth=spec.depth,
-            num_ctas=self.num_ctas,
-            stream_id=stream_id,
+            kernel_id, spec.name, is_child, spec.depth, self.num_ctas, stream_id
         )
 
     @property
@@ -196,7 +191,6 @@ class CTAInstance:
         self,
         kernel: KernelInstance,
         cta_index: int,
-        *,
         num_threads: int,
         num_warps: int,
         regs: int,

@@ -261,9 +261,15 @@ def spec_from_request(
     carry the remainder) and read from the parent's offloaded memory range so
     the cache model observes parent->child reuse.  The engine launches the
     closed form of this grid (:class:`repro.sim.engine.ChildGridPlan`);
-    this materialized one is what the reference simulator runs.
+    this materialized one is what the reference simulator runs.  A request
+    changed after construction into one that describes no grid raises
+    :class:`~repro.errors.WorkloadError` here, as it does there.
     """
+    if req.items_per_thread <= 0:
+        raise WorkloadError("child CTA dimensions must be positive")
     num_threads = req.num_threads
+    if num_threads <= 0:
+        raise WorkloadError(f"kernel {req.name!r} needs a 1-D non-empty grid")
     items = np.full(num_threads, req.items_per_thread, dtype=np.int64)
     remainder = req.items - (num_threads - 1) * req.items_per_thread
     items[-1] = remainder

@@ -191,10 +191,10 @@ class SMX(SMXResources):
     * The event horizon ``min(next_target - consumed)`` is cached until
       the clock moves or a resident changes.  :meth:`pop_finished` takes
       it over the survivors in its retire pass, and placements at the
-      same timestamp update it incrementally (each is the comparison
-      sequence the full reduction would make, so the value is equal bit
-      for bit); that makes the engine's reschedule after every placement
-      and every completion O(1).
+      same timestamp update a valid cache incrementally (each is the
+      comparison sequence the full reduction would make, so the value is
+      equal bit for bit); that makes the engine's reschedule after a
+      dispatch pass and after a completion O(1) in the common case.
     * ``_dec_count`` counts residents that had a pending decision when
       last seen (at placement or :meth:`refresh_demand`).  Decisions never
       appear on a resident CTA, so the count is an upper bound, and zero
@@ -240,10 +240,33 @@ class SMX(SMXResources):
         self._last_update = now
 
     def add(self, cta: CTAInstance, now: float) -> None:
-        """Place a CTA on this SMX (caller must have checked ``can_fit``)."""
-        self._check_fits(cta)
-        self.advance(now)
-        self._occupy(cta)
+        """Place a CTA on this SMX (caller must have checked ``can_fit``).
+
+        ``_check_fits`` and ``_occupy``, inlined.  ``advance`` is called
+        only when the clock moved since this SMX last advanced: at the
+        same time it would do nothing.
+        """
+        cfg = self.config
+        threads = cta.num_threads
+        regs = cta.regs
+        shmem = cta.shmem
+        resident = self.resident
+        if not (
+            len(resident) < cfg.max_ctas_per_smx
+            and self.used_threads + threads <= cfg.max_threads_per_smx
+            and self.used_regs + regs <= cfg.registers_per_smx
+            and self.used_shmem + shmem <= cfg.shared_mem_per_smx
+        ):
+            raise SimulationError(f"CTA {cta!r} does not fit on SMX {self.index}")
+        if now != self._last_update:
+            self.advance(now)
+        cta.smx_index = self.index
+        resident.append(cta)
+        self.used_threads += threads
+        self.used_regs += regs
+        self.used_shmem += shmem
+        self.used_warps += cta.num_warps
+        self._total_demand += cta.demand
         self._consumed.append(cta._consumed)
         cta._host = self
         self._total.append(cta.total_work)
@@ -367,11 +390,30 @@ class SMX(SMXResources):
             self._slack_valid = True
         if not rows:
             return rows
-        # Drop rows from the highest index so lower row numbers stay valid,
-        # then release in resident order: the sequential demand subtraction
-        # (with its underflow clamp) matches remove() once per CTA.
-        finished = [self._drop_row(i) for i in reversed(rows)]
-        finished.reverse()
-        for cta in finished:
-            self._release(cta)
+        # ``_drop_row`` and ``_release`` per finished CTA, in resident
+        # order: the sequential demand subtraction (with its underflow
+        # clamp) matches remove() once per CTA.  Row i sits at i - k once
+        # the k finished rows before it are gone.
+        has_dec = self._has_dec
+        demand = self._total_demand
+        finished = []
+        for k, i in enumerate(rows):
+            i -= k
+            cta = resident.pop(i)
+            cta._consumed = consumed.pop(i)
+            cta._host = None
+            del total[i]
+            del target[i]
+            if has_dec.pop(i):
+                self._dec_count -= 1
+            self.used_threads -= cta.num_threads
+            self.used_regs -= cta.regs
+            self.used_shmem -= cta.shmem
+            self.used_warps -= cta.num_warps
+            demand -= cta.demand
+            if demand < EPSILON:
+                demand = 0.0
+            cta.smx_index = -1
+            finished.append(cta)
+        self._total_demand = demand
         return finished

@@ -216,7 +216,6 @@ class SimStats:
     def record_state(
         self,
         time: float,
-        *,
         parent_ctas: int,
         child_ctas: int,
         warps: int,

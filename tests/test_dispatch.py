@@ -146,6 +146,7 @@ def test_mutated_requests_are_rejected_exactly_when_spec_from_request_rejects(
     spec, spec_error = _outcome(lambda: spec_from_request(req, depth=1))
     grid, grid_error = _outcome(lambda: ChildGridPlan(req, 1))
     if spec_error is not None:
+        assert isinstance(spec_error, WorkloadError), spec_error
         assert isinstance(grid_error, WorkloadError), (spec_error, grid_error)
         return
     assert grid_error is None, grid_error

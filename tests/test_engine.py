@@ -243,3 +243,110 @@ class TestLifetime:
         finally:
             gc.enable()
         assert result.makespan > 0
+
+
+class _LoggingSimulator(GPUSimulator):
+    """Logs dispatch passes, placements, SMX handlers and SMX schedules."""
+
+    def _reset(self):
+        super()._reset()
+        self.log = []
+        schedule = self.queue.schedule
+        owner = {callback: i for i, callback in enumerate(self._smx_callbacks)}
+
+        def logged(time, callback):
+            if callback in owner:
+                self.log.append(("schedule", owner[callback]))
+            return schedule(time, callback)
+
+        self.queue.schedule = logged
+
+    def _dispatch(self):
+        outer = not self._dispatching
+        if outer:
+            self.log.append(("pass", None))
+        super()._dispatch()
+        if outer:
+            self.log.append(("end", None))
+
+    def _place_on_smx(self, cta, smx, now):
+        self.log.append(("place", smx.index))
+        super()._place_on_smx(cta, smx, now)
+
+    def _on_smx_event(self, smx):
+        self.log.append(("handle", smx.index))
+        super()._on_smx_event(smx)
+        self.log.append(("handled", smx.index))
+
+    def _reschedule_smx(self, smx):
+        self.log.append(("reschedule", smx.index))
+        super()._reschedule_smx(smx)
+
+
+def _spans(log, opener, closer):
+    """``(argument, entries)`` of every ``opener``..``closer`` span."""
+    spans, current = [], None
+    for kind, arg in log:
+        if kind == opener:
+            current = (arg, [])
+        elif kind == closer:
+            spans.append(current)
+            current = None
+        elif current is not None:
+            current[1].append((kind, arg))
+    return spans
+
+
+class TestDeferredReschedule:
+    """A dispatch pass schedules each SMX it placed on once, when it ends."""
+
+    APPS = {
+        "flat": (lambda: make_flat_app(threads=640), NeverLaunchPolicy),
+        "dp": (lambda: make_dp_app(threads=256), AlwaysLaunchPolicy),
+    }
+
+    def _log(self, name):
+        make_app, policy = self.APPS[name]
+        sim = _LoggingSimulator(config=small_debug_gpu(), policy=policy())
+        sim.run(make_app())
+        return sim.log
+
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_each_placed_smx_is_scheduled_once_in_last_placement_order(
+        self, name
+    ):
+        handled = places = schedules = None
+        repeated = 0
+        for kind, arg in self._log(name):
+            if kind == "handle":
+                handled = arg
+            elif kind == "handled":
+                handled = None
+            elif kind == "pass":
+                places, schedules = [], []
+            elif kind == "end":
+                last_order = list(dict.fromkeys(reversed(places)))[::-1]
+                assert schedules == [i for i in last_order if i != handled]
+                repeated += len(places) > len(set(places))
+                places = None
+            elif places is not None and kind == "place":
+                assert not schedules, "a placement after the pass scheduled"
+                places.append(arg)
+            elif places is not None and kind == "schedule":
+                schedules.append(arg)
+        assert repeated > 0  # some pass placed twice on one SMX
+
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_the_handled_smx_is_scheduled_only_by_its_reschedule(self, name):
+        placed_on_handled = 0
+        for smx, entries in _spans(self._log(name), "handle", "handled"):
+            own = [i for i, entry in enumerate(entries)
+                   if entry == ("schedule", smx)]
+            if ("place", smx) in entries:
+                placed_on_handled += 1
+                # One schedule, by the reschedule that ends the handler.
+                assert own == [len(entries) - 1]
+                assert entries[-2] == ("reschedule", smx)
+            else:
+                assert len(own) <= 1
+        assert placed_on_handled > 0

@@ -124,14 +124,20 @@ class TestMetricsMonitor:
         assert monitor.current_concurrency == 4
 
 
-class _WindowBeforeInlining(WindowedConcurrencyAverage):
-    """``change`` as it was: always through ``advance``."""
+class _MonitorBeforeInlining(MetricsMonitor):
+    """A child CTA's start and finish as they were: through ``change``,
+    which always goes through ``advance``, and ``RunningMean.add``."""
 
-    def change(self, now, delta):
-        self.advance(now)
-        self._level += delta
-        if self._level < 0:
-            raise SimulationError("concurrency level went negative")
+    def on_cta_started(self, now):
+        self._ncon.change(now, +1)
+
+    def on_cta_finished(self, now, exec_time, items_per_thread):
+        if self.n <= 0:
+            raise SimulationError("child CTA finished with empty CCQS")
+        self.n -= 1
+        self._ncon.change(now, -1)
+        self._tcta.add(exec_time)
+        self._twarp.add(exec_time / max(items_per_thread, 1))
 
 
 def _observed(monitor):
@@ -175,8 +181,7 @@ def _step(monitor, op):
 @settings(max_examples=150, deadline=None)
 def test_inline_window_update_matches_the_advance_path(window, steps):
     fast = MetricsMonitor(window_cycles=window)
-    old = MetricsMonitor(window_cycles=window)
-    old._ncon = _WindowBeforeInlining(window)
+    old = _MonitorBeforeInlining(window_cycles=window)
     now = 0.0
     for kind, delta_t, value in steps:
         now += delta_t
