@@ -64,11 +64,6 @@ from repro.harness.sweep import SweepResult, offline_search, threshold_sweep
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service import (
-    AutoTuner,
-    ReplayBudgetExceeded,
-    ReplayBudgets,
-    ReplayReport,
-    RequestLedger,
     ServiceClosed,
     ServiceConfig,
     ServiceJob,
@@ -78,7 +73,6 @@ from repro.service import (
     TrafficRequest,
     drive_service,
     generate_traffic,
-    replay_ledger,
 )
 from repro.service.jobs import RequestLike, as_run_config
 from repro.sim.config import GPUConfig, kepler_k20m, small_debug_gpu
@@ -223,7 +217,6 @@ def serve(
     inline_threshold_ms: float = 0.0,
     max_batch: int = 8,
     max_queue: Optional[int] = None,
-    autotune: bool = False,
     store_url: Optional[str] = None,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
@@ -243,9 +236,6 @@ def serve(
     rejected with :class:`ServiceOverloaded` (the predicted-delay
     evidence is attached as ``.decision``); requests predicted cheaper
     than ``inline_threshold_ms`` run directly on the event-loop thread.
-    ``autotune=True`` turns on the online successive-halving parameter
-    search (:mod:`repro.service.autotune`): tunable requests run the
-    tuner's current arm and every completion feeds the search.
 
     ``store_url`` (``dir://`` or ``sqlite://``) is shorthand for
     ``store=open_store(store_url)``.  It cannot be combined with
@@ -263,7 +253,6 @@ def serve(
         inline_threshold_ms=inline_threshold_ms,
         max_batch=max_batch,
         max_queue=max_queue,
-        autotune=autotune,
     )
     if store_url is not None:
         store = open_store(store_url)
@@ -313,17 +302,12 @@ __all__ = [
     "ServiceConfig",
     "ServiceJob",
     "ServiceStats",
-    "AutoTuner",
     "TrafficRequest",
     "generate_traffic",
-    # telemetry & load testing
+    "drive_service",
+    # telemetry
     "METRICS",
     "MetricsRegistry",
-    "RequestLedger",
-    "ReplayBudgets",
-    "ReplayReport",
-    "drive_service",
-    "replay_ledger",
     # core types
     "RunConfig",
     "Runner",
@@ -356,5 +340,4 @@ __all__ = [
     "TaskTimeout",
     "ServiceOverloaded",
     "ServiceClosed",
-    "ReplayBudgetExceeded",
 ]

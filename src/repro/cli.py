@@ -40,15 +40,7 @@ Commands
     inline, or shed with a predicted-delay reason once ``--deadline-ms``
     is exceeded).  ``--stats`` prints the admission ledger, latency
     percentiles, and cost model; ``--stats-json FILE`` saves it
-    machine-readably; ``--record LEDGER.jsonl`` captures every request's
-    arrival and outcome into a replayable ledger.
-``replay LEDGER.jsonl``
-    Re-drive a recorded request ledger against a fresh service,
-    optionally time-compressed (``--speed 10``) and under
-    ``REPRO_FAULTS`` chaos.  Verifies that every completed simulation
-    reproduces its recorded makespan bit-for-bit, and gates the run on
-    latency / shed-rate budgets (``--max-p99-ms``, ``--max-shed-rate``)
-    with measured-vs-limit evidence on failure.
+    machine-readably.  Honours ``REPRO_FAULTS`` like ``suite``.
 
 Examples
 --------
@@ -64,8 +56,6 @@ Examples
     python -m repro cache stats
     python -m repro serve --synthetic 100 --deadline-ms 2000 --stats
     python -m repro serve requests.json --jobs 4 --stats-json stats.json
-    python -m repro serve --synthetic 50 --record ledger.jsonl
-    python -m repro replay ledger.jsonl --speed 10 --max-p99-ms 5000
 """
 
 from __future__ import annotations
@@ -108,7 +98,7 @@ def _resolve_store_url(args, *, default: bool):
     """``(use_store, url)`` from ``--store``/``--no-store``.
 
     ``default=True`` opens the default directory cache when no flag was
-    given (suite/serve/replay/cache); ``default=False`` stays storeless
+    given (suite/serve/cache); ``default=False`` stays storeless
     unless the user named one (run — historically cacheless).
     ``url`` may be None with ``use_store=True``, meaning "the default
     location" (:func:`repro.harness.store.open_store` resolves it).
@@ -234,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "requests", nargs="?", default=None, metavar="REQUESTS.json",
         help="scripted request file (JSON array or JSONL of "
-             '{"benchmark", "scheme", "seed"} objects); omit to use '
-             "--synthetic traffic",
+             '{"benchmark", "scheme", "seed", "at"} objects); omit to '
+             "use --synthetic traffic",
     )
     serve.add_argument("--jobs", type=int, default=2,
                        help="pool worker processes per batch (default: 2)")
@@ -255,64 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests (default: 20)")
     serve.add_argument("--traffic-seed", type=int, default=1,
                        help="seed for --synthetic traffic (default: 1)")
-    serve.add_argument("--gap-ms", type=float, default=0.0, metavar="MS",
-                       help="mean Poisson inter-arrival gap for --synthetic "
-                            "traffic (default: 0 = instantaneous burst); "
-                            "spacing arrivals lets online feedback loops "
-                            "like --autotune learn between requests")
-    serve.add_argument("--autotune", action="store_true",
-                       help="tune launch parameters online: successive "
-                            "halving over each (benchmark, scheme-family) "
-                            "sweep grid, warm-started from the store and "
-                            "fed by live completions")
-    serve.add_argument("--autotune-pulls", type=int, default=1, metavar="N",
-                       help="observations per arm per halving round "
-                            "(default: 1)")
     _add_store_argument(serve, no_store=True)
     serve.add_argument("--stats", action="store_true",
                        help="print the admission ledger, latency percentiles, "
                             "and cost-model snapshot after draining")
     serve.add_argument("--stats-json", default=None, metavar="FILE",
                        help="write the service stats as JSON")
-    serve.add_argument("--record", default=None, metavar="LEDGER.jsonl",
-                       help="record every request's arrival and outcome into "
-                            "a replayable ledger file")
-
-    replay = sub.add_parser(
-        "replay",
-        help="re-drive a recorded request ledger and gate on budgets",
-    )
-    replay.add_argument("ledger", metavar="LEDGER.jsonl",
-                        help="ledger recorded by 'serve --record'")
-    replay.add_argument("--speed", type=float, default=1.0, metavar="X",
-                        help="time compression: 10 replays arrival gaps ten "
-                             "times faster (default: 1)")
-    replay.add_argument("--jobs", type=int, default=2,
-                        help="pool worker processes per batch (default: 2)")
-    replay.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
-                        help="shed requests once predicted queue delay "
-                             "exceeds this (default: never shed)")
-    replay.add_argument("--inline-ms", type=float, default=0.0, metavar="MS",
-                        help="inline threshold, as for serve (default: 0)")
-    replay.add_argument("--max-batch", type=int, default=8, metavar="N",
-                        help="jobs per pool dispatch (default: 8)")
-    replay.add_argument("--max-queue", type=int, default=None, metavar="N",
-                        help="hard queue-depth cap (default: unbounded)")
-    _add_store_argument(replay, no_store=True)
-    replay.add_argument("--max-p99-ms", type=float, default=None, metavar="MS",
-                        help="budget: fail when the exact p99 of answered-"
-                             "request latency exceeds this")
-    replay.add_argument("--max-shed-rate", type=float, default=None,
-                        metavar="FRACTION",
-                        help="budget: fail when shed/submitted exceeds this "
-                             "(e.g. 0.3)")
-    replay.add_argument("--stats-json", default=None, metavar="FILE",
-                        help="write the replay report as JSON (written before "
-                             "budget enforcement, so a failing gate still "
-                             "leaves evidence)")
-    replay.add_argument("--record", default=None, metavar="LEDGER.jsonl",
-                        help="also write the replayed outcomes as a fresh "
-                             "ledger")
 
     plot = sub.add_parser(
         "plot", help="ASCII concurrency timeline for one run (Fig. 6/19 style)"
@@ -720,14 +658,13 @@ def cmd_serve(args, out) -> int:
 
     from repro.harness.faults import FaultPlan
     from repro.service import (
-        RequestLedger,
         ServiceConfig,
+        ServiceOverloaded,
         SimulationService,
         drive_service,
         generate_traffic,
         load_requests,
     )
-    from repro.service.ledger import SHED as LEDGER_SHED
 
     if args.requests is not None:
         requests = load_requests(args.requests)
@@ -739,17 +676,7 @@ def cmd_serve(args, out) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.gap_ms < 0:
-            print(
-                f"error: --gap-ms must be >= 0, got {args.gap_ms}",
-                file=sys.stderr,
-            )
-            return 2
-        requests = generate_traffic(
-            args.synthetic,
-            seed=args.traffic_seed,
-            mean_gap_s=args.gap_ms / 1000.0,
-        )
+        requests = generate_traffic(args.synthetic, seed=args.traffic_seed)
         source = f"synthetic (seed {args.traffic_seed})"
     if not requests:
         print("error: no requests to serve", file=sys.stderr)
@@ -760,9 +687,6 @@ def cmd_serve(args, out) -> int:
         inline_threshold_ms=args.inline_ms,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
-        autotune=args.autotune,
-        autotune_pulls=args.autotune_pulls,
-        autotune_seed=args.traffic_seed,
     )
     faults = FaultPlan.from_env()
     if faults is not None:
@@ -776,24 +700,17 @@ def cmd_serve(args, out) -> int:
 
     async def drive():
         async with service:
-            entries = await drive_service(service, requests)
-        return entries, service.stats()
+            outcomes = await drive_service(service, requests)
+        return outcomes, service.stats()
 
-    entries, stats = asyncio.run(drive())
-    for entry in entries:
-        if entry.outcome == LEDGER_SHED:
+    outcomes, stats = asyncio.run(drive())
+    for request, outcome in zip(requests, outcomes):
+        if isinstance(outcome, ServiceOverloaded):
             print(
-                f"shed: {entry.benchmark}/{entry.scheme} seed {entry.seed}",
+                f"shed: {request.benchmark}/{request.scheme} "
+                f"seed {request.seed}",
                 file=sys.stderr,
             )
-    if args.record:
-        ledger = RequestLedger(entries=list(entries))
-        path = ledger.write(args.record)
-        print(
-            f"recorded {len(ledger)} requests to {path} "
-            f"(fingerprint {ledger.fingerprint()[:12]})",
-            file=sys.stderr,
-        )
     print(
         f"served {len(requests)} requests from {source}: "
         f"completed={stats.completed} failed={stats.failed} "
@@ -805,7 +722,6 @@ def cmd_serve(args, out) -> int:
     if args.stats:
         payload = stats.to_dict()
         model = payload.pop("model")
-        autotune = payload.pop("autotune", None)
         latency = payload.pop("latency")
         print(
             format_table(
@@ -846,27 +762,6 @@ def cmd_serve(args, out) -> int:
                 ),
                 file=out,
             )
-        if autotune:
-            print(file=out)
-            print(
-                format_table(
-                    ["pair", "incumbent", "alive", "round", "pulls",
-                     "converged"],
-                    [
-                        (
-                            pair,
-                            snap["incumbent"] or "-",
-                            f"{snap['arms_alive']}/{snap['arms']}",
-                            f"{snap['round']}/{snap['rounds_total']}",
-                            snap["pulls"],
-                            "yes" if snap["converged"] else "no",
-                        )
-                        for pair, snap in sorted(autotune.items())
-                    ],
-                    title="autotuner (successive halving)",
-                ),
-                file=out,
-            )
     if args.stats_json:
         write_json_atomic(stats.to_dict(), args.stats_json)
         print(f"wrote {args.stats_json}", file=sys.stderr)
@@ -874,95 +769,6 @@ def cmd_serve(args, out) -> int:
         print(f"error: {stats.lost} submissions lost", file=sys.stderr)
         return 1
     return 1 if stats.failed else 0
-
-
-def cmd_replay(args, out) -> int:
-    import asyncio
-
-    from repro.errors import ReplayBudgetExceeded
-    from repro.harness.faults import FaultPlan
-    from repro.service import (
-        ReplayBudgets,
-        RequestLedger,
-        ServiceConfig,
-        replay_ledger,
-    )
-
-    ledger = RequestLedger.read(args.ledger)
-    if not len(ledger):
-        print(f"error: {args.ledger} holds no requests", file=sys.stderr)
-        return 2
-    if args.speed <= 0:
-        print(f"error: --speed must be positive, got {args.speed}",
-              file=sys.stderr)
-        return 2
-    config = ServiceConfig(
-        jobs=args.jobs,
-        deadline_ms=args.deadline_ms,
-        inline_threshold_ms=args.inline_ms,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-    )
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
-    budgets = ReplayBudgets(
-        max_p99_s=(
-            args.max_p99_ms / 1000.0 if args.max_p99_ms is not None else None
-        ),
-        max_shed_rate=args.max_shed_rate,
-    )
-
-    report = asyncio.run(
-        replay_ledger(
-            ledger,
-            speed=args.speed,
-            runner=Runner(store=_open_cli_store(args, default=True)),
-            config=config,
-            faults=faults,
-        )
-    )
-    percentiles = report.percentiles()
-    print(
-        f"replayed {report.requests} requests at {args.speed:g}x: "
-        f"completed={report.completed} failed={report.failed} "
-        f"shed={report.shed} shed_rate={report.shed_rate:.3f} "
-        + (
-            f"p99={percentiles['p99'] * 1000:.1f}ms "
-            if "p99" in percentiles else ""
-        )
-        + f"results_identical={report.results_identical}",
-        file=sys.stderr,
-    )
-    # Evidence before judgement: the report JSON and any re-recorded
-    # ledger are written before budgets can fail the run.
-    if args.stats_json:
-        write_json_atomic(report.to_dict(), args.stats_json)
-        print(f"wrote {args.stats_json}", file=sys.stderr)
-    if args.record and report.ledger is not None:
-        path = report.ledger.write(args.record)
-        print(f"re-recorded replay to {path}", file=sys.stderr)
-    if not report.results_identical:
-        for mismatch in report.mismatches[:10]:
-            print(f"mismatch: {mismatch}", file=sys.stderr)
-        print(
-            "error: replayed simulation results diverge from the recording",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        report.enforce(budgets)
-    except ReplayBudgetExceeded as exc:
-        for item in exc.evidence:
-            print(
-                f"budget violated: {item['budget']} measured "
-                f"{item['measured']:.6g} > limit {item['limit']:.6g}",
-                file=sys.stderr,
-            )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print("replay ok: results bit-identical, budgets met", file=sys.stderr)
-    return 0
 
 
 def cmd_plot(args, out) -> int:
@@ -1016,8 +822,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return cmd_cache(args, out)
         if args.command == "serve":
             return cmd_serve(args, out)
-        if args.command == "replay":
-            return cmd_replay(args, out)
         if args.command == "plot":
             return cmd_plot(args, out)
         raise AssertionError(f"unhandled command {args.command}")

@@ -87,22 +87,6 @@ class ServiceClosed(HarnessError):
     """A request was submitted to a service that is shutting down."""
 
 
-class ReplayBudgetExceeded(HarnessError):
-    """A ledger replay violated its latency / shed-rate budgets.
-
-    The load-test gate of :mod:`repro.service.ledger`: raised by
-    :meth:`~repro.service.ledger.ReplayReport.enforce` when a replayed
-    request stream measured worse than the budgets allow.  ``evidence``
-    is a list of ``{"budget", "measured", "limit"}`` dicts — one per
-    violated budget, every violation reported, not just the first — so
-    CI logs show the measured-vs-allowed numbers without re-running.
-    """
-
-    def __init__(self, message: str, *, evidence=None):
-        super().__init__(message)
-        self.evidence = list(evidence) if evidence is not None else []
-
-
 class WorkerCrash(RunFailure):
     """A worker process died (or the pool broke) while holding this task."""
 

@@ -9,7 +9,6 @@ common simulation runs are only performed once).
 from typing import Callable, Dict, Optional
 
 from repro.experiments import (
-    extra_autotune,
     extra_bootstrap,
     extra_gpu_scaling,
     extra_policy_matrix,
@@ -56,7 +55,6 @@ EXTRA_EXPERIMENTS: Dict[str, Callable] = {
     "bootstrap-sensitivity": extra_bootstrap.run,
     "gpu-scaling": extra_gpu_scaling.run,
     "scheme-zoo": extra_scheme_zoo.run,
-    "autotune-convergence": extra_autotune.run,
 }
 
 

@@ -19,7 +19,7 @@ on demand, deterministically:
   first *N* loads/saves raise :class:`OSError`.  A
   :class:`~repro.harness.parallel.ParallelRunner` given a plan wraps its
   runner's store once, so every ``faults=`` entry point (``run_suite``,
-  ``serve``, ``replay_ledger``, the CLI) applies them the same way.
+  ``serve``, the CLI) applies them the same way.
 
 Plans serialize to flat JSON dicts so they cross the process boundary to
 workers, and can be supplied to the CLI via the ``REPRO_FAULTS``

@@ -94,7 +94,7 @@ def write_json_atomic(payload: object, path) -> Path:
     """Serialize ``payload`` to ``path`` via temp file + ``os.replace``.
 
     The store's directory-backend idiom applied to report files
-    (``repro serve/replay --stats-json``): the JSON is fully serialized
+    (``repro serve --stats-json``): the JSON is fully serialized
     before the disk is touched, written to a temp file in the
     destination directory, and renamed into place — a reader (or a crash
     mid-write) can never observe a truncated file.

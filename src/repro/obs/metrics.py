@@ -23,9 +23,8 @@ registry.
   lookup counts and simulation timings (``runner.*``), which ``repro
   run --profile`` and the ``repro suite`` summary read.  Each
   :class:`~repro.service.service.SimulationService` builds a registry
-  of its own and hands it to the
-  :class:`~repro.service.autotune.AutoTuner` it builds, so a service's
-  ``stats().latency`` digests only that service's requests.
+  of its own, so a service's ``stats().latency`` digests only that
+  service's requests.
 
 Registries are per-process and unsynchronised, matching the rest of the
 observability layer: the service event loop and the harness both live in
@@ -34,10 +33,10 @@ their effects are observed from the parent side.
 
 Each quantity has one home.  A count that a ledger already keeps
 (:class:`~repro.harness.parallel.SuiteReport`,
-:class:`~repro.service.jobs.ServiceStats`, the tuner snapshot) gets no
-counter beside it; instruments hold what no ledger does, chiefly
-distributions.  DESIGN §12 catalogues every
-instrument name with its kind, labels and emitting module, and
+:class:`~repro.service.jobs.ServiceStats`) gets no counter beside it;
+instruments hold what no ledger does, chiefly distributions.  DESIGN
+§12 catalogues every instrument name with its kind, labels and
+emitting module, and
 ``tests/test_instrument_catalogue.py`` keeps the two in step.  The
 store instruments, ``store.reads_total{backend=, outcome=hit|miss}``
 and ``store.io_seconds{backend=, op=load|save}``, are emitted by the
@@ -294,5 +293,5 @@ class MetricsRegistry:
 
 
 #: Process-wide registry of the harness and store instruments.  Each
-#: service, and the tuner it builds, uses a registry of its own instead.
+#: service uses a registry of its own instead.
 METRICS = MetricsRegistry()

@@ -74,12 +74,6 @@ SERVICE_BATCH = "service.batch"  # one batch dispatched to the pool
 SERVICE_COMPLETE = "service.complete"  # a job resolved successfully
 SERVICE_QUARANTINE = "service.quarantine"  # a job failed past its retries
 
-# Online autotuning (repro.service.autotune).  Wall-clock stamped too.
-SERVICE_AUTOTUNE_ARM = "service.autotune.arm"  # a request was rewritten to an arm
-SERVICE_AUTOTUNE_WARM = "service.autotune.warm"  # an arm credited from the store
-SERVICE_AUTOTUNE_ROUND = "service.autotune.round"  # a halving round eliminated arms
-SERVICE_AUTOTUNE_CONVERGED = "service.autotune.converged"  # one arm left
-
 #: Every kind above, for validation and exporter dispatch.
 ALL_KINDS = frozenset(
     {
@@ -113,10 +107,6 @@ ALL_KINDS = frozenset(
         SERVICE_BATCH,
         SERVICE_COMPLETE,
         SERVICE_QUARANTINE,
-        SERVICE_AUTOTUNE_ARM,
-        SERVICE_AUTOTUNE_WARM,
-        SERVICE_AUTOTUNE_ROUND,
-        SERVICE_AUTOTUNE_CONVERGED,
     }
 )
 

@@ -12,29 +12,12 @@ to the service itself), and batches admitted jobs into
   Algorithm 1-analog admission controller (admit / inline / shed);
 * :mod:`repro.service.scheduler` — FIFO batch scheduler over the pool;
 * :mod:`repro.service.service` — the :class:`SimulationService` façade;
-* :mod:`repro.service.traffic` — deterministic seeded traffic and the
-  scripted request files ``repro serve`` consumes;
-* :mod:`repro.service.ledger` — request-ledger record/replay with
-  latency/shed-rate budget gating (``repro serve --record`` /
-  ``repro replay``);
-* :mod:`repro.service.autotune` — online successive halving over the
-  Offline-Search sweep grids (``repro serve --autotune``), warm-started
-  from the result store and fed by live completions.
+* :mod:`repro.service.traffic` — deterministic seeded traffic, the
+  scripted request files ``repro serve`` consumes, and
+  ``drive_service``, which submits them on their arrival schedule.
 """
 
-from repro.errors import (
-    ReplayBudgetExceeded,
-    ServiceClosed,
-    ServiceOverloaded,
-)
-from repro.service.ledger import (
-    LedgerEntry,
-    ReplayBudgets,
-    ReplayReport,
-    RequestLedger,
-    drive_service,
-    replay_ledger,
-)
+from repro.errors import ServiceClosed, ServiceOverloaded
 from repro.service.admission import (
     ADMIT,
     INLINE,
@@ -44,18 +27,13 @@ from repro.service.admission import (
     CostModel,
     WindowedEWMA,
 )
-from repro.service.autotune import (
-    AutoTuner,
-    SuccessiveHalvingTuner,
-    arm_grid,
-    family_of,
-)
 from repro.service.jobs import RequestLike, ServiceJob, ServiceStats
 from repro.service.scheduler import BatchScheduler
 from repro.service.service import ServiceConfig, SimulationService
 from repro.service.traffic import (
     DEFAULT_MATRIX,
     TrafficRequest,
+    drive_service,
     dump_requests,
     generate_traffic,
     load_requests,
@@ -67,15 +45,9 @@ __all__ = [
     "SHED",
     "AdmissionController",
     "AdmissionDecision",
-    "AutoTuner",
     "BatchScheduler",
     "CostModel",
     "DEFAULT_MATRIX",
-    "LedgerEntry",
-    "ReplayBudgetExceeded",
-    "ReplayBudgets",
-    "ReplayReport",
-    "RequestLedger",
     "RequestLike",
     "ServiceClosed",
     "ServiceConfig",
@@ -83,14 +55,10 @@ __all__ = [
     "ServiceOverloaded",
     "ServiceStats",
     "SimulationService",
-    "SuccessiveHalvingTuner",
     "TrafficRequest",
     "WindowedEWMA",
-    "arm_grid",
     "drive_service",
     "dump_requests",
-    "family_of",
     "generate_traffic",
     "load_requests",
-    "replay_ledger",
 ]

@@ -150,7 +150,6 @@ class ServiceStats:
     cache_hits: int = 0  # answered from the runner cache, no job created
     admitted: int = 0  # unique jobs handed to the batching scheduler
     inline: int = 0  # unique jobs run on the event-loop thread
-    autotuned: int = 0  # submissions rewritten to a tuner-proposed arm
 
     # -- batching / pool aggregates (from SuiteReports)
     batches: int = 0
@@ -165,10 +164,6 @@ class ServiceStats:
 
     #: Cost-model snapshot, filled in by :meth:`SimulationService.stats`.
     model: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    #: Per-pair autotuner snapshot (incumbent, arms alive, regret),
-    #: filled in by :meth:`SimulationService.stats` when autotuning is on.
-    autotune: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     #: Latency digest (end-to-end, queue-wait, per-route percentiles)
     #: sourced from the service's :mod:`repro.obs.metrics` histograms,
@@ -188,7 +183,6 @@ class ServiceStats:
             for name in (
                 "submitted", "completed", "failed", "shed", "in_flight",
                 "coalesced", "cache_hits", "admitted", "inline",
-                "autotuned",
                 "batches", "pool_runs", "pool_resumed", "retries",
                 "timeouts", "worker_crashes", "quarantined",
                 "max_batch_size", "peak_queue_depth",
@@ -196,6 +190,5 @@ class ServiceStats:
         }
         out["lost"] = self.lost
         out["model"] = self.model
-        out["autotune"] = self.autotune
         out["latency"] = self.latency
         return out

@@ -88,7 +88,6 @@ from repro.service.admission import (
     AdmissionController,
     CostModel,
 )
-from repro.service.autotune import AutoTuner
 from repro.service.jobs import (
     CACHED,
     DONE,
@@ -125,17 +124,10 @@ class ServiceConfig:
     inline_threshold_ms: float = 0.0  # small-job inline cutoff
     max_batch: int = 8  # jobs per run_suite dispatch
     max_queue: Optional[int] = None  # admitted-but-unfinished job cap
-    autotune: bool = False  # online successive halving over the sweep grids
-    autotune_pulls: int = 1  # observations per arm per halving round
-    autotune_seed: int = 0  # exploration-order seed (see autotune module)
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise HarnessError(f"jobs must be >= 1, got {self.jobs}")
-        if self.autotune_pulls < 1:
-            raise HarnessError(
-                f"autotune_pulls must be >= 1, got {self.autotune_pulls}"
-            )
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise HarnessError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
@@ -182,8 +174,7 @@ class SimulationService:
         self.runner = runner if runner is not None else Runner()
         self.config = config if config is not None else ServiceConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Latency histograms and the tuner's proposal counts, for this
-        #: service's requests only.
+        #: Latency histograms, for this service's requests only.
         self.metrics = MetricsRegistry()
         self._stage_hist = {
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
@@ -202,18 +193,6 @@ class SimulationService:
             inline_threshold_s=self.config.inline_threshold_ms / 1000.0,
             max_queue=self.config.max_queue,
         )
-        #: Online parameter search (None unless ``config.autotune``).  It
-        #: shares the service's runner, so warm starts read the same
-        #: store backend that batch results persist into.
-        self.autotuner: Optional[AutoTuner] = None
-        if self.config.autotune:
-            self.autotuner = AutoTuner(
-                runner=self.runner,
-                pulls_per_round=self.config.autotune_pulls,
-                seed=self.config.autotune_seed,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
         self._parallel = ParallelRunner(
             self.runner, policy=policy, faults=faults, tracer=tracer
         )
@@ -279,14 +258,6 @@ class SimulationService:
         # Validate eagerly so one bad request cannot poison a batch.
         get_benchmark(config.benchmark)
         sch.SchemeSpec.parse(config.scheme)
-        if self.autotuner is not None:
-            # Tunable requests run the tuner's current arm.  Rewriting
-            # before coalesce/cache means identical proposals dedup onto
-            # one simulation — repeat pulls of an arm are free.
-            tuned = self.autotuner.rewrite(config)
-            if tuned is not config:
-                self._stats.autotuned += 1
-                config = tuned
         self._stats.submitted += 1
         self._emit(
             SERVICE_SUBMIT,
@@ -319,11 +290,6 @@ class SimulationService:
             job.submitted_at = submitted_at
             job.resolve(cached, state=CACHED)
             self._observe_latency(job, "cached")
-            if self.autotuner is not None:
-                # A cache hit is still a completed pull of its arm — the
-                # deterministic makespan is the objective, so a stored
-                # result is exactly as informative as a fresh one.
-                self.autotuner.observe(config, makespan=cached.makespan)
             return job
 
         # 3. Admission: price the request before it may touch the pool.
@@ -424,10 +390,6 @@ class SimulationService:
         self.model.observe(
             config.benchmark, config.scheme, elapsed, cycles=result.makespan
         )
-        if self.autotuner is not None:
-            self.autotuner.observe(
-                config, seconds=elapsed, makespan=result.makespan
-            )
         self._stats.completed += 1
         self._emit(
             SERVICE_COMPLETE,
@@ -504,10 +466,6 @@ class SimulationService:
                     job.config.benchmark, job.config.scheme, share,
                     cycles=result.makespan,
                 )
-                if self.autotuner is not None:
-                    self.autotuner.observe(
-                        job.config, seconds=share, makespan=result.makespan
-                    )
             self._finish_job(job, result=result, error=failure)
 
     def _quarantine_failure(
@@ -605,9 +563,6 @@ class SimulationService:
         return replace(
             self._stats,
             model=self.model.snapshot(),
-            autotune=(
-                self.autotuner.snapshot() if self.autotuner is not None else {}
-            ),
             latency=self._latency_digest(),
         )
 

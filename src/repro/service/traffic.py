@@ -14,18 +14,25 @@ so wall-clock sleeps never enter the test budget.
 ``load_requests``/``dump_requests`` read and write the scripted request
 files ``repro serve`` consumes: a JSON array (or JSON-lines stream) of
 ``{"benchmark": ..., "scheme": ..., "seed": ..., "at": ...}`` objects.
+``drive_service`` submits such a request list to a running service on its
+arrival schedule and collects every outcome.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import math
 import random
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
-from repro.errors import HarnessError
+from repro.errors import HarnessError, ReproError, ServiceOverloaded
 from repro.harness.runner import RunConfig
+from repro.service.service import SimulationService
+from repro.sim.engine import SimResult
 
 #: Default matrix: the suite's cheapest benchmarks under the core schemes
 #: plus the scheme zoo — heavy traffic without heavy simulations.  The
@@ -72,15 +79,25 @@ class TrafficRequest:
             benchmark = payload["benchmark"]
             scheme = payload["scheme"]
         except (TypeError, KeyError):
+            benchmark = scheme = None
+        if not isinstance(benchmark, str) or not isinstance(scheme, str):
             raise HarnessError(
-                f"request objects need benchmark and scheme: {payload!r}"
-            ) from None
-        return cls(
-            benchmark=benchmark,
-            scheme=scheme,
-            seed=int(payload.get("seed", 1)),
-            at=float(payload.get("at", 0.0)),
-        )
+                f"request objects need string benchmark and scheme: "
+                f"{payload!r}"
+            )
+        seed = payload.get("seed", 1)
+        # bool is an int subclass: true would quietly run seed 1.
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise HarnessError(f"request seed must be an integer: {payload!r}")
+        at = payload.get("at", 0.0)
+        if (
+            not isinstance(at, (int, float)) or isinstance(at, bool)
+            or not math.isfinite(at) or at < 0
+        ):
+            raise HarnessError(
+                f"request at must be a finite number >= 0: {payload!r}"
+            )
+        return cls(benchmark=benchmark, scheme=scheme, seed=seed, at=float(at))
 
 
 def generate_traffic(
@@ -156,3 +173,35 @@ def dump_requests(requests: Sequence[TrafficRequest], path) -> Path:
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+async def drive_service(
+    service: SimulationService, requests: Sequence[TrafficRequest]
+) -> List[Union[SimResult, ReproError]]:
+    """Submit ``requests`` on their arrival schedule; return every outcome.
+
+    Arrival offsets (``at``) count from the first submission.  The result
+    aligns with ``requests``: each request's :class:`SimResult`, or the
+    :class:`ReproError` it ended with (:class:`ServiceOverloaded` when
+    the service shed it, a ``RunFailure`` when its run was quarantined).
+    A request the service rejects at the door (unknown benchmark or
+    scheme) raises out of the drive.
+    """
+    outcomes: list = []
+    start = time.perf_counter()
+    for request in requests:
+        delay = start + request.at - time.perf_counter()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        try:
+            outcomes.append(await service.submit(request.config()))
+        except ServiceOverloaded as exc:
+            outcomes.append(exc)
+    for index, outcome in enumerate(outcomes):
+        if isinstance(outcome, ReproError):
+            continue
+        try:
+            outcomes[index] = await outcome
+        except ReproError as exc:
+            outcomes[index] = exc
+    return outcomes

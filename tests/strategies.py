@@ -18,12 +18,6 @@ divergent ad-hoc generators.
   .AdmissionController` instances driven into *reachable* queue states
   (prior traffic is replayed through the controller's own policy, so no
   generated state is one the service could not actually be in).
-* :func:`sweep_grids` / :func:`cost_tables` / :func:`observation_sequences`
-  / :func:`arm_schedules` — the online-autotuning search space
-  (``tests/test_autotune.py``): Offline-Search-style arm grids,
-  deterministic per-arm cost environments (the makespan objective), and
-  arbitrary completion orders, including the in-flight-after-elimination
-  ones the service can deliver.
 """
 
 import numpy as np
@@ -154,67 +148,6 @@ def admission_states(draw, max_prior_traffic: int = 16):
         if decision.verdict == ADMIT:
             controller.on_admitted(decision)
     return controller
-
-
-# ----------------------------------------------------------------------
-# Online autotuning (repro.service.autotune)
-# ----------------------------------------------------------------------
-@st.composite
-def sweep_grids(draw, max_arms: int = 12):
-    """A unique Offline-Search-style arm grid (``threshold:<T>`` schemes)."""
-    thresholds = draw(
-        st.lists(
-            st.integers(min_value=1, max_value=1 << 20),
-            min_size=1,
-            max_size=max_arms,
-            unique=True,
-        )
-    )
-    return tuple(f"threshold:{t}" for t in thresholds)
-
-
-def arm_costs(max_value: float = 1e9):
-    """One pull's observed cost: finite, non-negative (makespan or seconds)."""
-    return st.floats(
-        min_value=0.0, max_value=max_value,
-        allow_nan=False, allow_infinity=False,
-    )
-
-
-@st.composite
-def cost_tables(draw, arms, exact: bool = False):
-    """A deterministic cost per arm: the stationary environment the
-    tuner's convergence guarantees assume (simulated makespan is exactly
-    this — every pull of an arm observes the same number).
-
-    ``exact=True`` draws integer-valued floats, so repeated-pull means
-    are exact (integer sums below 2**53 and the final division are both
-    representable) — required by argmin/monotonicity properties, and the
-    shape of the integral makespan objective anyway.
-    """
-    if exact:
-        value = st.integers(min_value=0, max_value=10**9).map(float)
-    else:
-        value = arm_costs()
-    return {arm: draw(value) for arm in arms}
-
-
-@st.composite
-def observation_sequences(draw, arms, max_length: int = 48):
-    """Arbitrary ``(arm, cost)`` completions in any order — including
-    repeats and arms the schedule would not propose next, the shape of
-    in-flight completions arriving after an elimination cut."""
-    pair = st.tuples(st.sampled_from(list(arms)), arm_costs(1e6))
-    return draw(st.lists(pair, max_size=max_length))
-
-
-@st.composite
-def arm_schedules(draw, max_arms: int = 10, exact: bool = False):
-    """A full tuning environment: ``(grid, seed, per-arm cost table)``."""
-    arms = draw(sweep_grids(max_arms=max_arms))
-    seed = draw(st.integers(min_value=0, max_value=1 << 16))
-    costs = draw(cost_tables(arms, exact=exact))
-    return arms, seed, costs
 
 
 @st.composite

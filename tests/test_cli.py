@@ -241,6 +241,12 @@ class TestServe:
         assert stats["lost"] == 0
         assert stats["failed"] == 0
         assert stats["completed"] == 8
+        latency = stats["latency"]
+        for span in ("end_to_end", "queue_wait"):
+            assert latency[span]["count"] > 0
+            for key in ("p50", "p95", "p99"):
+                assert latency[span][key] >= 0
+        assert "routes" in latency
 
     def test_serve_scripted_request_file(self, tmp_path):
         requests = [
@@ -278,3 +284,15 @@ class TestServe:
         )
         code, _ = run_cli("serve", str(path), "--no-store")
         assert code == 1  # ReproError -> clean CLI error, no traceback
+
+    def test_serve_malformed_request_file_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps([{"benchmark": "GC-citation", "scheme": "flat",
+                         "seed": "x"}])
+        )
+        code, _ = run_cli("serve", str(path), "--no-store")
+        assert code == 1
+        assert "error:" in capsys.readouterr().err

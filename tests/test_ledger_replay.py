@@ -1,33 +1,15 @@
-"""Tests for the request ledger and record/replay load testing.
+"""Tests for the latency digest that `repro serve --stats-json` writes.
 
-The determinism contract under test (ISSUE 6): a recorded serve run,
-replayed at *any* speed, must reproduce every simulation result
-bit-identically — only the measured wall-clock latencies may differ,
-and those are what the replay budgets judge.
+The request ledger and `repro replay` are gone; the serve-side latency
+percentiles they were judged against remain, and are checked here.
 """
 
 from __future__ import annotations
 
-import asyncio
 import io
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.errors import HarnessError, ReplayBudgetExceeded
-from repro.harness.runner import Runner
-from repro.service import (
-    LedgerEntry,
-    ReplayBudgets,
-    RequestLedger,
-    ServiceConfig,
-    SimulationService,
-    TrafficRequest,
-    drive_service,
-    replay_ledger,
-)
-from repro.service.ledger import COMPLETED, FAILED, SHED, ReplayReport
 
 
 def run_cli(*argv):
@@ -36,296 +18,7 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def _requests(n=6, gap=0.0):
-    """Small deterministic burst over one cheap benchmark, varied seeds."""
-    return [
-        TrafficRequest(
-            benchmark="MM-small",
-            scheme="spawn" if i % 2 else "flat",
-            seed=1 + i % 3,
-            at=i * gap,
-        )
-        for i in range(n)
-    ]
-
-
-def _record(requests, **config_kwargs):
-    """Drive a fresh service over ``requests``; return the ledger."""
-
-    async def _drive():
-        service = SimulationService(
-            Runner(), config=ServiceConfig(jobs=2, **config_kwargs)
-        )
-        async with service:
-            entries = await drive_service(service, requests)
-        return entries
-
-    return RequestLedger(entries=asyncio.run(_drive()))
-
-
-# ----------------------------------------------------------------------
-# Entries and files
-# ----------------------------------------------------------------------
-class TestLedgerEntry:
-    def test_rejects_unknown_outcome(self):
-        with pytest.raises(HarnessError):
-            LedgerEntry(
-                benchmark="MM-small", scheme="flat", seed=1, at=0.0,
-                outcome="exploded",
-            )
-
-    def test_fingerprint_excludes_measured_latency(self):
-        kwargs = dict(
-            benchmark="MM-small", scheme="flat", seed=1, at=0.25,
-            outcome=COMPLETED, makespan=1234.5,
-        )
-        fast = LedgerEntry(latency_s=0.001, **kwargs)
-        slow = LedgerEntry(latency_s=9.0, **kwargs)
-        assert fast.fingerprint() == slow.fingerprint()
-
-    def test_dict_round_trip_preserves_float_makespan(self):
-        entry = LedgerEntry(
-            benchmark="MM-small", scheme="spawn", seed=2, at=0.5,
-            outcome=COMPLETED, makespan=261166.9704142012, latency_s=0.01,
-        )
-        clone = LedgerEntry.from_dict(json.loads(json.dumps(entry.to_dict())))
-        assert clone == entry
-        assert clone.makespan == entry.makespan  # bit-exact through JSON
-
-    def test_request_reconstruction(self):
-        entry = LedgerEntry(
-            benchmark="BFS-graph500", scheme="spawn", seed=3, at=1.5,
-            outcome=SHED,
-        )
-        request = entry.request()
-        assert request == TrafficRequest(
-            benchmark="BFS-graph500", scheme="spawn", seed=3, at=1.5
-        )
-
-
-class TestLedgerFile:
-    def _ledger(self):
-        return RequestLedger(entries=[
-            LedgerEntry(benchmark="MM-small", scheme="flat", seed=1, at=0.0,
-                        outcome=COMPLETED, makespan=100.0, latency_s=0.01),
-            LedgerEntry(benchmark="MM-small", scheme="spawn", seed=2, at=0.1,
-                        outcome=FAILED, latency_s=0.02),
-            LedgerEntry(benchmark="MM-small", scheme="spawn", seed=3, at=0.2,
-                        outcome=SHED, latency_s=0.0),
-        ])
-
-    def test_write_read_round_trip(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        original = self._ledger()
-        original.write(path)
-        loaded = RequestLedger.read(path)
-        assert loaded.entries == original.entries
-        assert loaded.fingerprint() == original.fingerprint()
-
-    def test_header_declares_kind_schema_count(self, tmp_path):
-        path = self._ledger().write(tmp_path / "ledger.jsonl")
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {
-            "kind": "repro-service-ledger", "schema": 1, "count": 3,
-        }
-
-    def test_fingerprint_is_deterministic_and_latency_blind(self):
-        ledger = self._ledger()
-        relabelled = RequestLedger(entries=[
-            LedgerEntry(**{**e.to_dict(), "latency_s": 7.0})
-            for e in ledger.entries
-        ])
-        assert ledger.fingerprint() == relabelled.fingerprint()
-        # ...but any deterministic field change moves it.
-        mutated = RequestLedger(entries=list(ledger.entries))
-        mutated.entries[0] = LedgerEntry(
-            **{**ledger.entries[0].to_dict(), "makespan": 101.0}
-        )
-        assert mutated.fingerprint() != ledger.fingerprint()
-
-    def test_read_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(HarnessError, match="empty ledger"):
-            RequestLedger.read(path)
-
-    def test_read_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "not-a-ledger"}\n')
-        with pytest.raises(HarnessError, match="bad or missing header"):
-            RequestLedger.read(path)
-
-    def test_read_detects_truncation(self, tmp_path):
-        path = self._ledger().write(tmp_path / "ledger.jsonl")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(HarnessError, match="truncated"):
-            RequestLedger.read(path)
-
-
-# ----------------------------------------------------------------------
-# Drive + replay determinism
-# ----------------------------------------------------------------------
-class TestReplayDeterminism:
-    @pytest.fixture(scope="class")
-    def recorded(self):
-        return _record(_requests(6))
-
-    def test_recording_captures_every_request(self, recorded):
-        assert len(recorded) == 6
-        assert all(e.outcome == COMPLETED for e in recorded)
-        assert all(e.makespan is not None for e in recorded)
-        assert all(e.latency_s is not None for e in recorded)
-
-    def test_drive_rejects_nonpositive_speed(self, recorded):
-        async def _go():
-            service = SimulationService(Runner())
-            async with service:
-                await drive_service(service, recorded.requests(), speed=0)
-
-        with pytest.raises(HarnessError, match="speed must be positive"):
-            asyncio.run(_go())
-
-    @pytest.mark.parametrize("speed", [1.0, 10.0])
-    def test_replay_is_bit_identical_at_any_speed(self, recorded, speed):
-        report = asyncio.run(replay_ledger(recorded, speed=speed))
-        assert report.results_identical
-        assert report.outcomes_match
-        assert report.mismatches == []
-        assert report.replayed_fingerprint == report.recorded_fingerprint
-        assert report.completed == len(recorded)
-        assert len(report.latencies) == len(recorded)
-
-    def test_rerecorded_replay_fingerprints_identically(self, recorded):
-        # The replayed ledger keeps the *original* arrival offsets, so a
-        # ledger re-recorded from a sped-up replay equals its source.
-        report = asyncio.run(replay_ledger(recorded, speed=10.0))
-        assert report.ledger.fingerprint() == recorded.fingerprint()
-        assert [e.at for e in report.ledger] == [e.at for e in recorded]
-
-    def test_replay_detects_divergent_results(self, recorded):
-        doctored = RequestLedger(entries=[
-            LedgerEntry(**{**recorded.entries[0].to_dict(), "makespan": 1.0}),
-            *recorded.entries[1:],
-        ])
-        report = asyncio.run(replay_ledger(doctored, speed=10.0))
-        assert not report.results_identical
-        assert not report.outcomes_match
-        assert any("makespan" in line for line in report.mismatches)
-
-
-# ----------------------------------------------------------------------
-# Budgets
-# ----------------------------------------------------------------------
-def _report(latencies, shed=0, requests=None):
-    n = requests if requests is not None else len(latencies) + shed
-    return ReplayReport(
-        speed=1.0, requests=n, completed=len(latencies), failed=0,
-        shed=shed, latencies=list(latencies),
-        recorded_fingerprint="x", replayed_fingerprint="x",
-        results_identical=True, outcomes_match=True, mismatches=[],
-    )
-
-
-class TestReplayBudgets:
-    def test_budget_validation(self):
-        with pytest.raises(HarnessError):
-            ReplayBudgets(max_p99_s=0.0)
-        with pytest.raises(HarnessError):
-            ReplayBudgets(max_shed_rate=1.5)
-
-    def test_no_budgets_never_raise(self):
-        _report([10.0, 20.0]).enforce(ReplayBudgets())
-
-    def test_passing_budgets_do_not_raise(self):
-        report = _report([0.01, 0.02, 0.03], shed=1)
-        report.enforce(ReplayBudgets(max_p99_s=1.0, max_shed_rate=0.5))
-
-    def test_p99_violation_carries_evidence(self):
-        report = _report([0.01] * 9 + [5.0])
-        with pytest.raises(ReplayBudgetExceeded) as excinfo:
-            report.enforce(ReplayBudgets(max_p99_s=1.0))
-        evidence = excinfo.value.evidence
-        assert len(evidence) == 1
-        assert evidence[0]["budget"] == "p99_latency_s"
-        assert evidence[0]["measured"] == pytest.approx(5.0)
-        assert evidence[0]["limit"] == 1.0
-
-    def test_all_violations_reported_together(self):
-        report = _report([5.0, 6.0], shed=8)
-        with pytest.raises(ReplayBudgetExceeded) as excinfo:
-            report.enforce(ReplayBudgets(max_p99_s=1.0, max_shed_rate=0.1))
-        budgets = {item["budget"] for item in excinfo.value.evidence}
-        assert budgets == {"p99_latency_s", "shed_rate"}
-        assert excinfo.value.evidence[1]["measured"] == pytest.approx(0.8)
-
-    def test_shed_rate_property(self):
-        assert _report([], shed=3, requests=4).shed_rate == 0.75
-        assert _report([], requests=0).shed_rate == 0.0
-
-
-# ----------------------------------------------------------------------
-# CLI: serve --record, replay, --stats-json percentiles
-# ----------------------------------------------------------------------
 class TestRecordReplayCli:
-    @pytest.fixture()
-    def ledger_path(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        code, output = run_cli(
-            "serve", "--synthetic", "4", "--traffic-seed", "7",
-            "--no-store", "--record", str(path),
-        )
-        assert code == 0, output
-        assert path.is_file()
-        return path
-
-    def test_serve_record_prints_fingerprint(self, ledger_path, capsys):
-        # Re-run to inspect the diagnostics (the fixture asserts the file).
-        capsys.readouterr()
-        code, _ = run_cli(
-            "serve", "--synthetic", "4", "--traffic-seed", "7",
-            "--no-store", "--record", str(ledger_path),
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "fingerprint" in err
-        assert RequestLedger.read(ledger_path).fingerprint()[:12] in err
-
-    def test_replay_passes_and_writes_report(self, ledger_path, tmp_path):
-        stats = tmp_path / "replay.json"
-        code, output = run_cli(
-            "replay", str(ledger_path), "--speed", "10", "--no-store",
-            "--max-p99-ms", "60000", "--max-shed-rate", "0.0",
-            "--stats-json", str(stats),
-        )
-        assert code == 0, output
-        payload = json.loads(stats.read_text())
-        assert payload["results_identical"] is True
-        assert payload["outcomes_match"] is True
-        assert payload["shed"] == 0
-        assert payload["latency"]["p99"] > 0
-
-    def test_replay_budget_failure_exits_1_with_evidence(
-        self, ledger_path, tmp_path, capsys
-    ):
-        stats = tmp_path / "replay.json"
-        capsys.readouterr()
-        code, _ = run_cli(
-            "replay", str(ledger_path), "--speed", "10", "--no-store",
-            "--max-p99-ms", "0.0001", "--stats-json", str(stats),
-        )
-        assert code == 1
-        assert "p99_latency_s" in capsys.readouterr().err
-        # Evidence before judgement: the report file exists anyway.
-        assert stats.is_file()
-        assert json.loads(stats.read_text())["latency"]["p99"] > 0
-
-    def test_replay_rejects_missing_ledger(self, tmp_path):
-        code, _ = run_cli(
-            "replay", str(tmp_path / "missing.jsonl"), "--no-store"
-        )
-        assert code == 1  # HarnessError surfaced by main()
-
     def test_serve_stats_json_has_latency_percentiles(self, tmp_path):
         stats = tmp_path / "stats.json"
         code, output = run_cli(

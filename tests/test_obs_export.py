@@ -296,7 +296,7 @@ class TestServiceTrack:
 
         from repro.harness.runner import Runner
         from repro.service import ServiceConfig, SimulationService, TrafficRequest
-        from repro.service.ledger import drive_service
+        from repro.service.traffic import drive_service
 
         tracer = Tracer()
 
@@ -329,9 +329,9 @@ class TestWriteJsonAtomic:
 
     def test_writes_sorted_parseable_json(self, tmp_path):
         path = tmp_path / "stats.json"
-        write_json_atomic({"b": 1, "a": {"autotune": True}}, path)
+        write_json_atomic({"b": 1, "a": {"nested": True}}, path)
         text = path.read_text()
-        assert json.loads(text) == {"b": 1, "a": {"autotune": True}}
+        assert json.loads(text) == {"b": 1, "a": {"nested": True}}
         assert text.index('"a"') < text.index('"b"')  # sort_keys
         assert text.endswith("\n")
         assert list(tmp_path.iterdir()) == [path]  # no temp droppings

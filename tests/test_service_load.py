@@ -15,19 +15,22 @@ pure function of its seed: a soak failure reproduces exactly.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
-from repro.errors import ServiceOverloaded
+from repro.errors import HarnessError, ServiceOverloaded
 from repro.harness.runner import RunConfig, Runner
 from repro.service import (
     ServiceConfig,
     SimulationService,
     TrafficRequest,
+    drive_service,
     dump_requests,
     generate_traffic,
     load_requests,
 )
+from repro.sim.engine import SimResult
 
 SOAK_SEED = 42
 SOAK_REQUESTS = 500
@@ -258,6 +261,32 @@ def test_max_queue_cap_sheds_regardless_of_deadline():
     assert stats.lost == 0
 
 
+def test_drive_service_returns_results_and_shed_errors_in_input_order():
+    # The scenario above, driven through drive_service: every request
+    # gets an outcome, in input order, and a shed one is its typed error.
+    requests = [
+        TrafficRequest("GC-citation", "flat", seed=seed)
+        for seed in range(1, 5)
+    ]
+
+    async def _scenario():
+        service = SimulationService(
+            Runner(),
+            config=ServiceConfig(jobs=1, max_queue=2),
+        )
+        service.model.observe("GC-citation", "flat", 0.5)
+        async with service:
+            return await drive_service(service, requests)
+
+    outcomes = asyncio.run(_scenario())
+    assert len(outcomes) == 4
+    serial = Runner()
+    for request, outcome in zip(requests[:2], outcomes[:2]):
+        assert isinstance(outcome, SimResult)
+        assert outcome.to_dict() == serial.run(request.config()).to_dict()
+    assert all(isinstance(o, ServiceOverloaded) for o in outcomes[2:])
+
+
 # ----------------------------------------------------------------------
 # Inline path ("the parent does the work")
 # ----------------------------------------------------------------------
@@ -318,3 +347,28 @@ def test_request_file_roundtrip(tmp_path):
     # Arrival offsets are monotone under a Poisson gap process.
     ats = [request.at for request in requests]
     assert ats == sorted(ats)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"benchmark": 5},
+        {"scheme": ["flat"]},
+        {"seed": "x"},
+        {"seed": 1.7},
+        {"seed": True},
+        {"seed": None},
+        {"at": None},
+        {"at": "soon"},
+        {"at": -1.0},
+        {"at": float("inf")},
+        {"at": float("nan")},
+        {"at": False},
+    ],
+)
+def test_request_file_rejects_malformed_fields(tmp_path, fields):
+    path = tmp_path / "bad.jsonl"
+    payload = {"benchmark": "GC-citation", "scheme": "flat", **fields}
+    path.write_text(json.dumps(payload) + "\n")
+    with pytest.raises(HarnessError):
+        load_requests(path)
