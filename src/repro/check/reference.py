@@ -12,7 +12,9 @@ here with *identical semantics*:
 * :class:`ReferenceGMU` — a dispatch scan that always runs and yields
   every dispatchable head, against the GMU's dispatchable-head counter
   (which also lets the engine skip a pass with nothing to place) and its
-  skipping of heads whose shape already failed to fit;
+  skipping of heads whose shape already failed to fit; and ACS binding by
+  a scan of every waiting stream's head, against the heap of ranks fixed
+  when each stream starts waiting;
 * :class:`ReferenceLRUCache` / :class:`ReferenceMemorySystem` — list-based
   LRU sets and a materialized line list for every footprint, against the
   dict LRU and the range-fed single-region path;
@@ -20,9 +22,10 @@ here with *identical semantics*:
   slices ``thread_items`` / ``mem_bases``, takes warp maxima with
   ``np.maximum.reduceat``, streams every non-contiguous footprint through
   ``cta_access_arrays``, materializes child specs with
-  :func:`~repro.sim.kernel.spec_from_request` and builds CTAs with
+  :func:`~repro.sim.kernel.spec_from_request` and merged specs with
+  :func:`~repro.sim.merge.build_merged_spec`, and builds CTAs with
   :class:`~repro.sim.instances.CTAInstance`, against the per-spec plans
-  and the closed-form child grids of :mod:`repro.sim.engine`.
+  and the closed-form child and merged grids of :mod:`repro.sim.engine`.
 
 :func:`run_differential` runs the same application through the simulator
 and the reference and asserts the event streams are identical
@@ -54,6 +57,7 @@ from repro.sim.instances import (
 )
 from repro.sim.kernel import Application, ChildRequest, spec_from_request
 from repro.sim.memory import MemorySystem, SetAssociativeCache
+from repro.sim.merge import build_merged_spec
 from repro.sim.smx import SMX, SMXResources
 
 
@@ -201,8 +205,32 @@ class ReferenceGMU(GMU):
 
     It never lets the engine skip a dispatch pass, ignores ``skip`` and
     yields every dispatchable head, so the differential compares the
-    skipping scan against the engine's own failed-shape check.
+    skipping scan against the engine's own failed-shape check.  ACS binds
+    by ranking every waiting stream's head at bind time, with no heap.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._acs_heap = None
+
+    def _acs_select(self) -> int:
+        """The waiting stream whose head ranks highest right now, the
+        first in arrival order among equals."""
+        best = None
+        best_rank = None
+        for swq in self._wait_order:
+            queue = self._streams.get(swq)
+            if not queue:
+                continue
+            head = queue[0]
+            rank = (head.spec.depth, -head.unfinished_ctas)
+            if best_rank is None or rank > best_rank:
+                best_rank = rank
+                best = swq
+        if best is None:
+            best = next(iter(self._wait_order))
+        del self._wait_order[best]
+        return best
 
     def can_dispatch(self) -> bool:
         return True
@@ -376,6 +404,12 @@ class ReferenceSimulator(GPUSimulator):
         else:
             self.stats.items_in_parent += int(items.sum())
         self._place_on_smx(cta, smx, now)
+
+    def _merged_grid(self, reqs: List[ChildRequest], depth: int):
+        """Merged grids built as per-thread arrays."""
+        return build_merged_spec(
+            reqs, depth=depth, unpadded=self._merge_bug == "unpadded"
+        )
 
     def _make_child_kernel(
         self, parent: KernelInstance, parent_cta: CTAInstance, req: ChildRequest

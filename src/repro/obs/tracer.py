@@ -74,42 +74,6 @@ SERVICE_BATCH = "service.batch"  # one batch dispatched to the pool
 SERVICE_COMPLETE = "service.complete"  # a job resolved successfully
 SERVICE_QUARANTINE = "service.quarantine"  # a job failed past its retries
 
-#: Every kind above, for validation and exporter dispatch.
-ALL_KINDS = frozenset(
-    {
-        KERNEL_LAUNCH_CALL,
-        KERNEL_ARRIVAL,
-        KERNEL_FIRST_DISPATCH,
-        KERNEL_SUSPEND,
-        KERNEL_COMPLETE,
-        CTA_DISPATCH,
-        CTA_FINISH,
-        HWQ_BIND,
-        HWQ_RELEASE,
-        LAUNCH_BATCH_SUBMIT,
-        LAUNCH_BATCH_SERVICE,
-        LAUNCH_BATCH_ARRIVE,
-        LAUNCH_DECISION,
-        LAUNCH_MERGE,
-        HARNESS_RETRY,
-        HARNESS_TIMEOUT,
-        HARNESS_WORKER_CRASH,
-        HARNESS_REQUEUE,
-        HARNESS_QUARANTINE,
-        HARNESS_POOL_REBUILD,
-        HARNESS_SERIAL_FALLBACK,
-        SERVICE_SUBMIT,
-        SERVICE_COALESCE,
-        SERVICE_CACHE_HIT,
-        SERVICE_ADMIT,
-        SERVICE_INLINE,
-        SERVICE_SHED,
-        SERVICE_BATCH,
-        SERVICE_COMPLETE,
-        SERVICE_QUARANTINE,
-    }
-)
-
 
 class TraceEvent:
     """One structured event: a timestamp, a kind, and a flat args dict."""

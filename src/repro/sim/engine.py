@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -64,6 +64,7 @@ from repro.sim.kernel import (
     Application,
     ChildRequest,
     KernelSpec,
+    check_cta_fits,
     normalize_requests,
 )
 from repro.sim.launch import LaunchUnit
@@ -81,19 +82,22 @@ from repro.sim.stats import SimStats
 # footprint's base and extent.  None of these depend on simulated time, so
 # the engine reads them from a plan instead of slicing the spec's
 # per-thread arrays for every CTA.  ``GridPlan`` derives them once from
-# any spec's arrays and is cached on the spec (host-launched and merged
-# grids).  A launched child grid is a ``ChildGridPlan``: it stands in for
+# any spec's arrays and is cached on the spec (host-launched grids).  A
+# launched child grid is a ``ChildGridPlan``: it stands in for
 # ``spec_from_request(req)`` and computes every CTA's plan in closed form
 # from the request: all its threads carry ``items_per_thread`` items
 # except the last, which carries the remainder, and thread t reads from
-# ``mem_base + t * items_per_thread * mem_stride``.  It builds no array and
-# keeps nothing per CTA.  Both return, for CTA i, ``(start, stop,
-# num_warps, executed, per_warp, base, extent)``.  ``per_warp`` is one int
-# for a ``contiguous_footprint`` grid (its uniform per-thread count) and
-# the list of exact per-warp maxima for any other grid.  ``base`` and
-# ``extent`` are None only for a CTA whose regions do not tile one range
-# (or a grid without ``mem_bases``).  Every value is the Python int that
-# slicing ``thread_items`` and ``mem_bases`` yields.
+# ``mem_base + t * items_per_thread * mem_stride``.  A merged grid is a
+# ``MergedGridPlan``: it stands in for ``build_merged_spec(reqs)``, whose
+# every CTA is one constituent's child CTA padded with zero-item threads.
+# Neither builds an array or keeps anything per CTA.  All three return,
+# for CTA i, ``(start, stop, num_warps, executed, per_warp, base,
+# extent)``.  ``per_warp`` is one int for a ``contiguous_footprint`` grid
+# (its uniform per-thread count) and for a merged CTA whose warps share
+# one maximum, and the list of exact per-warp maxima otherwise.  ``base``
+# and ``extent`` are None only for a CTA whose regions do not tile one
+# range (or a grid without ``mem_bases``).  Every value is the Python int
+# that slicing ``thread_items`` and ``mem_bases`` yields.
 CTAPlan = Tuple[
     int, int, int, int, Union[int, List[int]], Optional[int], Optional[int]
 ]
@@ -293,10 +297,134 @@ class ChildGridPlan:
         )
 
 
+class MergedGridPlan:
+    """A merged grid: ``build_merged_spec(reqs, depth=depth)`` in closed
+    form.
+
+    Each constituent request's threads are padded with zero-item threads
+    to a multiple of the first request's ``cta_threads``, so merged CTA i
+    is one constituent's local CTA j, found by a bisect over the
+    constituents' first CTAs, plus pad threads.  The plan carries every
+    field the engine reads from a merged grid's spec (the name, the first
+    request's CTA shape and per-item costs, depth, stride, the nested
+    requests at their merged thread offsets, ``header_items``,
+    ``num_ctas``) and keeps five numbers per constituent.  The checks
+    ``build_merged_spec`` makes through ``KernelSpec.__post_init__`` are
+    restated on the requests: every group it rejects raises
+    :class:`~repro.errors.WorkloadError` here.
+    """
+
+    __slots__ = ("name", "depth", "threads_per_cta", "regs_per_thread",
+                 "shmem_per_cta", "cycles_per_item", "accesses_per_item",
+                 "mem_stride", "child_requests", "num_threads", "num_ctas",
+                 "dec_tids", "_wpc", "_first_ctas", "_parts")
+
+    #: ``build_merged_spec`` leaves both at KernelSpec's values.
+    header_items = KernelSpec.header_items
+    contiguous_footprint = False
+
+    def __init__(self, requests, depth: int):
+        if not requests:
+            raise WorkloadError("cannot merge zero requests")
+        first = requests[0]
+        tpc = first.cta_threads
+        if tpc <= 0:
+            raise WorkloadError("child CTA dimensions must be positive")
+        if first.cycles_per_item < 0 or first.accesses_per_item < 0:
+            raise WorkloadError("per-item costs must be non-negative")
+        name = f"{first.name}+merge{len(requests)}"
+        stride = first.mem_stride
+        first_ctas: List[int] = []
+        parts = []
+        nested: Dict[int, object] = {}
+        ctas = 0
+        for req in requests:
+            ipt = req.items_per_thread
+            if ipt <= 0:
+                raise WorkloadError("child CTA dimensions must be positive")
+            n = req.num_threads
+            if n <= 0:
+                raise WorkloadError(f"kernel {name!r} needs a 1-D non-empty grid")
+            # The remainder thread's items; every other thread carries ipt.
+            last = req.items - (n - 1) * ipt
+            if last < 0:
+                raise WorkloadError("thread_items must be non-negative")
+            if req.mem_stride != stride:
+                raise WorkloadError("merged requests must share one mem_stride")
+            if req.nested:
+                offset = ctas * tpc
+                for tid, reqs in req.nested.items():
+                    nested[offset + tid] = reqs
+            first_ctas.append(ctas)
+            parts.append((n, ipt, last, req.mem_base, ctas))
+            ctas += -(-n // tpc)
+        num_threads = ctas * tpc
+        if nested:
+            nested = normalize_requests(nested)
+            for tid in nested:
+                if tid < 0 or tid >= num_threads:
+                    raise WorkloadError(
+                        f"child request bound to thread {tid} outside kernel grid"
+                    )
+        self.name = name
+        self.depth = depth
+        self.threads_per_cta = tpc
+        self.regs_per_thread = first.regs_per_thread
+        self.shmem_per_cta = first.shmem_per_cta
+        self.cycles_per_item = first.cycles_per_item
+        self.accesses_per_item = first.accesses_per_item
+        self.mem_stride = stride
+        self.child_requests = nested
+        self.num_threads = num_threads
+        self.num_ctas = ctas
+        self.dec_tids = _decision_tids(nested)
+        self._wpc = (tpc + WARP_SIZE - 1) // WARP_SIZE
+        self._first_ctas = first_ctas
+        self._parts = parts
+
+    def cta(self, index: int) -> CTAPlan:
+        n, ipt, last, mem_base, first_cta = self._parts[
+            bisect_right(self._first_ctas, index) - 1
+        ]
+        tpc = self.threads_per_cta
+        local = (index - first_cta) * tpc  # the constituent's first thread here
+        m = n - local  # its threads in this CTA; the rest are pads
+        if m > tpc:  # the remainder thread is in a later CTA
+            m = tpc
+            last = ipt
+        executed = (m - 1) * ipt + last
+        # Warps holding constituent threads carry ipt, the remainder thread
+        # (never above ipt) only in a warp of its own; pad-only warps 0.
+        wpc = self._wpc
+        busy = (m + WARP_SIZE - 1) // WARP_SIZE
+        tail = last if (m - 1) % WARP_SIZE == 0 else ipt
+        if busy == wpc and (busy == 1 or tail == ipt):
+            per_warp = tail
+        else:
+            per_warp = [ipt] * (busy - 1)
+            per_warp.append(tail)
+            if busy < wpc:
+                per_warp += [0] * (wpc - busy)
+        start = index * tpc
+        stride = self.mem_stride
+        if stride <= 0:  # no region has a positive extent
+            return (start, start + tpc, wpc, executed, per_warp, 0, 0)
+        return (
+            start,
+            start + tpc,
+            wpc,
+            executed,
+            per_warp,
+            mem_base + local * ipt * stride,
+            stride * executed,
+        )
+
+
 def plan_of(spec):
-    """The spec's dispatch plan; a host or merged grid's is built on first
-    use and kept on the spec, a child grid is its own."""
-    if spec.__class__ is ChildGridPlan:
+    """The spec's dispatch plan; a host grid's is built on first use and
+    kept on the spec, a child or merged grid is its own."""
+    cls = spec.__class__
+    if cls is ChildGridPlan or cls is MergedGridPlan:
         return spec
     plan = spec.__dict__.get("_dispatch_plan")
     if plan is None:
@@ -616,6 +744,8 @@ class GPUSimulator:
                 continue
             smx = self._find_smx(shape)
             if smx is None:
+                # A shape no empty SMX holds would wait forever.
+                check_cta_fits(kernel.spec.name, shape, self.config)
                 failed.add(shape)
                 continue
             self._dispatch_cta(kernel, smx)
@@ -635,6 +765,7 @@ class GPUSimulator:
                 break
             smx = self._find_smx(shape)
             if smx is None:
+                check_cta_fits(head.spec.name, shape, self.config)
                 failed.add(shape)
                 break
             self._dispatch_cta(head, smx)
@@ -680,7 +811,10 @@ class GPUSimulator:
                 f"kernel {spec.name!r} has no CTAs left to dispatch"
             )
         kernel.next_cta_index = cta_index + 1
-        plan = spec if spec.__class__ is ChildGridPlan else plan_of(spec)
+        cls = spec.__class__
+        plan = (
+            spec if cls is ChildGridPlan or cls is MergedGridPlan else plan_of(spec)
+        )
         start, stop, num_warps, executed, per_warp, base, extent = plan.cta(
             cta_index
         )
@@ -1022,11 +1156,7 @@ class GPUSimulator:
         reqs = [entry[2] for entry in entries]
         leader = entries[0][0]
         parent = leader.kernel
-        spec = build_merged_spec(
-            reqs,
-            depth=parent.spec.depth + 1,
-            unpadded=self._merge_bug == "unpadded",
-        )
+        spec = self._merged_grid(reqs, parent.spec.depth + 1)
         stream = self.stream_policy.stream_for(parent.kernel_id, leader.cta_index)
         child = KernelInstance(
             next(self._kernel_ids),
@@ -1061,6 +1191,13 @@ class GPUSimulator:
                 ],
             )
         return child
+
+    def _merged_grid(self, reqs: List[ChildRequest], depth: int):
+        """A merged kernel's grid, in closed form; the test-only unpadded
+        grid is built by ``build_merged_spec``."""
+        if self._merge_bug == "unpadded":
+            return build_merged_spec(reqs, depth=depth, unpadded=True)
+        return MergedGridPlan(reqs, depth)
 
     def _flush_cta_merge(self, cta: CTAInstance, now: float) -> None:
         bucket = self._cta_merge.pop(cta, None)

@@ -7,7 +7,8 @@ Semantics reproduced from the paper's Section II-C:
   concurrently.
 * There are 32 hardware work queues (HWQs), so at most 32 kernels execute
   concurrently.  A SWQ with pending work must be *bound* to a free HWQ
-  before its head kernel's CTAs can be dispatched; binding is FCFS.
+  before its head kernel's CTAs can be dispatched; binding is FCFS
+  (``bind_policy="acs"`` reorders it, see :meth:`GMU._acs_select`).
 * Time a kernel spends in the GMU before its first CTA dispatches is the
   paper's *queuing latency*.
 
@@ -19,7 +20,8 @@ Table II).
 from __future__ import annotations
 
 from collections import deque
-from typing import Container, Deque, Dict, Iterator, List, Optional
+from heapq import heappop, heappush
+from typing import Container, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.tracer import HWQ_BIND, HWQ_RELEASE, NULL_TRACER, Tracer
@@ -66,8 +68,15 @@ class GMU:
         self._streams: Dict[int, Deque[KernelInstance]] = {}
         #: SWQ ids currently bound to a HWQ (insertion ordered).
         self._bound: Dict[int, None] = {}
-        #: SWQ ids waiting for a HWQ, FCFS.
-        self._wait_order: Deque[int] = deque()
+        #: SWQ ids waiting for a HWQ, in arrival order (insertion ordered,
+        #: so membership is one lookup and FCFS binds the first key).
+        self._wait_order: Dict[int, None] = {}
+        #: ACS binding order: one ``(-depth, CTAs, arrival, swq)`` entry per
+        #: waiting stream, pushed when it starts waiting (None under FCFS);
+        #: the arrival is ``kernels_submitted`` at that moment.
+        self._acs_heap: Optional[List[Tuple[int, int, int, int]]] = (
+            [] if bind_policy == "acs" else None
+        )
         #: Round-robin cursor over bound streams for CTA dispatch.
         self._rr_cursor = 0
         #: Cache of self._bound keys; rebuilt when bindings change.
@@ -123,7 +132,15 @@ class GMU:
         if swq in self._bound:
             self._refresh_head(swq)
         elif swq not in self._wait_order:
-            self._wait_order.append(swq)
+            # The stream was empty: ``kernel`` is its head while it waits.
+            self._wait_order[swq] = None
+            heap = self._acs_heap
+            if heap is not None:
+                heappush(
+                    heap,
+                    (-kernel.spec.depth, kernel.unfinished_ctas,
+                     self.kernels_submitted, swq),
+                )
             self._bind_waiting_streams()
 
     def _bind_waiting_streams(self) -> None:
@@ -131,9 +148,10 @@ class GMU:
             if self.bind_policy == "acs":
                 swq = self._acs_select()
             elif self.lifo_bind:
-                swq = self._wait_order.pop()
+                swq = self._wait_order.popitem()[0]
             else:
-                swq = self._wait_order.popleft()
+                swq = next(iter(self._wait_order))
+                del self._wait_order[swq]
             queue = self._streams.get(swq)
             if not queue:
                 continue
@@ -157,20 +175,14 @@ class GMU:
         fastest); FCFS arrival position breaks remaining ties.  Only
         cross-stream binding order changes — within a stream the kernel
         FIFO is untouched.
+
+        A waiting stream's head is the kernel that started the wait: only
+        a bound stream's head retires, so it stays the head and keeps
+        every CTA undispatched until the stream binds.  Its rank is
+        therefore fixed when the wait starts, and binding is a heap pop.
         """
-        best_index = 0
-        best_rank = None
-        for index, swq in enumerate(self._wait_order):
-            queue = self._streams.get(swq)
-            if not queue:
-                continue
-            head = queue[0]
-            rank = (head.spec.depth, -head.unfinished_ctas)
-            if best_rank is None or rank > best_rank:
-                best_rank = rank
-                best_index = index
-        swq = self._wait_order[best_index]
-        del self._wait_order[best_index]
+        swq = heappop(self._acs_heap)[3]
+        del self._wait_order[swq]
         return swq
 
     def _refresh_head(self, swq: int) -> None:

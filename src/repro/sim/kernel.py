@@ -108,6 +108,27 @@ class ChildRequest:
         )
 
 
+def check_cta_fits(name: str, shape, config: GPUConfig) -> None:
+    """Raise :class:`ResourceError` if a CTA of ``shape`` (threads,
+    registers, shared-memory bytes) can never fit on one empty SMX."""
+    threads, regs, shmem = shape
+    if threads > config.max_threads_per_smx:
+        raise ResourceError(
+            f"kernel {name!r}: {threads} threads/CTA "
+            f"exceeds SMX thread limit {config.max_threads_per_smx}"
+        )
+    if regs > config.registers_per_smx:
+        raise ResourceError(
+            f"kernel {name!r}: CTA needs {regs} registers, SMX has "
+            f"{config.registers_per_smx}"
+        )
+    if shmem > config.shared_mem_per_smx:
+        raise ResourceError(
+            f"kernel {name!r}: CTA needs {shmem}B shared "
+            f"memory, SMX has {config.shared_mem_per_smx}B"
+        )
+
+
 def normalize_requests(mapping) -> Dict[int, List[ChildRequest]]:
     """Accept {tid: request} or {tid: [requests...]} and return the latter."""
     normalized: Dict[int, List[ChildRequest]] = {}
@@ -200,22 +221,15 @@ class KernelSpec:
 
     def check_fits(self, config: GPUConfig) -> None:
         """Raise :class:`ResourceError` if a CTA can never fit on one SMX."""
-        if self.threads_per_cta > config.max_threads_per_smx:
-            raise ResourceError(
-                f"kernel {self.name!r}: {self.threads_per_cta} threads/CTA "
-                f"exceeds SMX thread limit {config.max_threads_per_smx}"
-            )
-        regs = self.threads_per_cta * self.regs_per_thread
-        if regs > config.registers_per_smx:
-            raise ResourceError(
-                f"kernel {self.name!r}: CTA needs {regs} registers, SMX has "
-                f"{config.registers_per_smx}"
-            )
-        if self.shmem_per_cta > config.shared_mem_per_smx:
-            raise ResourceError(
-                f"kernel {self.name!r}: CTA needs {self.shmem_per_cta}B shared "
-                f"memory, SMX has {config.shared_mem_per_smx}B"
-            )
+        check_cta_fits(
+            self.name,
+            (
+                self.threads_per_cta,
+                self.threads_per_cta * self.regs_per_thread,
+                self.shmem_per_cta,
+            ),
+            config,
+        )
 
     def total_child_items(self) -> int:
         """Offloadable work items attached to this kernel's threads."""

@@ -21,13 +21,17 @@ zero-extent memory regions are masked out of the footprint model
 (:meth:`repro.sim.memory.MemorySystem.region_lines_arrays` skips
 ``extents <= 0``).
 
-Merged grids set ``contiguous_footprint=False``: the uniform per-warp count
-of a child grid assumes one request, which a merged grid is not.  Their
-dispatch plan (:class:`repro.sim.engine.GridPlan`) instead finds each
-CTA's exact per-warp maxima and checks whether its positive-extent regions
-tile one range.  A padded merged CTA holds the threads of one constituent,
-whose regions tile, plus zero-extent pads, so every such CTA streams its
-footprint as one ``(base, extent)`` range.
+The engine never builds these arrays: it launches the closed form of the
+merged grid, :class:`repro.sim.engine.MergedGridPlan`, which plans each
+merged CTA as one constituent's child CTA plus pad threads.  The
+:class:`KernelSpec` built here is what the reference simulator runs, and
+what the engine runs under the test-only ``merge_bug="unpadded"``.  It
+sets ``contiguous_footprint=False``, so its dispatch plan
+(:class:`repro.sim.engine.GridPlan`) finds each CTA's exact per-warp
+maxima and checks whether its positive-extent regions tile one range.
+A padded merged CTA holds the threads of one constituent, whose regions
+tile, plus zero-extent pads, so every such CTA streams its footprint as
+one ``(base, extent)`` range.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import WorkloadError
 from repro.sim.kernel import ChildRequest, KernelSpec
 
 
@@ -67,6 +72,12 @@ def build_merged_spec(
     """One :class:`KernelSpec` covering every request in ``requests``.
 
     All requests must share a :func:`merge_key` (the caller groups by it).
+    The CTA width, per-item costs, registers and shared memory are the
+    first request's; each constituent keeps its own ``items_per_thread``.
+    A group whose strides differ, or a request changed after construction
+    into one that describes no grid, raises
+    :class:`~repro.errors.WorkloadError`.
+
     ``unpadded=True`` is a TEST-ONLY seeded bug: constituents are
     concatenated without the conservation padding, so the merged grid can
     repack threads across CTA boundaries and launch *fewer* CTAs than the
@@ -74,15 +85,25 @@ def build_merged_spec(
     exists to catch.  Never set outside tests.
     """
     if not requests:
-        raise ValueError("cannot merge zero requests")
+        raise WorkloadError("cannot merge zero requests")
     first = requests[0]
+    name = f"{first.name}+merge{len(requests)}"
     tpc = first.cta_threads
+    if tpc <= 0:
+        raise WorkloadError("child CTA dimensions must be positive")
     items_parts: List[np.ndarray] = []
     bases_parts: List[np.ndarray] = []
     child_requests = {}
     offset = 0
     for req in requests:
+        if req.items_per_thread <= 0:
+            raise WorkloadError("child CTA dimensions must be positive")
+        if req.mem_stride != first.mem_stride:
+            # Bases step by the request's stride, extents by the first's.
+            raise WorkloadError("merged requests must share one mem_stride")
         n = req.num_threads
+        if n <= 0:
+            raise WorkloadError(f"kernel {name!r} needs a 1-D non-empty grid")
         items = np.full(n, req.items_per_thread, dtype=np.int64)
         items[-1] = req.items - (n - 1) * req.items_per_thread
         bases = (
@@ -98,7 +119,7 @@ def build_merged_spec(
         items_parts.append(items)
         bases_parts.append(bases)
         for tid, reqs in req.nested.items():
-            child_requests[offset + tid] = list(reqs)
+            child_requests[offset + tid] = reqs  # KernelSpec normalizes
         offset += n + pad
     thread_items = (
         np.concatenate(items_parts) if len(items_parts) > 1 else items_parts[0]
@@ -107,7 +128,7 @@ def build_merged_spec(
         np.concatenate(bases_parts) if len(bases_parts) > 1 else bases_parts[0]
     )
     return KernelSpec(
-        name=f"{first.name}+merge{len(requests)}",
+        name=name,
         threads_per_cta=min(tpc, int(thread_items.size)),
         thread_items=thread_items,
         regs_per_thread=first.regs_per_thread,

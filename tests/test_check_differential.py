@@ -23,8 +23,11 @@ from hypothesis import strategies as st
 from repro.check import ReferenceEventQueue, run_differential
 from repro.check.reference import ReferenceLRUCache
 from repro.core.policies import SpawnPolicy
+from repro.obs.tracer import HWQ_BIND, Tracer
 from repro.sim.config import CacheConfig, GPUConfig, small_debug_gpu
+from repro.sim.engine import GPUSimulator
 from repro.sim.events import EventQueue
+from repro.sim.kernel import Application
 from repro.sim.memory import SetAssociativeCache
 
 from tests.strategies import POLICIES, micro_apps, policies, rich_apps
@@ -143,32 +146,90 @@ def test_fixed_app_acs_differential(gpu):
     assert mismatch is None, str(mismatch)
 
 
+def amr_slice(nested_threads: int, plain_threads: int):
+    """AMR's first time step cut to its first threads whose children launch
+    grandchildren, and its first threads whose children do not."""
+    from repro.workloads import get_benchmark
+
+    bench = get_benchmark("AMR")
+    host = bench.dp(1).kernels[0]
+    requests = host.child_requests
+    nested = [t for t in sorted(requests) if any(r.nested for r in requests[t])]
+    plain = [t for t in sorted(requests) if t not in set(nested)]
+    tids = sorted(nested[:nested_threads] + plain[:plain_threads])
+    spec = dataclasses.replace(
+        host,
+        name="AMR-slice",
+        thread_items=host.thread_items[tids],
+        mem_bases=host.mem_bases[tids],
+        child_requests={index: requests[t] for index, t in enumerate(tids)},
+    )
+    return bench, Application(name="AMR-slice", kernels=[spec])
+
+
+@pytest.mark.parametrize("gpu", list(GPUS))
+def test_fixed_nested_app_acs_differential(gpu):
+    """ACS on a nested app (depth 2) with 2 HWQs: the heap binds in the
+    reference scan's order, which is not the FCFS order."""
+    from repro.core.policies import StaticThresholdPolicy
+
+    bench, app = amr_slice(8, 24)
+    config = dataclasses.replace(GPUS[gpu], num_hwq=2)
+
+    def policy():
+        return StaticThresholdPolicy(bench.default_threshold)
+
+    mismatch = run_differential(
+        app, config=config, policy_factory=policy,
+        sim_kwargs={"bind_policy": "acs"},
+    )
+    assert mismatch is None, str(mismatch)
+    orders = {}
+    for bind_policy in ("fcfs", "acs"):
+        tracer = Tracer()
+        result = GPUSimulator(config=config, policy=policy(), tracer=tracer,
+                              bind_policy=bind_policy).run(app)
+        orders[bind_policy] = [
+            event.args["swq"] for event in tracer.events()
+            if event.kind == HWQ_BIND
+        ]
+        assert max(k.depth for k in result.stats.kernels.values()) == 2
+    assert orders["acs"] != orders["fcfs"]
+
+
 # ---------------------------------------------------------------------------
 # Slow hypothesis sweeps
 # ---------------------------------------------------------------------------
+#: SWQ->HWQ binding: the paper's FCFS, or ACS's heap against the scan.
+BIND_POLICIES = st.sampled_from(["fcfs", "acs"])
+
+
 @pytest.mark.slow
 @given(
     app=micro_apps(),
     policy_idx=st.integers(min_value=0, max_value=len(POLICIES) - 1),
+    bind_policy=BIND_POLICIES,
 )
 @settings(max_examples=40, deadline=None)
-def test_differential_micro_apps(app, policy_idx):
+def test_differential_micro_apps(app, policy_idx, bind_policy):
     mismatch = run_differential(
         app,
         config=small_debug_gpu(),
         policy_factory=POLICIES[policy_idx],
+        sim_kwargs={"bind_policy": bind_policy},
     )
     assert mismatch is None, str(mismatch)
 
 
 @pytest.mark.slow
-@given(app=rich_apps(), policy_factory=policies())
+@given(app=rich_apps(), policy_factory=policies(), bind_policy=BIND_POLICIES)
 @settings(max_examples=15, deadline=None)
-def test_differential_rich_apps(app, policy_factory):
+def test_differential_rich_apps(app, policy_factory, bind_policy):
     mismatch = run_differential(
         app,
         config=small_debug_gpu(),
         policy_factory=policy_factory,
+        sim_kwargs={"bind_policy": bind_policy},
     )
     assert mismatch is None, str(mismatch)
 

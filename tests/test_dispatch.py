@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.sim.config import WARP_SIZE, MemoryConfig
-from repro.sim.engine import ChildGridPlan, GridPlan, plan_of
+from repro.sim.engine import ChildGridPlan, GridPlan, MergedGridPlan, plan_of
 from repro.sim.kernel import ChildRequest, KernelSpec, spec_from_request
 from repro.sim.memory import MemorySystem
 from repro.sim.merge import build_merged_spec
@@ -155,6 +155,108 @@ def test_mutated_requests_are_rejected_exactly_when_spec_from_request_rejects(
     plan = GridPlan(spec)
     for index in range(spec.num_ctas):
         assert grid.cta(index) == plan.cta(index)
+
+
+def spelt_out(plan):
+    """``plan`` with a per-warp maximum that every warp shares listed per
+    warp, as ``GridPlan`` lists it."""
+    start, stop, num_warps, executed, per_warp, base, extent = plan
+    if not isinstance(per_warp, list):
+        per_warp = [per_warp] * num_warps
+    return start, stop, num_warps, executed, per_warp, base, extent
+
+
+@st.composite
+def merge_groups(draw):
+    """1-6 requests sharing a merge key, as the engine buffers them:
+    constituents smaller than one CTA, a remainder thread alone in its CTA
+    or its warp, zero stride, ``cta_threads % 32 == 1``, nested requests."""
+    per_thread = draw(st.integers(min_value=1, max_value=9))
+    cta_threads = draw(st.one_of(st.integers(min_value=1, max_value=300),
+                                 st.sampled_from([1, 33, 65, 97, 129, 257])))
+    key = dict(
+        cta_threads=cta_threads, items_per_thread=per_thread,
+        regs_per_thread=draw(st.integers(1, 64)),
+        shmem_per_cta=draw(st.integers(0, 4096)),
+        cycles_per_item=draw(st.floats(0, 100, allow_nan=False)),
+        accesses_per_item=draw(st.floats(0, 4, allow_nan=False)),
+        mem_stride=draw(st.sampled_from([0, 0, 1, 4, 8, 16])),
+    )
+    requests = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        shape = draw(st.sampled_from(["small", "lone in CTA", "lone in warp", "any"]))
+        if shape == "small":
+            num_threads = draw(st.integers(min_value=1, max_value=cta_threads))
+        elif shape == "lone in CTA":
+            num_threads = draw(st.integers(0, 4)) * cta_threads + 1
+        elif shape == "lone in warp":
+            num_threads = draw(st.integers(0, 9)) * WARP_SIZE + 1
+        else:
+            num_threads = draw(st.integers(min_value=1, max_value=700))
+        tids = draw(st.lists(st.integers(0, num_threads - 1), max_size=3,
+                             unique=True))
+        requests.append(ChildRequest(
+            name=draw(st.sampled_from(["c", "expand"])),
+            items=(num_threads - 1) * per_thread
+            + draw(st.integers(min_value=1, max_value=per_thread)),
+            mem_base=draw(st.integers(min_value=-1024, max_value=10**9)),
+            nested={
+                tid: [ChildRequest(name="g", items=draw(st.integers(1, 40)),
+                                   cta_threads=draw(st.integers(1, 64)))
+                      for _ in range(draw(st.integers(1, 2)))]
+                for tid in tids
+            },
+            **key,
+        ))
+    return requests
+
+
+def assert_same_grid(grid: MergedGridPlan, spec: KernelSpec) -> None:
+    """The closed form reads as the array-built merged grid, CTA by CTA."""
+    for name in ENGINE_FIELDS:
+        assert getattr(grid, name) == getattr(spec, name), name
+    assert plan_of(grid) is grid
+    plan = GridPlan(spec)
+    assert grid.dec_tids == plan.dec_tids
+    for index in range(spec.num_ctas):
+        closed = grid.cta(index)
+        assert spelt_out(closed) == plan.cta(index) == sliced(spec, index)
+        per_warp = plan.cta(index)[4]
+        # One int exactly where every warp shares a maximum.
+        assert isinstance(closed[4], list) == (len(set(per_warp)) > 1)
+        assert all(type(value) is int for value in closed[:4] + closed[5:])
+
+
+@given(reqs=merge_groups(), depth=st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_merged_plan_is_the_closed_form_of_the_merged_grid(reqs, depth):
+    assert_same_grid(MergedGridPlan(reqs, depth),
+                     build_merged_spec(reqs, depth=depth))
+
+
+#: ``MUTATIONS`` plus a stride that may differ from the group's.
+MERGE_MUTATIONS = dict(MUTATIONS, mem_stride=[0, 3, 4])
+
+
+@given(reqs=merge_groups(), field=st.sampled_from(sorted(MERGE_MUTATIONS)),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_merge_groups_are_rejected_exactly_when_build_merged_spec_rejects(
+    reqs, field, data
+):
+    victim = reqs[data.draw(st.integers(0, len(reqs) - 1))]
+    value = data.draw(st.sampled_from(MERGE_MUTATIONS[field]))
+    if field == "nested":
+        value = _mutated_nested(value, victim.num_threads)
+    setattr(victim, field, value)  # after construction: no __post_init__
+    spec, spec_error = _outcome(lambda: build_merged_spec(reqs, depth=1))
+    grid, grid_error = _outcome(lambda: MergedGridPlan(reqs, 1))
+    if spec_error is not None:
+        assert isinstance(spec_error, WorkloadError), spec_error
+        assert isinstance(grid_error, WorkloadError), (spec_error, grid_error)
+        return
+    assert grid_error is None, grid_error
+    assert_same_grid(grid, spec)
 
 
 @given(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.policies import AlwaysLaunchPolicy, DTBLPolicy
-from repro.errors import SimulationError
+from repro.core.policies import AggregatePolicy, AlwaysLaunchPolicy, DTBLPolicy
+from repro.errors import ResourceError, SimulationError
 from repro.sim.config import GPUConfig, small_debug_gpu
 from repro.sim.engine import GPUSimulator
 from repro.sim.instances import KernelState
@@ -65,6 +65,42 @@ class TestDegenerateGrids:
             Application(name="p", kernels=[spec]), policy=AlwaysLaunchPolicy()
         )
         assert result.stats.child_kernels_launched == 1
+
+
+#: Children no empty SMX can hold, alone or once padded into a merged grid
+#: (each 100-thread child alone shrinks its CTA to 100 threads).
+_PART = ChildRequest(name="part", items=100, cta_threads=4096)
+NEVER_FITS = {
+    "threads": (
+        {0: ChildRequest(name="wide", items=5000, cta_threads=4096)},
+        AlwaysLaunchPolicy,
+        "kernel 'wide': 4096 threads/CTA exceeds SMX thread limit 2048",
+    ),
+    "registers": (
+        {0: ChildRequest(name="heavy", items=5000, cta_threads=256,
+                         regs_per_thread=255)},
+        AlwaysLaunchPolicy,
+        "kernel 'heavy': CTA needs 65280 registers, SMX has 16384",
+    ),
+    "merged": (
+        {0: _PART, 1: _PART},
+        lambda: AggregatePolicy(0, "block"),
+        r"kernel 'part\+merge2': 4096 threads/CTA exceeds SMX thread limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NEVER_FITS))
+def test_child_cta_no_smx_holds_is_a_resource_error(case):
+    """It fails typed, naming its kernel, instead of leaving the kernel
+    queued until the run drains."""
+    requests, policy, message = NEVER_FITS[case]
+    spec = KernelSpec(name="host", threads_per_cta=32,
+                      thread_items=np.ones(32, dtype=np.int64),
+                      child_requests=requests)
+    sim = GPUSimulator(config=GPUConfig(), policy=policy())
+    with pytest.raises(ResourceError, match=message):
+        sim.run(Application(name="host", kernels=[spec]))
 
 
 class TestStreamPressure:
