@@ -213,8 +213,6 @@ def run_suite(
 def serve(
     *,
     jobs: int = 2,
-    deadline_ms: Optional[float] = None,
-    inline_threshold_ms: float = 0.0,
     max_batch: int = 8,
     max_queue: Optional[int] = None,
     store_url: Optional[str] = None,
@@ -228,14 +226,14 @@ def serve(
 
     The async serving entry point::
 
-        async with serve(jobs=2, deadline_ms=500.0) as svc:
+        async with serve(jobs=2, max_queue=64) as svc:
             job = await submit(svc, ("BFS-graph500", "spawn"))
             [result] = await gather(svc, [job])
 
-    Requests whose predicted queue delay exceeds ``deadline_ms`` are
-    rejected with :class:`ServiceOverloaded` (the predicted-delay
-    evidence is attached as ``.decision``); requests predicted cheaper
-    than ``inline_threshold_ms`` run directly on the event-loop thread.
+    With ``max_queue`` set, a request that neither coalesces nor hits
+    the cache is rejected with :class:`ServiceOverloaded` while that
+    many jobs are admitted and unfinished; the error carries
+    ``queue_depth`` and ``max_queue``.
 
     ``store_url`` (``dir://`` or ``sqlite://``) is shorthand for
     ``store=open_store(store_url)``.  It cannot be combined with
@@ -247,13 +245,7 @@ def serve(
             "serve(store_url=...) opens its own store; pass store_url, "
             "or runner/store, not both"
         )
-    config = ServiceConfig(
-        jobs=jobs,
-        deadline_ms=deadline_ms,
-        inline_threshold_ms=inline_threshold_ms,
-        max_batch=max_batch,
-        max_queue=max_queue,
-    )
+    config = ServiceConfig(jobs=jobs, max_batch=max_batch, max_queue=max_queue)
     if store_url is not None:
         store = open_store(store_url)
     runner = _runner_for("serve", runner, store=store)

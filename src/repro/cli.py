@@ -35,12 +35,11 @@ Commands
 ``serve [REQUESTS.json]``
     Drive the in-process simulation service with scripted or synthetic
     traffic: duplicate requests are coalesced, cache hits are answered
-    without touching the pool, and everything else flows through the
-    SPAWN-style admission controller (admit to the batch queue, run
-    inline, or shed with a predicted-delay reason once ``--deadline-ms``
-    is exceeded).  ``--stats`` prints the admission ledger, latency
-    percentiles, and cost model; ``--stats-json FILE`` saves it
-    machine-readably.  Honours ``REPRO_FAULTS`` like ``suite``.
+    without touching the pool, and everything else is batched onto the
+    pool, or shed once ``--max-queue`` jobs are admitted and unfinished.
+    ``--stats`` prints the routing ledger and latency percentiles;
+    ``--stats-json FILE`` saves them machine-readably.  Honours
+    ``REPRO_FAULTS`` like ``suite``.
 
 Examples
 --------
@@ -54,7 +53,7 @@ Examples
     python -m repro suite --jobs 4
     python -m repro check
     python -m repro cache stats
-    python -m repro serve --synthetic 100 --deadline-ms 2000 --stats
+    python -m repro serve --synthetic 100 --max-queue 16 --stats
     python -m repro serve requests.json --jobs 4 --stats-json stats.json
 """
 
@@ -229,17 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--jobs", type=int, default=2,
                        help="pool worker processes per batch (default: 2)")
-    serve.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
-                       help="shed requests once predicted queue delay exceeds "
-                            "this (default: never shed)")
-    serve.add_argument("--inline-ms", type=float, default=0.0, metavar="MS",
-                       help="run jobs predicted cheaper than this directly on "
-                            "the service thread (default: 0 = never inline)")
     serve.add_argument("--max-batch", type=int, default=8, metavar="N",
                        help="jobs per pool dispatch (default: 8)")
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
-                       help="hard queue-depth cap; beyond it requests shed "
-                            "(default: unbounded)")
+                       help="shed a request that neither coalesces nor hits "
+                            "the cache while N jobs are admitted and "
+                            "unfinished (default: unbounded)")
     serve.add_argument("--synthetic", type=int, default=20, metavar="N",
                        help="without a request file, generate N seeded "
                             "requests (default: 20)")
@@ -247,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for --synthetic traffic (default: 1)")
     _add_store_argument(serve, no_store=True)
     serve.add_argument("--stats", action="store_true",
-                       help="print the admission ledger, latency percentiles, "
-                            "and cost-model snapshot after draining")
+                       help="print the routing ledger and latency "
+                            "percentiles after draining")
     serve.add_argument("--stats-json", default=None, metavar="FILE",
                        help="write the service stats as JSON")
 
@@ -682,11 +676,7 @@ def cmd_serve(args, out) -> int:
         print("error: no requests to serve", file=sys.stderr)
         return 2
     config = ServiceConfig(
-        jobs=args.jobs,
-        deadline_ms=args.deadline_ms,
-        inline_threshold_ms=args.inline_ms,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
+        jobs=args.jobs, max_batch=args.max_batch, max_queue=args.max_queue
     )
     faults = FaultPlan.from_env()
     if faults is not None:
@@ -715,19 +705,18 @@ def cmd_serve(args, out) -> int:
         f"served {len(requests)} requests from {source}: "
         f"completed={stats.completed} failed={stats.failed} "
         f"shed={stats.shed} coalesced={stats.coalesced} "
-        f"cache_hits={stats.cache_hits} inline={stats.inline} "
+        f"cache_hits={stats.cache_hits} "
         f"batches={stats.batches} lost={stats.lost}",
         file=sys.stderr,
     )
     if args.stats:
         payload = stats.to_dict()
-        model = payload.pop("model")
         latency = payload.pop("latency")
         print(
             format_table(
                 ["counter", "value"],
                 sorted(payload.items()),
-                title="service admission ledger",
+                title="service routing ledger",
             ),
             file=out,
         )
@@ -739,26 +728,6 @@ def cmd_serve(args, out) -> int:
                     ["span", "count", "p50_ms", "p95_ms", "p99_ms"],
                     latency_rows,
                     title="service latency percentiles",
-                ),
-                file=out,
-            )
-        if model:
-            print(file=out)
-            print(
-                format_table(
-                    ["pair", "predicted_s", "samples", "cycles_per_s"],
-                    [
-                        (
-                            pair,
-                            f"{entry['seconds']:.4f}",
-                            entry["samples"],
-                            f"{entry['cycles_per_second']:.0f}"
-                            if entry.get("cycles_per_second")
-                            else "-",
-                        )
-                        for pair, entry in sorted(model.items())
-                    ],
-                    title="cost model snapshot (windowed EWMA)",
                 ),
                 file=out,
             )

@@ -67,20 +67,18 @@ class ConformanceError(ReproError):
 
 
 class ServiceOverloaded(HarnessError):
-    """The simulation service shed this request at admission time.
+    """The simulation service shed this request at its queue cap.
 
-    The SPAWN-analog rejection of :mod:`repro.service`: the admission
-    controller predicted that the request would wait in the queue longer
-    than the configured deadline (or that the queue is at capacity) and
-    declined it instead of letting it rot.  Carries the full
-    :class:`~repro.service.admission.AdmissionDecision` as ``decision``,
-    so callers can inspect the predicted delay, the deadline it exceeded,
-    and the queue depth at rejection time.
+    Raised by :meth:`repro.service.SimulationService.submit` when a
+    request neither coalesces nor hits the cache while ``max_queue`` jobs
+    are admitted and unfinished.  Carries ``queue_depth``, that count at
+    rejection time, and ``max_queue``, the cap it reached.
     """
 
-    def __init__(self, message: str, *, decision=None):
+    def __init__(self, message: str, *, queue_depth: int, max_queue: int):
         super().__init__(message)
-        self.decision = decision
+        self.queue_depth = queue_depth
+        self.max_queue = max_queue
 
 
 class ServiceClosed(HarnessError):

@@ -53,7 +53,6 @@ from repro.obs.tracer import (
     SERVICE_CACHE_HIT,
     SERVICE_COALESCE,
     SERVICE_COMPLETE,
-    SERVICE_INLINE,
     SERVICE_QUARANTINE,
     SERVICE_SHED,
     SERVICE_SUBMIT,
@@ -79,7 +78,7 @@ _SERVICE_IMMEDIATE = frozenset(
     {SERVICE_CACHE_HIT, SERVICE_COALESCE, SERVICE_SHED}
 )
 
-#: Kinds that close an admitted/inline request slice.
+#: Kinds that close an admitted request slice.
 _SERVICE_TERMINAL = frozenset({SERVICE_COMPLETE, SERVICE_QUARANTINE})
 
 
@@ -316,8 +315,8 @@ def _wall_clock_tracks(
     # before any other submit can run on the event loop), so last-wins
     # matching is exact, not heuristic.
     pending_submit = None
-    # (benchmark, scheme) -> FIFO of (submit_event, lane, route) for
-    # admitted/inline jobs awaiting their COMPLETE/QUARANTINE.
+    # (benchmark, scheme) -> FIFO of (submit_event, lane) for admitted
+    # jobs awaiting their COMPLETE/QUARANTINE.
     open_requests: Dict[Tuple[str, str], List] = {}
     service_seen = False
     harness_seen = False
@@ -376,19 +375,18 @@ def _wall_clock_tracks(
                         "cat": "service", "args": public_args(args),
                     }
                 )
-        elif kind in (SERVICE_ADMIT, SERVICE_INLINE):
-            route = "inline" if kind == SERVICE_INLINE else "batch"
+        elif kind == SERVICE_ADMIT:
             if pending_submit is not None:
                 open_requests.setdefault(key, []).append(
-                    (pending_submit, alloc_lane(), route)
+                    (pending_submit, alloc_lane())
                 )
                 pending_submit = None
         elif kind in _SERVICE_TERMINAL:
             waiting = open_requests.get(key)
             if waiting:
-                submit, lane, route = waiting.pop(0)
+                submit, lane = waiting.pop(0)
                 suffix = (
-                    "quarantine" if kind == SERVICE_QUARANTINE else route
+                    "quarantine" if kind == SERVICE_QUARANTINE else "batch"
                 )
                 close_slice(
                     submit, lane, f"{suffix}:{pair}",

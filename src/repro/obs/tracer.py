@@ -67,9 +67,8 @@ HARNESS_SERIAL_FALLBACK = "harness.serial_fallback"  # degraded to in-process
 SERVICE_SUBMIT = "service.submit"  # a request entered the service
 SERVICE_COALESCE = "service.coalesce"  # duplicate joined an in-flight job
 SERVICE_CACHE_HIT = "service.cache_hit"  # answered from the result cache
-SERVICE_ADMIT = "service.admit"  # admission controller sent it to the pool
-SERVICE_INLINE = "service.inline"  # small job ran on the event-loop thread
-SERVICE_SHED = "service.shed"  # rejected with ServiceOverloaded
+SERVICE_ADMIT = "service.admit"  # queued for the batching scheduler
+SERVICE_SHED = "service.shed"  # rejected at the queue cap (ServiceOverloaded)
 SERVICE_BATCH = "service.batch"  # one batch dispatched to the pool
 SERVICE_COMPLETE = "service.complete"  # a job resolved successfully
 SERVICE_QUARANTINE = "service.quarantine"  # a job failed past its retries

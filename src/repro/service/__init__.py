@@ -1,15 +1,13 @@
-"""Batched async simulation service with SPAWN-style admission control.
+"""Batched async simulation service with a queue cap.
 
 The serving layer on top of the harness: an asyncio, in-process service
 that accepts RunConfig-shaped requests, coalesces duplicates, answers
-cache hits without touching the pool, prices everything else through an
-online cost model (the paper's estimate-before-you-launch idea applied
-to the service itself), and batches admitted jobs into
+cache hits without touching the pool, sheds a miss only when
+``ServiceConfig.max_queue`` jobs are already admitted and unfinished, and
+batches admitted jobs into
 :class:`~repro.harness.parallel.ParallelRunner` dispatches.
 
 * :mod:`repro.service.jobs` — request/job model and the stats ledger;
-* :mod:`repro.service.admission` — windowed-EWMA cost model and the
-  Algorithm 1-analog admission controller (admit / inline / shed);
 * :mod:`repro.service.scheduler` — FIFO batch scheduler over the pool;
 * :mod:`repro.service.service` — the :class:`SimulationService` façade;
 * :mod:`repro.service.traffic` — deterministic seeded traffic, the
@@ -18,15 +16,6 @@ to the service itself), and batches admitted jobs into
 """
 
 from repro.errors import ServiceClosed, ServiceOverloaded
-from repro.service.admission import (
-    ADMIT,
-    INLINE,
-    SHED,
-    AdmissionController,
-    AdmissionDecision,
-    CostModel,
-    WindowedEWMA,
-)
 from repro.service.jobs import RequestLike, ServiceJob, ServiceStats
 from repro.service.scheduler import BatchScheduler
 from repro.service.service import ServiceConfig, SimulationService
@@ -40,13 +29,7 @@ from repro.service.traffic import (
 )
 
 __all__ = [
-    "ADMIT",
-    "INLINE",
-    "SHED",
-    "AdmissionController",
-    "AdmissionDecision",
     "BatchScheduler",
-    "CostModel",
     "DEFAULT_MATRIX",
     "RequestLike",
     "ServiceClosed",
@@ -56,7 +39,6 @@ __all__ = [
     "ServiceStats",
     "SimulationService",
     "TrafficRequest",
-    "WindowedEWMA",
     "drive_service",
     "dump_requests",
     "generate_traffic",

@@ -9,8 +9,6 @@ holds while the simulation is pending.
 Jobs move through a small, strictly forward state machine::
 
     QUEUED ──> BATCHED ──> DONE | FAILED
-       │
-       └──> INLINE ──────> DONE | FAILED        (small-job fast path)
 
     CACHED              (resolved at submit time, never queued)
 
@@ -18,7 +16,7 @@ Duplicate submissions never create a second job: a request whose
 :meth:`RunConfig.key` matches an in-flight job *coalesces* onto it
 (``waiters`` counts how many submissions share the handle), so the pool
 simulates each unique config at most once no matter how hot the traffic
-is.  Shed requests (see :mod:`repro.service.admission`) raise
+is.  Requests shed by the queue cap (``ServiceConfig.max_queue``) raise
 :class:`~repro.errors.ServiceOverloaded` at submit time and never become
 jobs at all.
 
@@ -42,7 +40,6 @@ from repro.sim.engine import SimResult
 #: Job lifecycle states.
 QUEUED = "queued"  # admitted, waiting for a batch slot
 BATCHED = "batched"  # currently part of a pool dispatch
-INLINE = "inline"  # ran on the event-loop thread ("parent does the work")
 CACHED = "cached"  # answered from the result cache at submit time
 DONE = "done"
 FAILED = "failed"  # quarantined by the execution layer
@@ -75,15 +72,13 @@ class ServiceJob:
     """
 
     __slots__ = (
-        "config", "state", "decision", "waiters", "_future",
+        "config", "state", "waiters", "_future",
         "submitted_at", "dispatched_at", "finished_at",
     )
 
-    def __init__(self, config: RunConfig, *, decision=None):
+    def __init__(self, config: RunConfig):
         self.config = config
         self.state = QUEUED
-        #: The AdmissionDecision that let this job in (None for cache hits).
-        self.decision = decision
         self.waiters = 1
         # Wall-clock (perf_counter) span stamps for the latency metrics:
         # submit -> dispatch (queue wait) -> finish (end-to-end).  Stages
@@ -149,7 +144,6 @@ class ServiceStats:
     coalesced: int = 0  # duplicates attached to an in-flight job
     cache_hits: int = 0  # answered from the runner cache, no job created
     admitted: int = 0  # unique jobs handed to the batching scheduler
-    inline: int = 0  # unique jobs run on the event-loop thread
 
     # -- batching / pool aggregates (from SuiteReports)
     batches: int = 0
@@ -161,9 +155,6 @@ class ServiceStats:
     quarantined: int = 0  # unique jobs quarantined by the execution layer
     max_batch_size: int = 0
     peak_queue_depth: int = 0
-
-    #: Cost-model snapshot, filled in by :meth:`SimulationService.stats`.
-    model: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     #: Latency digest (end-to-end, queue-wait, per-route percentiles)
     #: sourced from the service's :mod:`repro.obs.metrics` histograms,
@@ -182,13 +173,12 @@ class ServiceStats:
             name: getattr(self, name)
             for name in (
                 "submitted", "completed", "failed", "shed", "in_flight",
-                "coalesced", "cache_hits", "admitted", "inline",
+                "coalesced", "cache_hits", "admitted",
                 "batches", "pool_runs", "pool_resumed", "retries",
                 "timeouts", "worker_crashes", "quarantined",
                 "max_batch_size", "peak_queue_depth",
             )
         }
         out["lost"] = self.lost
-        out["model"] = self.model
         out["latency"] = self.latency
         return out

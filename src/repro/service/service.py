@@ -3,20 +3,21 @@
 ``SimulationService`` is the long-running, in-process entry point the
 rest of the stack has been building toward: callers ``submit``
 RunConfig-shaped requests and await the handles; the service decides —
-per request, before any work happens — whether to answer from cache,
-coalesce onto an in-flight duplicate, run inline on the event-loop
-thread, batch onto the worker pool, or shed.  The decision pipeline, in
-order::
+per request, before any work happens — whether to coalesce onto an
+in-flight duplicate, answer from cache, batch onto the worker pool, or
+shed.  The routing, in order::
 
     submit(request)
       1. coalesce     duplicate of an in-flight job?  join its handle.
       2. cache        Runner memory/disk hit?  resolve immediately.
-      3. admission    SPAWN-style verdict (repro.service.admission):
-           shed    -> raise ServiceOverloaded (evidence attached)
-           inline  -> simulate here, on the event-loop thread
-           admit   -> enqueue for the batching scheduler
-      4. batching     scheduler drains admitted jobs into
+      3. cap          max_queue jobs admitted and unfinished?  raise
+                      ServiceOverloaded (queue depth and cap attached).
+      4. batching     enqueue; the scheduler drains admitted jobs into
                       ParallelRunner.run_suite dispatches (worker pool)
+
+Duplicates and cache hits never shed: the cap counts admitted jobs, and
+neither route admits one.  The cap holds for every miss, including the
+first request for a pair.
 
 Every path funnels through the same deterministic
 :class:`~repro.harness.runner.Runner`, so a result obtained through the
@@ -35,8 +36,8 @@ live queue depth is :attr:`SimulationService.queue_depth`.
 Latency telemetry (:mod:`repro.obs.metrics`): every job is span-stamped
 submit -> dispatch -> finish, feeding per-stage histograms
 (``service.stage_seconds`` with ``stage`` in ``admit | queue | dispatch
-| total``), per-admission-route end-to-end histograms
-(``service.route_latency_seconds`` with ``route`` in ``cached | inline |
+| total``), per-route end-to-end histograms
+(``service.route_latency_seconds`` with ``route`` in ``cached |
 batch``) and a per-batch ``service.batch_seconds``.
 :meth:`SimulationService.stats` digests the stage and route histograms
 into ``ServiceStats.latency`` (p50/p95/p99 end-to-end and queue-wait),
@@ -52,7 +53,6 @@ from typing import Iterable, List, Optional, Union
 
 from repro.errors import (
     HarnessError,
-    ReproError,
     RunFailure,
     ServiceClosed,
     ServiceOverloaded,
@@ -75,18 +75,10 @@ from repro.obs.tracer import (
     SERVICE_CACHE_HIT,
     SERVICE_COALESCE,
     SERVICE_COMPLETE,
-    SERVICE_INLINE,
     SERVICE_QUARANTINE,
     SERVICE_SHED,
     SERVICE_SUBMIT,
     Tracer,
-)
-from repro.service.admission import (
-    ADMIT,
-    INLINE,
-    SHED,
-    AdmissionController,
-    CostModel,
 )
 from repro.service.jobs import (
     CACHED,
@@ -96,7 +88,6 @@ from repro.service.jobs import (
     ServiceStats,
     as_run_config,
 )
-from repro.service.jobs import INLINE as JOB_INLINE
 from repro.service.scheduler import BatchScheduler
 from repro.sim.engine import SimResult
 from repro.workloads.base import get_benchmark
@@ -106,37 +97,20 @@ from repro.workloads.base import get_benchmark
 class ServiceConfig:
     """Tunables of one :class:`SimulationService` instance.
 
-    ``deadline_ms`` is the SPAWN-style shed deadline: a request whose
-    *predicted queue delay* (predicted backlog seconds / ``jobs``)
-    exceeds it is rejected with :class:`~repro.errors.ServiceOverloaded`
-    instead of being queued.  ``None`` disables shedding entirely (the
-    queue is unbounded, like the paper's GPU without SPAWN).
-
-    ``inline_threshold_ms`` is the "parent does the work" branch: a
-    request predicted to cost no more than this runs synchronously on
-    the event-loop thread, skipping batch and pool overhead — the
-    serving analog of Algorithm 1 serializing small workloads in the
-    parent thread.  ``0`` (the default) disables the branch.
+    ``max_queue`` is the service's one overload rule: a request that
+    neither coalesces nor hits the cache is shed with
+    :class:`~repro.errors.ServiceOverloaded` while ``max_queue`` jobs are
+    admitted and unfinished.  ``None`` (the default) leaves the queue
+    unbounded.
     """
 
     jobs: int = 2  # worker processes per batch dispatch
-    deadline_ms: Optional[float] = None  # predicted-delay shed deadline
-    inline_threshold_ms: float = 0.0  # small-job inline cutoff
     max_batch: int = 8  # jobs per run_suite dispatch
     max_queue: Optional[int] = None  # admitted-but-unfinished job cap
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise HarnessError(f"jobs must be >= 1, got {self.jobs}")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise HarnessError(
-                f"deadline_ms must be positive, got {self.deadline_ms}"
-            )
-        if self.inline_threshold_ms < 0:
-            raise HarnessError(
-                f"inline_threshold_ms must be >= 0, got "
-                f"{self.inline_threshold_ms}"
-            )
         if self.max_batch < 1:
             raise HarnessError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue is not None and self.max_queue < 1:
@@ -146,7 +120,7 @@ class ServiceConfig:
 
 
 class SimulationService:
-    """Batched async simulation service with SPAWN-style admission control.
+    """Batched async simulation service with a queue cap.
 
     Use as an async context manager (or call :meth:`start`/:meth:`close`
     explicitly)::
@@ -180,19 +154,6 @@ class SimulationService:
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
             for stage in ("admit", "queue", "dispatch", "total")
         }
-        self.model = CostModel()
-        deadline_s = (
-            self.config.deadline_ms / 1000.0
-            if self.config.deadline_ms is not None
-            else None
-        )
-        self.controller = AdmissionController(
-            self.model,
-            workers=self.config.jobs,
-            deadline_s=deadline_s,
-            inline_threshold_s=self.config.inline_threshold_ms / 1000.0,
-            max_queue=self.config.max_queue,
-        )
         self._parallel = ParallelRunner(
             self.runner, policy=policy, faults=faults, tracer=tracer
         )
@@ -243,11 +204,11 @@ class SimulationService:
     async def submit(self, entry: RequestLike, *, seed: int = 1) -> ServiceJob:
         """Route one request; returns its (possibly shared) job handle.
 
-        Raises :class:`~repro.errors.ServiceOverloaded` when the
-        admission controller sheds the request, and
-        :class:`~repro.errors.HarnessError` for requests that could
-        never simulate (unknown benchmark or scheme) — malformed traffic
-        is rejected at the door, not quarantined in a batch.
+        Raises :class:`~repro.errors.ServiceOverloaded` when the queue
+        cap sheds the request, and :class:`~repro.errors.HarnessError`
+        for requests that could never simulate (unknown benchmark or
+        scheme) — malformed traffic is rejected at the door, not
+        quarantined in a batch.
         """
         if self._closed:
             raise ServiceClosed("service is closed")
@@ -292,34 +253,31 @@ class SimulationService:
             self._observe_latency(job, "cached")
             return job
 
-        # 3. Admission: price the request before it may touch the pool.
-        decision = self.controller.decide(config.benchmark, config.scheme)
+        # 3. The queue cap: every admitted job is in _inflight until it
+        #    finishes, so its size is the admitted-but-unfinished count.
         self._stage_hist["admit"].observe(
             max(time.perf_counter() - submitted_at, 0.0)
         )
-        if decision.verdict == SHED:
+        depth = len(self._inflight)
+        max_queue = self.config.max_queue
+        if max_queue is not None and depth >= max_queue:
             self._stats.shed += 1
             self._emit(
                 SERVICE_SHED,
                 benchmark=config.benchmark, scheme=config.scheme,
-                **decision.evidence(),
+                queue_depth=depth, max_queue=max_queue,
             )
             raise ServiceOverloaded(
-                f"{config.benchmark}/{config.scheme} shed: predicted queue "
-                f"delay {decision.predicted_delay_s:.3f}s exceeds the "
-                f"{decision.deadline_s}s deadline "
-                f"(queue depth {decision.queue_depth})",
-                decision=decision,
+                f"{config.benchmark}/{config.scheme} shed: {depth} jobs "
+                f"admitted and unfinished, at the cap of {max_queue}",
+                queue_depth=depth,
+                max_queue=max_queue,
             )
-        if decision.verdict == INLINE:
-            return self._run_inline(config, decision, submitted_at)
 
         # 4. Admit to the batching scheduler.
-        assert decision.verdict == ADMIT
-        job = ServiceJob(config, decision=decision)
+        job = ServiceJob(config)
         job.submitted_at = submitted_at
         self._inflight[job.key] = job
-        self.controller.on_admitted(decision)
         self._scheduler.enqueue(job)
         self._stats.admitted += 1
         self._stats.in_flight += 1
@@ -329,7 +287,7 @@ class SimulationService:
         self._emit(
             SERVICE_ADMIT,
             benchmark=config.benchmark, scheme=config.scheme,
-            **decision.evidence(),
+            queue_depth=depth,
         )
         return job
 
@@ -344,61 +302,6 @@ class SimulationService:
             *(job.result() for job in jobs),
             return_exceptions=return_exceptions,
         )
-
-    # ------------------------------------------------------------------
-    # Inline path ("the parent does the work")
-    # ------------------------------------------------------------------
-    def _run_inline(
-        self, config: RunConfig, decision, submitted_at: float
-    ) -> ServiceJob:
-        """Simulate a predicted-small job on the event-loop thread.
-
-        Deliberately blocking: the whole point of the branch is that for
-        jobs cheaper than the batching overhead, doing the work here
-        beats queueing it — exactly the paper's serialize-in-parent
-        argument.  The admission threshold bounds the stall.
-        """
-        job = ServiceJob(config, decision=decision)
-        job.submitted_at = submitted_at
-        self._stats.inline += 1
-        self._emit(
-            SERVICE_INLINE,
-            benchmark=config.benchmark, scheme=config.scheme,
-            **decision.evidence(),
-        )
-        start = time.perf_counter()
-        try:
-            result = self.runner.run(config)
-        except ReproError as exc:
-            failure = RunFailure(
-                f"{config.benchmark}/{config.scheme} failed inline: {exc}",
-                config=config,
-                attempts=1,
-            )
-            failure.__cause__ = exc
-            self._stats.failed += 1
-            self._stats.quarantined += 1
-            self._emit(
-                SERVICE_QUARANTINE,
-                benchmark=config.benchmark, scheme=config.scheme,
-                error=str(exc),
-            )
-            job.fail(failure)
-            self._observe_latency(job, "inline")
-            return job
-        elapsed = time.perf_counter() - start
-        self.model.observe(
-            config.benchmark, config.scheme, elapsed, cycles=result.makespan
-        )
-        self._stats.completed += 1
-        self._emit(
-            SERVICE_COMPLETE,
-            benchmark=config.benchmark, scheme=config.scheme,
-            seconds=elapsed, path=JOB_INLINE,
-        )
-        job.resolve(result, state=JOB_INLINE)
-        self._observe_latency(job, "inline")
-        return job
 
     # ------------------------------------------------------------------
     # Batch dispatch (scheduler callbacks)
@@ -453,19 +356,10 @@ class SimulationService:
             size=len(batch), seconds=elapsed,
             pool_runs=len(report.outcomes), resumed=report.resumed,
         )
-        # Attribute the batch's wall time evenly across its jobs: crude,
-        # but an EWMA over many batches converges on per-pair cost, and
-        # admission only needs ordering-quality estimates.
-        share = elapsed / len(batch)
         for job, result in zip(batch, report.results):
             failure = None
             if result is None:
                 failure = self._quarantine_failure(job.config, report)
-            else:
-                self.model.observe(
-                    job.config.benchmark, job.config.scheme, share,
-                    cycles=result.makespan,
-                )
             self._finish_job(job, result=result, error=failure)
 
     def _quarantine_failure(
@@ -488,8 +382,6 @@ class SimulationService:
         error: Optional[BaseException] = None,
     ) -> None:
         self._inflight.pop(job.key, None)
-        if job.decision is not None:
-            self.controller.on_finished(job.decision)
         self._stats.in_flight -= job.waiters
         self._observe_latency(job, "batch")
         if error is not None:
@@ -546,7 +438,7 @@ class SimulationService:
             "queue_wait": self._stage_hist["queue"].summary(),
         }
         routes = {}
-        for route in ("cached", "inline", "batch"):
+        for route in ("cached", "batch"):
             hist = self.metrics.histogram(
                 "service.route_latency_seconds", route=route
             )
@@ -559,12 +451,8 @@ class SimulationService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        """A point-in-time copy of the ledger, with the model snapshot."""
-        return replace(
-            self._stats,
-            model=self.model.snapshot(),
-            latency=self._latency_digest(),
-        )
+        """A point-in-time copy of the ledger, with the latency digest."""
+        return replace(self._stats, latency=self._latency_digest())
 
     @property
     def queue_depth(self) -> int:

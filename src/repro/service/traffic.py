@@ -36,8 +36,8 @@ from repro.sim.engine import SimResult
 
 #: Default matrix: the suite's cheapest benchmarks under the core schemes
 #: plus the scheme zoo — heavy traffic without heavy simulations.  The
-#: zoo pairs keep the admission cost model exercised on merged-kernel
-#: runs (different cycle rates than plain DP traffic).
+#: zoo pairs send merged-kernel and ACS runs through the pool and the
+#: store beside the plain DP traffic.
 DEFAULT_MATRIX: Tuple[Tuple[str, str], ...] = (
     ("GC-citation", "flat"),
     ("GC-citation", "spawn"),

@@ -615,6 +615,9 @@ class GPUSimulator:
         # scopes; (parent kernel -> compat key -> entries) for grid scope.
         self._cta_merge: Dict[CTAInstance, Dict[tuple, list]] = {}
         self._grid_merge: Dict[KernelInstance, Dict[tuple, list]] = {}
+        # Consolidate only: (parent CTA -> compat key -> child CTAs
+        # buffered), the running total its batch_ctas flush compares.
+        self._cta_merge_ctas: Dict[CTAInstance, Dict[tuple, int]] = {}
         self._unfinished_kernels = 0
         self._last_completion = 0.0
         self._res_parent_ctas = 0
@@ -1145,11 +1148,15 @@ class GPUSimulator:
         entries = bucket.setdefault(mkey, [])
         entries.append(entry)
         if self._merge_batch is not None:
-            total = sum(e[2].num_ctas for e in entries)
+            totals = self._cta_merge_ctas.setdefault(cta, {})
+            total = totals.get(mkey, 0) + req.num_ctas
             if total >= self._merge_batch:
                 del bucket[mkey]
+                totals.pop(mkey, None)
                 merged = self._flush_merge_group(entries, now)
                 self.launch_unit.submit_batch([merged])
+            else:
+                totals[mkey] = total
 
     def _flush_merge_group(self, entries: list, now: float) -> KernelInstance:
         """Turn one compat group of buffered requests into a merged kernel."""
@@ -1200,6 +1207,7 @@ class GPUSimulator:
         return MergedGridPlan(reqs, depth)
 
     def _flush_cta_merge(self, cta: CTAInstance, now: float) -> None:
+        self._cta_merge_ctas.pop(cta, None)
         bucket = self._cta_merge.pop(cta, None)
         if not bucket:
             return

@@ -5,19 +5,19 @@ differential tests (``test_check_differential.py``) and any future
 property tests draw from the same application space instead of growing
 divergent ad-hoc generators.
 
-* :func:`micro_apps` — random micro-applications: grid sizes, uniform work
-  distributions, child fan-outs at random progress points.
-* :func:`rich_apps` — a wider space: multiple root kernels, non-uniform
-  per-thread work, nested-depth child requests.  Slower to simulate; meant
+* :func:`child_requests` — up to ``max_requests`` parent threads, each
+  with one :class:`~repro.sim.kernel.ChildRequest`: 1 to ``max_items``
+  items, 16/32/64-thread CTAs, 1-3 items per thread, a launch point
+  anywhere in the parent thread's run.  With ``nested``, each child may
+  carry up to two depth-2 requests of its own (1-16 items each).
+* :func:`micro_apps` — one root kernel of up to 96 threads with uniform
+  per-thread work and depth-1 child requests.
+* :func:`rich_apps` — one to three sequential root kernels of up to 128
+  threads each, non-uniform per-thread work, and child requests of up to
+  400 items that may launch depth-2 requests.  Slower to simulate; meant
   for the ``slow``-marked differential tests.
 * :data:`POLICIES` / :func:`policies` — one factory per launch-policy
   family (every :class:`~repro.core.policies.DecisionKind` is reachable).
-* :func:`job_costs` / :func:`maybe_costs` / :func:`admission_states` —
-  the service-layer admission space: predicted job costs (``None`` is
-  the bootstrap case) and :class:`~repro.service.admission
-  .AdmissionController` instances driven into *reachable* queue states
-  (prior traffic is replayed through the controller's own policy, so no
-  generated state is one the service could not actually be in).
 """
 
 import numpy as np
@@ -33,7 +33,6 @@ from repro.core.policies import (
     SpawnPolicy,
     StaticThresholdPolicy,
 )
-from repro.service.admission import ADMIT, AdmissionController, CostModel
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
 
 #: One factory per policy family.  Index into this with a drawn integer
@@ -58,8 +57,13 @@ def policies():
 
 
 @st.composite
-def child_requests(draw, threads, *, max_requests=6, max_items=200):
-    """A dict of per-thread :class:`ChildRequest` fan-outs."""
+def child_requests(
+    draw, threads, *, max_requests=6, max_items=200, nested=False,
+    mem_base=1_000_000,
+):
+    """A dict of per-thread :class:`ChildRequest` fan-outs, and their total
+    items: the work a parent does when it declines every launch, so nested
+    requests, which only a launched child reaches, are not in it."""
     requests = {}
     tids = draw(
         st.lists(
@@ -73,13 +77,25 @@ def child_requests(draw, threads, *, max_requests=6, max_items=200):
     for tid in tids:
         items = draw(st.integers(min_value=1, max_value=max_items))
         total_child_items += items
+        cta_threads = draw(st.sampled_from([16, 32, 64]))
+        items_per_thread = draw(st.integers(min_value=1, max_value=3))
+        at_fraction = draw(st.floats(min_value=0.0, max_value=1.0))
+        grandchildren = {}
+        if nested:
+            grandchildren, _ = draw(
+                child_requests(
+                    -(-items // items_per_thread), max_requests=2,
+                    max_items=16, mem_base=(tid + 1) << 24,
+                )
+            )
         requests[tid] = ChildRequest(
             name=f"c{tid}",
             items=items,
-            cta_threads=draw(st.sampled_from([16, 32, 64])),
-            items_per_thread=draw(st.integers(min_value=1, max_value=3)),
-            mem_base=1_000_000 + tid * 65536,
-            at_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+            cta_threads=cta_threads,
+            items_per_thread=items_per_thread,
+            mem_base=mem_base + tid * 65536,
+            at_fraction=at_fraction,
+            nested=grandchildren,
         )
     return requests, total_child_items
 
@@ -103,61 +119,15 @@ def micro_apps(draw):
     return Application(name="micro", kernels=[spec], flat_items=total)
 
 
-def job_costs(max_value: float = 60.0):
-    """Predicted per-job seconds: finite, non-negative."""
-    return st.floats(
-        min_value=0.0, max_value=max_value,
-        allow_nan=False, allow_infinity=False,
-    )
-
-
-def maybe_costs(max_value: float = 60.0):
-    """A predicted cost or ``None`` (the bootstrap no-data case)."""
-    return st.one_of(st.none(), job_costs(max_value))
-
-
-@st.composite
-def admission_states(draw, max_prior_traffic: int = 16):
-    """An :class:`AdmissionController` in a reachable queue state.
-
-    Draws the controller's tunables, then replays drawn prior traffic
-    through its *own* policy (only costs it actually admits join the
-    backlog), so every generated state is one the service could reach.
-    """
-    controller = AdmissionController(
-        CostModel(),
-        workers=draw(st.integers(min_value=1, max_value=8)),
-        deadline_s=draw(
-            st.one_of(
-                st.none(),
-                st.floats(
-                    min_value=0.001, max_value=120.0,
-                    allow_nan=False, allow_infinity=False,
-                ),
-            )
-        ),
-        inline_threshold_s=draw(job_costs(5.0)),
-        max_queue=draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=16))
-        ),
-    )
-    for cost in draw(
-        st.lists(maybe_costs(), max_size=max_prior_traffic)
-    ):
-        decision = controller.classify(cost)
-        if decision.verdict == ADMIT:
-            controller.on_admitted(decision)
-    return controller
-
-
 @st.composite
 def rich_apps(draw):
     """Multi-kernel applications with skewed per-thread work distributions.
 
     Exercises the paths micro_apps cannot: several sequential root kernels
     (stream retirement and HWQ rebinding), non-uniform warps (reduceat
-    critical paths), and larger child grids (multi-CTA children, grid
-    suspension while descendants run).
+    critical paths), larger child grids (multi-CTA children, grid
+    suspension while descendants run), and launches at depth 2 (ACS's
+    depth rank, nested requests inside merged grids).
     """
     num_roots = draw(st.integers(min_value=1, max_value=3))
     kernels = []
@@ -174,7 +144,7 @@ def rich_apps(draw):
         )
         items = np.asarray(items, dtype=np.int64)
         requests, child_items = draw(
-            child_requests(threads, max_requests=8, max_items=400)
+            child_requests(threads, max_requests=8, max_items=400, nested=True)
         )
         kernels.append(
             KernelSpec(

@@ -17,12 +17,12 @@ references.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.check import ReferenceEventQueue, run_differential
 from repro.check.reference import ReferenceLRUCache
-from repro.core.policies import SpawnPolicy
+from repro.core.policies import AlwaysLaunchPolicy, SpawnPolicy
 from repro.obs.tracer import HWQ_BIND, Tracer
 from repro.sim.config import CacheConfig, GPUConfig, small_debug_gpu
 from repro.sim.engine import GPUSimulator
@@ -202,6 +202,28 @@ def test_fixed_nested_app_acs_differential(gpu):
 # ---------------------------------------------------------------------------
 #: SWQ->HWQ binding: the paper's FCFS, or ACS's heap against the scan.
 BIND_POLICIES = st.sampled_from(["fcfs", "acs"])
+
+
+def test_rich_apps_reach_depth_two_launches():
+    """The rich sweep draws child requests that launch grandchildren, so
+    it can witness ACS's depth rank and nested requests in merged grids."""
+
+    def nests(app):
+        return any(
+            req.nested
+            for spec in app.kernels
+            for reqs in spec.child_requests.values()
+            for req in reqs
+        )
+
+    # Generation alone finds one; shrinking it would cost seconds.
+    app = find(rich_apps(), nests, settings=settings(
+        max_examples=200, database=None, phases=[Phase.generate],
+    ))
+    result = GPUSimulator(
+        config=small_debug_gpu(), policy=AlwaysLaunchPolicy()
+    ).run(app)
+    assert max(k.depth for k in result.stats.kernels.values()) == 2
 
 
 @pytest.mark.slow

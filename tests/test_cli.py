@@ -221,9 +221,8 @@ class TestServe:
         args = build_parser().parse_args(["serve"])
         assert args.requests is None
         assert args.jobs == 2
-        assert args.deadline_ms is None
-        assert args.inline_ms == 0.0
         assert args.max_batch == 8
+        assert args.max_queue is None
         assert args.synthetic == 20
         assert not args.stats
 
@@ -234,8 +233,8 @@ class TestServe:
             "--stats", "--stats-json", str(stats_path),
         )
         assert code == 0
-        assert "service admission ledger" in text
-        assert "cost model snapshot" in text
+        assert "service routing ledger" in text
+        assert "service latency percentiles" in text
         stats = json.loads(stats_path.read_text())
         assert stats["submitted"] == 8
         assert stats["lost"] == 0

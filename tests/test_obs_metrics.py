@@ -168,7 +168,7 @@ class TestRegistry:
         a = registry.counter("requests", route="cached")
         b = registry.counter("requests", route="cached")
         assert a is b
-        assert registry.counter("requests", route="inline") is not a
+        assert registry.counter("requests", route="batch") is not a
         assert len(registry) == 2
 
     def test_kind_conflict_raises(self):

@@ -114,6 +114,7 @@ def test_merge_policy_invariants(app, policy_idx):
     assert sim._unfinished_kernels == 0
     assert sim.gmu.drained()
     assert not sim._cta_merge  # every block/cta-scope buffer flushed
+    assert not sim._cta_merge_ctas  # and its consolidate CTA totals
     assert not sim._grid_merge  # every grid-scope buffer flushed
 
     stats = result.stats

@@ -1,6 +1,6 @@
 """Unit tests for the service façade's edge paths and plumbing.
 
-The load/soak, property, chaos, and CLI suites cover the happy paths;
+The load/soak, chaos, and CLI suites cover the happy paths;
 this file pins down the corners: lifecycle (submit-after-close, undrained
 shutdown, idempotent close), submit-time validation, the batch-dispatch
 failure containment, job-handle semantics, the ``service.*`` tracer
@@ -76,11 +76,11 @@ class TestServiceConfigValidation:
         "kwargs",
         [
             {"jobs": 0},
-            {"deadline_ms": 0.0},
-            {"deadline_ms": -5.0},
-            {"inline_threshold_ms": -1.0},
+            {"jobs": -1},
             {"max_batch": 0},
+            {"max_batch": -2},
             {"max_queue": 0},
+            {"max_queue": -1},
         ],
     )
     def test_rejects_invalid_tunables(self, kwargs):
@@ -90,7 +90,8 @@ class TestServiceConfigValidation:
     def test_defaults_are_valid(self):
         config = ServiceConfig()
         assert config.jobs == 2
-        assert config.deadline_ms is None
+        assert config.max_batch == 8
+        assert config.max_queue is None
 
 
 # ----------------------------------------------------------------------
@@ -198,44 +199,35 @@ def test_service_tracer_kinds_cover_every_route():
     async def _scenario():
         service = SimulationService(
             Runner(),
-            config=ServiceConfig(
-                jobs=1, deadline_ms=1.0, inline_threshold_ms=50_000.0
-            ),
+            config=ServiceConfig(jobs=1, max_queue=1),
             tracer=tracer,
         )
         async with service:
-            first = await service.submit(FAST)  # bootstrap -> admit
-            dup = await service.submit(FAST)  # -> coalesce
+            first = await service.submit(FAST)  # -> admit
+            dup = await service.submit(FAST)  # -> coalesce, not shed
+            # A distinct miss while FAST holds the one queue slot -> shed.
+            with pytest.raises(ServiceOverloaded) as excinfo:
+                await service.submit(FAST2)
             await service.gather([first, dup])
             await service.submit(FAST)  # -> cache hit
-            # Priced now: below the huge threshold -> inline.
-            await service.submit(RunConfig("GC-citation", "flat", seed=2))
-            # Price MM-small above the inline threshold, then push the
-            # backlog past the 1ms deadline: the next submit sheds.
-            service.model.observe("MM-small", "flat", 100.0)
-            service.controller.backlog_seconds = 100.0
-            service.controller.queue_depth = 1
-            with pytest.raises(ServiceOverloaded):
-                await service.submit(FAST2)
-            service.controller.backlog_seconds = 0.0
-            service.controller.queue_depth = 0
+        return excinfo.value
 
-    asyncio.run(_scenario())
+    error = asyncio.run(_scenario())
     kinds = {event.kind for event in tracer.events()}
     for expected in (
         "service.submit",
         "service.coalesce",
         "service.cache_hit",
         "service.admit",
-        "service.inline",
         "service.shed",
         "service.batch",
         "service.complete",
     ):
         assert expected in kinds, f"missing tracer kind {expected}"
     shed = [e for e in tracer.events() if e.kind == "service.shed"]
-    assert shed[0].args["verdict"] == "shed"
-    assert shed[0].args["predicted_delay_s"] > shed[0].args["deadline_s"]
+    assert len(shed) == 1
+    assert shed[0].args["queue_depth"] == error.queue_depth == 1
+    assert shed[0].args["max_queue"] == error.max_queue == 1
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +237,8 @@ def test_stats_to_dict_is_flat_and_complete():
     payload = ServiceStats(submitted=3, completed=2, shed=1).to_dict()
     assert payload["submitted"] == 3
     assert payload["lost"] == 0
-    assert payload["model"] == {}
-    # Everything JSON-serializable, nothing nested but the model.
+    assert payload["latency"] == {}
+    # Everything JSON-serializable, nothing nested but the latency digest.
     import json
 
     json.dumps(payload)

@@ -1,12 +1,13 @@
 """Load/soak suite for the batched async simulation service.
 
-The contract under test (ISSUE 5): a 500-request seeded soak must lose
-nothing — ``submitted == completed + failed + shed + in_flight`` with
-``lost == 0`` — must coalesce every duplicate onto a single pool run,
-and every result handed back must be bit-identical to a direct serial
-:meth:`Runner.run` of the same config.  Shedding is exercised by a
-deterministic scenario (primed cost model, tiny deadline) rather than by
-wall-clock racing, so the suite passes identically on any host.
+The contract under test: a 500-request seeded soak must lose nothing —
+``submitted == completed + failed + shed + in_flight`` with ``lost ==
+0`` — must coalesce every duplicate onto a single pool run, and every
+result handed back must be bit-identical to a direct serial
+:meth:`Runner.run` of the same config.  Shedding is exercised by burst
+submissions against a small ``max_queue`` rather than by wall-clock
+racing: a burst submits every request before the batch loop runs, so
+the suite passes identically on any host.
 
 Traffic comes from :func:`repro.service.generate_traffic`, which is a
 pure function of its seed: a soak failure reproduces exactly.
@@ -20,7 +21,7 @@ import json
 import pytest
 
 from repro.errors import HarnessError, ServiceOverloaded
-from repro.harness.runner import RunConfig, Runner
+from repro.harness.runner import Runner
 from repro.service import (
     ServiceConfig,
     SimulationService,
@@ -36,14 +37,12 @@ SOAK_SEED = 42
 SOAK_REQUESTS = 500
 
 
-def drive(requests, *, config=None, runner=None, prime=None):
+def drive(requests, *, config=None, runner=None):
     """Burst-submit ``requests`` through one service; return (stats, results).
 
     Submissions happen back-to-back on the event loop (no awaits on the
     handles in between), so every duplicate of an un-finished config
     must coalesce — the scheduler cannot run until the burst yields.
-    ``prime`` is an optional callback run against the service before any
-    traffic (e.g. to seed the cost model deterministically).
     """
 
     async def _drive():
@@ -51,8 +50,6 @@ def drive(requests, *, config=None, runner=None, prime=None):
             runner if runner is not None else Runner(),
             config=config,
         )
-        if prime is not None:
-            prime(service)
         handles = []
         shed = []
         async with service:
@@ -87,7 +84,7 @@ class TestSoak:
         assert stats.lost == 0
         assert stats.in_flight == 0
         assert stats.failed == 0
-        assert stats.shed == 0 and not shed  # no deadline configured
+        assert stats.shed == 0 and not shed  # no queue cap configured
         assert stats.completed == SOAK_REQUESTS
         assert len(results) == SOAK_REQUESTS
 
@@ -166,56 +163,39 @@ def test_second_wave_is_pure_cache():
 
 
 # ----------------------------------------------------------------------
-# Shedding: deterministic, no wall-clock racing
+# Shedding at the queue cap: deterministic, no wall-clock racing
 # ----------------------------------------------------------------------
-def test_overload_sheds_with_predicted_delay_evidence():
-    """Prime the cost model, fill the queue, and the next distinct
-    request must shed with the SPAWN-style evidence attached."""
-    heavy = TrafficRequest("GC-citation", "flat", seed=1)
-    victim = TrafficRequest("GC-citation", "flat", seed=2)  # distinct key
+#: Four distinct configs of one pair, none of them seen before.
+COLD = [
+    TrafficRequest("GC-citation", "flat", seed=seed) for seed in range(1, 5)
+]
 
-    async def _scenario():
-        service = SimulationService(
-            Runner(),
-            config=ServiceConfig(jobs=2, deadline_ms=1.0),
-        )
-        # 10 predicted seconds per run: any queued job pushes the
-        # predicted delay (backlog / workers = 5s) far past 1ms.
-        service.model.observe("GC-citation", "flat", 10.0)
-        async with service:
-            job = await service.submit(heavy.config())
-            with pytest.raises(ServiceOverloaded) as excinfo:
-                await service.submit(victim.config())
-            await job
-        return service.stats(), excinfo.value
 
-    stats, error = asyncio.run(_scenario())
-    decision = error.decision
-    assert decision is not None
-    assert decision.verdict == "shed"
-    assert decision.predicted_cost_s == pytest.approx(10.0)
-    assert decision.predicted_delay_s == pytest.approx(5.0)
-    assert decision.deadline_s == pytest.approx(0.001)
-    assert decision.queue_depth == 1
-    assert "predicted queue delay" in str(error)
-    # The shed submission is accounted for, not lost.
-    assert stats.shed == 1
-    assert stats.submitted == 2
-    assert stats.completed == 1
+def test_cap_holds_for_cold_traffic():
+    """The first request for a pair counts against the cap like any
+    other: two of four distinct cold requests are admitted, two shed."""
+    stats, results, shed = drive(COLD, config=ServiceConfig(max_queue=2))
+    assert stats.admitted == 2
+    assert len(results) == 2
+    assert len(shed) == stats.shed == 2
+    assert all(
+        (error.queue_depth, error.max_queue) == (2, 2) for error in shed
+    )
+    assert "cap of 2" in str(shed[0])
+    assert stats.completed == 2
     assert stats.lost == 0
 
 
 def test_duplicates_coalesce_instead_of_shedding():
     """An exact duplicate of an in-flight job joins it — coalescing is
-    checked before admission, so hot traffic never sheds itself."""
+    checked before the cap, so hot traffic never sheds itself."""
     request = TrafficRequest("GC-citation", "flat", seed=1)
 
     async def _scenario():
         service = SimulationService(
             Runner(),
-            config=ServiceConfig(jobs=2, deadline_ms=1.0),
+            config=ServiceConfig(jobs=2, max_queue=1),
         )
-        service.model.observe("GC-citation", "flat", 10.0)
         async with service:
             first = await service.submit(request.config())
             second = await service.submit(request.config())
@@ -230,95 +210,53 @@ def test_duplicates_coalesce_instead_of_shedding():
 
 
 def test_max_queue_cap_sheds_regardless_of_deadline():
-    requests = [
-        TrafficRequest("GC-citation", "flat", seed=seed)
-        for seed in range(1, 5)
-    ]
+    # A job leaves the count when it finishes: after the burst drains, a
+    # fifth distinct request is admitted again.
+    fifth = TrafficRequest("GC-citation", "flat", seed=5)
 
     async def _scenario():
         service = SimulationService(
             Runner(),
             config=ServiceConfig(jobs=1, max_queue=2),
         )
-        # A known cost disables the bootstrap-admit path; without a
-        # deadline only the depth cap can shed.
-        service.model.observe("GC-citation", "flat", 0.5)
         shed = 0
         handles = []
         async with service:
-            for request in requests:
+            for request in COLD:
                 try:
                     handles.append(await service.submit(request.config()))
                 except ServiceOverloaded:
                     shed += 1
             await service.gather(handles)
+            await (await service.submit(fifth.config()))
         return service.stats(), shed
 
     stats, shed = asyncio.run(_scenario())
     assert shed == 2  # the 3rd and 4th distinct jobs found the queue full
     assert stats.shed == 2
-    assert stats.completed == 2
+    assert stats.admitted == 3
+    assert stats.completed == 3
     assert stats.lost == 0
 
 
 def test_drive_service_returns_results_and_shed_errors_in_input_order():
     # The scenario above, driven through drive_service: every request
     # gets an outcome, in input order, and a shed one is its typed error.
-    requests = [
-        TrafficRequest("GC-citation", "flat", seed=seed)
-        for seed in range(1, 5)
-    ]
-
     async def _scenario():
         service = SimulationService(
             Runner(),
             config=ServiceConfig(jobs=1, max_queue=2),
         )
-        service.model.observe("GC-citation", "flat", 0.5)
         async with service:
-            return await drive_service(service, requests)
+            return await drive_service(service, COLD)
 
     outcomes = asyncio.run(_scenario())
     assert len(outcomes) == 4
     serial = Runner()
-    for request, outcome in zip(requests[:2], outcomes[:2]):
+    for request, outcome in zip(COLD[:2], outcomes[:2]):
         assert isinstance(outcome, SimResult)
         assert outcome.to_dict() == serial.run(request.config()).to_dict()
     assert all(isinstance(o, ServiceOverloaded) for o in outcomes[2:])
-
-
-# ----------------------------------------------------------------------
-# Inline path ("the parent does the work")
-# ----------------------------------------------------------------------
-def test_small_jobs_run_inline_and_match_serial():
-    request = TrafficRequest("GC-citation", "flat", seed=1)
-
-    async def _scenario():
-        service = SimulationService(
-            Runner(),
-            config=ServiceConfig(jobs=2, inline_threshold_ms=60_000.0),
-        )
-        # Bootstrap first: with no observation the verdict must be
-        # admit, mirroring Algorithm 1's launch-when-t_cta-unknown.
-        first = await service.__aenter__()
-        assert first is service
-        job = await service.submit(request.config())
-        await job
-        assert service.stats().inline == 0
-        assert service.stats().admitted == 1
-        # Now the pair is priced below the (huge) threshold: inline.
-        other = TrafficRequest("GC-citation", "flat", seed=2)
-        inline_job = await service.submit(other.config())
-        result = await inline_job
-        await service.close()
-        return service.stats(), inline_job.state, result
-
-    stats, state, result = asyncio.run(_scenario())
-    assert stats.inline == 1
-    assert state == "inline"
-    assert stats.lost == 0
-    serial = Runner().run(RunConfig("GC-citation", "flat", seed=2))
-    assert result.to_dict() == serial.to_dict()
 
 
 # ----------------------------------------------------------------------
