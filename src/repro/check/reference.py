@@ -22,7 +22,7 @@ here with *identical semantics*:
   slices ``thread_items`` / ``mem_bases``, takes warp maxima with
   ``np.maximum.reduceat``, streams every non-contiguous footprint through
   ``cta_access_arrays``, materializes child specs with
-  :func:`~repro.sim.kernel.spec_from_request` and merged specs with
+  :func:`spec_from_request` and merged specs with
   :func:`~repro.sim.merge.build_merged_spec`, and builds CTAs with
   :class:`~repro.sim.instances.CTAInstance`, against the per-spec plans
   and the closed-form child and merged grids of :mod:`repro.sim.engine`.
@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.check.golden import GoldenMismatch, canonical_events, diff_traces
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.obs.tracer import KERNEL_FIRST_DISPATCH, Tracer
 from repro.sim.config import WARP_SIZE
 from repro.sim.engine import GPUSimulator
@@ -55,7 +55,7 @@ from repro.sim.instances import (
     KernelState,
     PendingDecision,
 )
-from repro.sim.kernel import Application, ChildRequest, spec_from_request
+from repro.sim.kernel import Application, ChildRequest, KernelSpec
 from repro.sim.memory import MemorySystem, SetAssociativeCache
 from repro.sim.merge import build_merged_spec
 from repro.sim.smx import SMX, SMXResources
@@ -241,8 +241,7 @@ class ReferenceGMU(GMU):
             return
         n = len(bound)
         start = self._rr_cursor % n
-        offsets = range(n - 1, -1, -1) if self.reverse_rr else range(n)
-        for offset in offsets:
+        for offset in range(n):
             index = (start + offset) % n
             queue = self._streams.get(bound[index])
             if not queue:
@@ -305,6 +304,49 @@ class ReferenceMemorySystem(MemorySystem):
         self, regions, smx_index: int = -1, now: float = 0.0
     ) -> Tuple[float, float]:
         return self._access_lines(self.region_lines(regions), smx_index, now)
+
+
+def spec_from_request(req: ChildRequest, *, depth: int) -> KernelSpec:
+    """Materialize a :class:`KernelSpec` for a launched :class:`ChildRequest`.
+
+    Child threads each carry ``items_per_thread`` items (the last thread may
+    carry the remainder) and read from the parent's offloaded memory range so
+    the cache model observes parent->child reuse.  The engine launches the
+    closed form of this grid (:class:`repro.sim.engine.ChildGridPlan`);
+    this materialized one is what :class:`ReferenceSimulator` runs.  A
+    request changed after construction into one that describes no grid
+    raises :class:`~repro.errors.WorkloadError` here, as it does there.
+    """
+    if req.items_per_thread <= 0:
+        raise WorkloadError("child CTA dimensions must be positive")
+    num_threads = req.num_threads
+    if num_threads <= 0:
+        raise WorkloadError(f"kernel {req.name!r} needs a 1-D non-empty grid")
+    items = np.full(num_threads, req.items_per_thread, dtype=np.int64)
+    remainder = req.items - (num_threads - 1) * req.items_per_thread
+    items[-1] = remainder
+    # Thread t reads from mem_base + t * items_per_thread * mem_stride.
+    step = req.items_per_thread * req.mem_stride
+    if step:
+        bases = np.arange(
+            req.mem_base, req.mem_base + num_threads * step, step, dtype=np.int64
+        )
+    else:
+        bases = np.full(num_threads, req.mem_base, dtype=np.int64)
+    return KernelSpec(
+        name=req.name,
+        threads_per_cta=min(req.cta_threads, num_threads),
+        thread_items=items,
+        regs_per_thread=req.regs_per_thread,
+        shmem_per_cta=req.shmem_per_cta,
+        cycles_per_item=req.cycles_per_item,
+        accesses_per_item=req.accesses_per_item,
+        mem_bases=bases,
+        mem_stride=req.mem_stride,
+        child_requests=dict(req.nested),
+        depth=depth,
+        contiguous_footprint=True,
+    )
 
 
 class ReferenceSimulator(GPUSimulator):
@@ -407,9 +449,7 @@ class ReferenceSimulator(GPUSimulator):
 
     def _merged_grid(self, reqs: List[ChildRequest], depth: int):
         """Merged grids built as per-thread arrays."""
-        return build_merged_spec(
-            reqs, depth=depth, unpadded=self._merge_bug == "unpadded"
-        )
+        return build_merged_spec(reqs, depth=depth)
 
     def _make_child_kernel(
         self, parent: KernelInstance, parent_cta: CTAInstance, req: ChildRequest

@@ -129,11 +129,6 @@ class Runner:
             app = benchmark.dp(run_config.seed, cta_threads=run_config.cta_threads)
         policy = sch.make_policy(spec, benchmark)
         stream_policy = self._stream_policy(run_config.stream_policy)
-        sim_kwargs = {}
-        if spec.bind_policy != "fcfs":
-            # Only non-default so seeded-bug gmu_factory partials (which
-            # re-spell GMU keywords) never collide on the kwarg.
-            sim_kwargs["bind_policy"] = spec.bind_policy
         sim = GPUSimulator(
             config=self.config,
             policy=policy,
@@ -141,7 +136,7 @@ class Runner:
             tracer=tracer,
             trace_interval=run_config.trace_interval,
             max_events=self.max_events,
-            **sim_kwargs,
+            bind_policy=spec.bind_policy,
         )
         started = time.perf_counter()
         result = sim.run(app)

@@ -154,7 +154,7 @@ class ServiceStats:
     worker_crashes: int = 0
     quarantined: int = 0  # unique jobs quarantined by the execution layer
     max_batch_size: int = 0
-    peak_queue_depth: int = 0
+    peak_queue_depth: int = 0  # most jobs admitted and unfinished at once
 
     #: Latency digest (end-to-end, queue-wait, per-route percentiles)
     #: sourced from the service's :mod:`repro.obs.metrics` histograms,

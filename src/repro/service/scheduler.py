@@ -69,10 +69,6 @@ class BatchScheduler:
         self._queue.append(job)
         self._wakeup.set()
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # Consumer loop
     # ------------------------------------------------------------------

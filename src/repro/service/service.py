@@ -30,8 +30,12 @@ nothing else is disturbed).
 Observability: ``service.*`` tracer events (wall-clock stamped, like the
 ``harness.*`` kinds) for every routing decision, and a
 :class:`ServiceStats` ledger whose headline invariant is *zero lost
-submissions*.  The ledger is the one home of every per-route count; the
-live queue depth is :attr:`SimulationService.queue_depth`.
+submissions*.  The ledger is the one home of every per-route count.
+Queue depth has one meaning everywhere: jobs admitted and unfinished,
+the count ``max_queue`` caps.  :attr:`SimulationService.queue_depth`
+reads it live, ``ServiceStats.peak_queue_depth`` keeps its peak, and
+``ServiceOverloaded`` and the ``service.shed`` event carry it at the
+moment of shedding.
 
 Latency telemetry (:mod:`repro.obs.metrics`): every job is span-stamped
 submit -> dispatch -> finish, feeding per-stage histograms
@@ -282,7 +286,7 @@ class SimulationService:
         self._stats.admitted += 1
         self._stats.in_flight += 1
         self._stats.peak_queue_depth = max(
-            self._stats.peak_queue_depth, self._scheduler.queue_depth
+            self._stats.peak_queue_depth, len(self._inflight)
         )
         self._emit(
             SERVICE_ADMIT,
@@ -456,7 +460,8 @@ class SimulationService:
 
     @property
     def queue_depth(self) -> int:
-        return self._scheduler.queue_depth
+        """Jobs admitted and unfinished: the count ``max_queue`` caps."""
+        return len(self._inflight)
 
     def _emit(self, kind: str, **args) -> None:
         if self.tracer.enabled:

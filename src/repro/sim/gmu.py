@@ -38,9 +38,6 @@ class GMU:
         *,
         tracer: Tracer = NULL_TRACER,
         bind_policy: str = "fcfs",
-        lifo_bind: bool = False,
-        reverse_rr: bool = False,
-        acs_unguarded: bool = False,
     ):
         self.config = config
         #: Observability sink; events are stamped with the tracer's bound
@@ -54,16 +51,6 @@ class GMU:
         if bind_policy not in ("fcfs", "acs"):
             raise SimulationError(f"unknown bind_policy {bind_policy!r}")
         self.bind_policy = bind_policy
-        #: TEST-ONLY deliberate bugs, used by the conformance suite to
-        #: prove the checker and the golden-trace diff catch ordering
-        #: regressions.  ``lifo_bind`` binds the most recently waiting SWQ
-        #: first (violating FCFS); ``reverse_rr`` scans bound streams in
-        #: reverse round-robin order; ``acs_unguarded`` reverses a stream's
-        #: kernel FIFO when ACS binds it (the same-stream-order guard ACS
-        #: must never drop).  Never set outside tests.
-        self.lifo_bind = lifo_bind
-        self.reverse_rr = reverse_rr
-        self.acs_unguarded = acs_unguarded
         #: SWQ id -> FIFO of kernels submitted to that stream.
         self._streams: Dict[int, Deque[KernelInstance]] = {}
         #: SWQ ids currently bound to a HWQ (insertion ordered).
@@ -144,26 +131,24 @@ class GMU:
             self._bind_waiting_streams()
 
     def _bind_waiting_streams(self) -> None:
+        select = (
+            self._acs_select if self.bind_policy == "acs" else self._fcfs_select
+        )
         while self._wait_order and len(self._bound) < self.config.num_hwq:
-            if self.bind_policy == "acs":
-                swq = self._acs_select()
-            elif self.lifo_bind:
-                swq = self._wait_order.popitem()[0]
-            else:
-                swq = next(iter(self._wait_order))
-                del self._wait_order[swq]
-            queue = self._streams.get(swq)
-            if not queue:
+            swq = select()
+            if not self._streams.get(swq):
                 continue
-            if self.acs_unguarded and len(queue) > 1:
-                # TEST-ONLY bug: drop ACS's same-stream-order guard by
-                # reversing the stream FIFO at bind time.
-                self._streams[swq] = queue = deque(reversed(queue))
             self._bound[swq] = None
             self._bound_list.append(swq)
             if self.tracer.enabled:
                 self.tracer.emit(HWQ_BIND, swq=swq, bound=len(self._bound))
             self._refresh_head(swq)
+
+    def _fcfs_select(self) -> int:
+        """Pop the longest-waiting SWQ (the paper's FCFS binding)."""
+        swq = next(iter(self._wait_order))
+        del self._wait_order[swq]
+        return swq
 
     def _acs_select(self) -> int:
         """Pop the highest-priority waiting SWQ (ACS binding order).
@@ -239,8 +224,7 @@ class GMU:
         start = self._rr_cursor % n
         streams = self._streams
         executing = KernelState.EXECUTING
-        offsets = range(n - 1, -1, -1) if self.reverse_rr else range(n)
-        for offset in offsets:
+        for offset in range(n):
             index = start + offset
             if index >= n:
                 index -= n

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, ResourceError, WorkloadError
+from repro.errors import ResourceError, WorkloadError
 from repro.sim.config import WARP_SIZE, GPUConfig
 
 
@@ -86,26 +86,6 @@ class ChildRequest:
     @property
     def num_ctas(self) -> int:
         return math.ceil(self.num_threads / self.cta_threads)
-
-    def with_cta_threads(self, cta_threads: int) -> "ChildRequest":
-        """Copy of this request with a different CTA size (Fig. 7 sweeps)."""
-        return ChildRequest(
-            name=self.name,
-            items=self.items,
-            cta_threads=cta_threads,
-            items_per_thread=self.items_per_thread,
-            regs_per_thread=self.regs_per_thread,
-            shmem_per_cta=self.shmem_per_cta,
-            cycles_per_item=self.cycles_per_item,
-            accesses_per_item=self.accesses_per_item,
-            mem_base=self.mem_base,
-            mem_stride=self.mem_stride,
-            at_fraction=self.at_fraction,
-            nested={
-                tid: [req.with_cta_threads(cta_threads) for req in reqs]
-                for tid, reqs in self.nested.items()
-            },
-        )
 
 
 def check_cta_fits(name: str, shape, config: GPUConfig) -> None:
@@ -240,75 +220,9 @@ class KernelSpec:
     def num_child_requests(self) -> int:
         return sum(len(reqs) for reqs in self.child_requests.values())
 
-    def with_child_cta_threads(self, cta_threads: int) -> "KernelSpec":
-        """Copy with every (transitively nested) child CTA resized (Fig. 7)."""
-        return KernelSpec(
-            name=self.name,
-            threads_per_cta=self.threads_per_cta,
-            thread_items=self.thread_items.copy(),
-            regs_per_thread=self.regs_per_thread,
-            shmem_per_cta=self.shmem_per_cta,
-            cycles_per_item=self.cycles_per_item,
-            accesses_per_item=self.accesses_per_item,
-            mem_bases=None if self.mem_bases is None else self.mem_bases.copy(),
-            mem_stride=self.mem_stride,
-            child_requests={
-                tid: [req.with_cta_threads(cta_threads) for req in reqs]
-                for tid, reqs in self.child_requests.items()
-            },
-            header_items=self.header_items,
-            depth=self.depth,
-            contiguous_footprint=self.contiguous_footprint,
-        )
-
     def total_items(self) -> int:
         """All work items: unconditional plus offloadable."""
         return int(self.thread_items.sum()) + self.total_child_items()
-
-
-def spec_from_request(
-    req: ChildRequest, *, depth: int, name_suffix: str = ""
-) -> KernelSpec:
-    """Materialize a :class:`KernelSpec` for a launched :class:`ChildRequest`.
-
-    Child threads each carry ``items_per_thread`` items (the last thread may
-    carry the remainder) and read from the parent's offloaded memory range so
-    the cache model observes parent->child reuse.  The engine launches the
-    closed form of this grid (:class:`repro.sim.engine.ChildGridPlan`);
-    this materialized one is what the reference simulator runs.  A request
-    changed after construction into one that describes no grid raises
-    :class:`~repro.errors.WorkloadError` here, as it does there.
-    """
-    if req.items_per_thread <= 0:
-        raise WorkloadError("child CTA dimensions must be positive")
-    num_threads = req.num_threads
-    if num_threads <= 0:
-        raise WorkloadError(f"kernel {req.name!r} needs a 1-D non-empty grid")
-    items = np.full(num_threads, req.items_per_thread, dtype=np.int64)
-    remainder = req.items - (num_threads - 1) * req.items_per_thread
-    items[-1] = remainder
-    # Thread t reads from mem_base + t * items_per_thread * mem_stride.
-    step = req.items_per_thread * req.mem_stride
-    if step:
-        bases = np.arange(
-            req.mem_base, req.mem_base + num_threads * step, step, dtype=np.int64
-        )
-    else:
-        bases = np.full(num_threads, req.mem_base, dtype=np.int64)
-    return KernelSpec(
-        name=req.name + name_suffix,
-        threads_per_cta=min(req.cta_threads, num_threads),
-        thread_items=items,
-        regs_per_thread=req.regs_per_thread,
-        shmem_per_cta=req.shmem_per_cta,
-        cycles_per_item=req.cycles_per_item,
-        accesses_per_item=req.accesses_per_item,
-        mem_bases=bases,
-        mem_stride=req.mem_stride,
-        child_requests=dict(req.nested),
-        depth=depth,
-        contiguous_footprint=True,
-    )
 
 
 @dataclass

@@ -24,8 +24,7 @@ zero-extent memory regions are masked out of the footprint model
 The engine never builds these arrays: it launches the closed form of the
 merged grid, :class:`repro.sim.engine.MergedGridPlan`, which plans each
 merged CTA as one constituent's child CTA plus pad threads.  The
-:class:`KernelSpec` built here is what the reference simulator runs, and
-what the engine runs under the test-only ``merge_bug="unpadded"``.  It
+:class:`KernelSpec` built here is what the reference simulator runs.  It
 sets ``contiguous_footprint=False``, so its dispatch plan
 (:class:`repro.sim.engine.GridPlan`) finds each CTA's exact per-warp
 maxima and checks whether its positive-extent regions tile one range.
@@ -67,7 +66,6 @@ def build_merged_spec(
     requests: Sequence[ChildRequest],
     *,
     depth: int,
-    unpadded: bool = False,
 ) -> KernelSpec:
     """One :class:`KernelSpec` covering every request in ``requests``.
 
@@ -77,12 +75,6 @@ def build_merged_spec(
     A group whose strides differ, or a request changed after construction
     into one that describes no grid, raises
     :class:`~repro.errors.WorkloadError`.
-
-    ``unpadded=True`` is a TEST-ONLY seeded bug: constituents are
-    concatenated without the conservation padding, so the merged grid can
-    repack threads across CTA boundaries and launch *fewer* CTAs than the
-    constituents — exactly the error the checker's conservation invariant
-    exists to catch.  Never set outside tests.
     """
     if not requests:
         raise WorkloadError("cannot merge zero requests")
@@ -112,7 +104,7 @@ def build_merged_spec(
             * req.items_per_thread
             * req.mem_stride
         )
-        pad = 0 if unpadded else (-n) % tpc
+        pad = (-n) % tpc
         if pad:
             items = np.concatenate([items, np.zeros(pad, dtype=np.int64)])
             bases = np.concatenate([bases, np.zeros(pad, dtype=np.int64)])

@@ -6,12 +6,11 @@ Three layers:
   ``Runner(check=True)``),
 * synthetic event streams with hand-planted defects trip the matching
   invariant,
-* deliberately seeded engine bugs (test-only GMU flags) are caught — the
-  LIFO-bind bug by BOTH the invariant checker and the golden-trace diff,
-  which is the conformance subsystem's acceptance criterion.
+* deliberately seeded engine bugs (the subclasses in
+  ``tests/seeded_bugs.py``) are caught — the LIFO-bind bug by BOTH the
+  invariant checker and the golden-trace diff, which is the conformance
+  subsystem's acceptance criterion.
 """
-
-import functools
 
 import pytest
 
@@ -35,6 +34,13 @@ from repro.sim.engine import GPUSimulator
 from repro.sim.gmu import GMU
 from repro.sim.smx import SMX
 from repro.workloads import get_benchmark
+from tests.seeded_bugs import (
+    CrossWarpMergeSimulator,
+    LIFOBindGMU,
+    ReversedRoundRobinGMU,
+    UnguardedACSGMU,
+    UnpaddedMergeSimulator,
+)
 
 
 def _checked_run(
@@ -44,7 +50,6 @@ def _checked_run(
     config=None,
     sim_cls=GPUSimulator,
     stream_policy=None,
-    **sim_kwargs,
 ):
     """Simulate one benchmark/scheme cell with a checker attached."""
     config = config or GPUConfig()
@@ -53,14 +58,12 @@ def _checked_run(
     policy = make_policy(spec, bench)
     app = bench.flat(1) if scheme == "flat" else bench.dp(1)
     checker = ConformanceChecker(config, scheme=scheme)
-    if spec.bind_policy != "fcfs":
-        sim_kwargs.setdefault("bind_policy", spec.bind_policy)
     sim = sim_cls(
         config=config,
         policy=policy,
         stream_policy=stream_policy,
         tracer=checker,
-        **sim_kwargs,
+        bind_policy=spec.bind_policy,
     )
     result = sim.run(app)
     return checker, result
@@ -331,11 +334,11 @@ class TestSeededBugs:
     caught by BOTH the invariant checker and the golden-trace diff."""
 
     @staticmethod
-    def _gmu_trace(**gmu_flags):
+    def _gmu_trace(gmu_cls=GMU):
         """BFS-citation / baseline-dp with only 2 HWQs, so streams queue."""
 
         class Sim(GPUSimulator):
-            gmu_factory = functools.partial(GMU, **gmu_flags)
+            gmu_factory = gmu_cls
 
         return _checked_run(
             "BFS-citation", "baseline-dp",
@@ -347,7 +350,7 @@ class TestSeededBugs:
         clean.finalize(clean_result)
         assert clean.violations == []
 
-        buggy, buggy_result = self._gmu_trace(lifo_bind=True)
+        buggy, buggy_result = self._gmu_trace(LIFOBindGMU)
         buggy.finalize(buggy_result)
         # Leg 1: the invariant checker flags the FCFS violation directly.
         assert any(v.invariant == "fcfs" for v in buggy.violations)
@@ -366,14 +369,14 @@ class TestSeededBugs:
         """Reversed GMU round-robin passes every local invariant (it is a
         fairness bug, not a correctness bug) — only the trace diff sees it."""
 
-        def join_trace(**gmu_flags):
+        def join_trace(gmu_cls=GMU):
             class Sim(GPUSimulator):
-                gmu_factory = functools.partial(GMU, **gmu_flags)
+                gmu_factory = gmu_cls
 
             return _checked_run("JOIN-uniform", "baseline-dp", sim_cls=Sim)
 
         clean, _ = join_trace()
-        buggy, buggy_result = join_trace(reverse_rr=True)
+        buggy, buggy_result = join_trace(ReversedRoundRobinGMU)
         buggy.finalize(buggy_result)
         assert not any(v.invariant == "fcfs" for v in buggy.violations)
         divergence = diff_traces(
@@ -416,7 +419,7 @@ class TestSchemeZooSeededBugs:
         assert clean.violations == []
 
         buggy, buggy_result = _checked_run(
-            "BFS-citation", "consolidate", merge_bug="unpadded"
+            "BFS-citation", "consolidate", sim_cls=UnpaddedMergeSimulator
         )
         buggy.finalize(buggy_result)
         merge = [v for v in buggy.violations if v.invariant == "merge"]
@@ -429,7 +432,7 @@ class TestSchemeZooSeededBugs:
         assert clean.violations == []
 
         buggy, buggy_result = _checked_run(
-            "BFS-citation", "aggregate:warp", merge_bug="cross_warp"
+            "BFS-citation", "aggregate:warp", sim_cls=CrossWarpMergeSimulator
         )
         buggy.finalize(buggy_result)
         merge = [v for v in buggy.violations if v.invariant == "merge"]
@@ -437,14 +440,12 @@ class TestSchemeZooSeededBugs:
         assert any("contexts" in v.message for v in merge)
 
     @staticmethod
-    def _acs_trace(**gmu_flags):
+    def _acs_trace(gmu_cls=GMU):
         """BFS-citation / acs with 2 HWQs and per-parent-CTA streams, so
         multiple kernels share a stream and streams queue for binding."""
 
         class Sim(GPUSimulator):
-            gmu_factory = functools.partial(
-                GMU, bind_policy="acs", **gmu_flags
-            )
+            gmu_factory = gmu_cls
 
         return _checked_run(
             "BFS-citation", "acs",
@@ -458,7 +459,7 @@ class TestSchemeZooSeededBugs:
         clean.finalize(clean_result)
         assert clean.violations == []
 
-        buggy, buggy_result = self._acs_trace(acs_unguarded=True)
+        buggy, buggy_result = self._acs_trace(UnguardedACSGMU)
         buggy.finalize(buggy_result)
         # Reordering *within* a stream is exactly what ACS must never do;
         # the same-stream FIFO invariant reports under "fcfs".

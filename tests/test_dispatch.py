@@ -4,12 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.reference import spec_from_request
 from repro.errors import WorkloadError
 from repro.sim.config import WARP_SIZE, MemoryConfig
 from repro.sim.engine import ChildGridPlan, GridPlan, MergedGridPlan, plan_of
-from repro.sim.kernel import ChildRequest, KernelSpec, spec_from_request
+from repro.sim.kernel import ChildRequest, KernelSpec
 from repro.sim.memory import MemorySystem
 from repro.sim.merge import build_merged_spec
+from tests.seeded_bugs import unpadded_merged_spec
 
 
 def tiled(bases, extents):
@@ -308,7 +310,8 @@ def merged_grids(draw):
             min_size=1, max_size=6))
     ]
     unpadded = draw(st.booleans())
-    return build_merged_spec(requests, depth=1, unpadded=unpadded), not unpadded
+    build = unpadded_merged_spec if unpadded else build_merged_spec
+    return build(requests, depth=1), not unpadded
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check.reference import spec_from_request
 from repro.errors import ResourceError, WorkloadError
 from repro.sim.config import GPUConfig, small_debug_gpu
 from repro.sim.kernel import (
@@ -10,7 +11,6 @@ from repro.sim.kernel import (
     ChildRequest,
     KernelSpec,
     normalize_requests,
-    spec_from_request,
     uses_dynamic_parallelism,
 )
 
@@ -68,14 +68,6 @@ class TestChildRequest:
         req = ChildRequest(name="c", items=8, cta_threads=32, nested={0: g, 1: [g]})
         assert req.nested[0] == [g]
         assert req.nested[1] == [g]
-
-    def test_with_cta_threads_deep_copies(self):
-        g = ChildRequest(name="g", items=64, cta_threads=32)
-        req = ChildRequest(name="c", items=64, cta_threads=32, nested={0: g})
-        resized = req.with_cta_threads(128)
-        assert resized.cta_threads == 128
-        assert resized.nested[0][0].cta_threads == 128
-        assert req.cta_threads == 32
 
 
 class TestNormalizeRequests:
@@ -155,13 +147,6 @@ class TestKernelSpec:
         assert spec.total_child_items() == 30
         assert spec.num_child_requests() == 3
         assert spec.total_items() == 64 * 3 + 30
-
-    def test_with_child_cta_threads(self):
-        req = ChildRequest(name="c", items=100, cta_threads=32)
-        spec = simple_spec(child_requests={0: req})
-        resized = spec.with_child_cta_threads(64)
-        assert resized.child_requests[0][0].cta_threads == 64
-        assert spec.child_requests[0][0].cta_threads == 32
 
 
 class TestSpecFromRequest:

@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.reference import spec_from_request
 from repro.core.metrics import WindowedConcurrencyAverage
 from repro.sim.config import CacheConfig, GPUConfig, MemoryConfig, small_debug_gpu
 from repro.sim.events import EventQueue
 from repro.sim.instances import CTAInstance, KernelInstance
-from repro.sim.kernel import ChildRequest, KernelSpec, spec_from_request
+from repro.sim.kernel import ChildRequest, KernelSpec
 from repro.sim.memory import MemorySystem, SetAssociativeCache
 from repro.sim.smx import SMX
 from repro.workloads.base import AddressAllocator

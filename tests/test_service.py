@@ -11,6 +11,7 @@ a ``sqlite://`` store.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -228,6 +229,47 @@ def test_service_tracer_kinds_cover_every_route():
     assert len(shed) == 1
     assert shed[0].args["queue_depth"] == error.queue_depth == 1
     assert shed[0].args["max_queue"] == error.max_queue == 1
+
+
+def test_queue_depth_is_the_count_the_cap_compares():
+    """The live depth, its peak and a shed all count the jobs admitted
+    and unfinished, the batch in flight included."""
+    cold = [
+        RunConfig(benchmark="GC-citation", scheme="flat", seed=seed)
+        for seed in range(1, 5)
+    ]
+    started, release = threading.Event(), threading.Event()
+
+    async def _scenario():
+        service = SimulationService(
+            Runner(), config=ServiceConfig(jobs=1, max_batch=1, max_queue=3)
+        )
+        dispatch = service._scheduler._dispatch
+
+        def held(configs):
+            started.set()
+            release.wait(30)
+            return dispatch(configs)
+
+        service._scheduler._dispatch = held
+        async with service:
+            try:
+                jobs = [await service.submit(cold[0])]
+                assert await asyncio.get_running_loop().run_in_executor(
+                    None, started.wait, 30
+                )
+                jobs += [await service.submit(config) for config in cold[1:3]]
+                depths = (service.queue_depth, service.stats().peak_queue_depth)
+                with pytest.raises(ServiceOverloaded) as excinfo:
+                    await service.submit(cold[3])
+            finally:
+                release.set()
+            await service.gather(jobs)
+        return depths, excinfo.value
+
+    (depth, peak), error = asyncio.run(_scenario())
+    assert depth == peak == 3
+    assert (error.queue_depth, error.max_queue) == (3, 3)
 
 
 # ----------------------------------------------------------------------
