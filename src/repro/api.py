@@ -56,7 +56,6 @@ from repro.harness.runner import (
 from repro.harness.schemes import DP_SCHEMES, SchemeSpec
 from repro.harness.store import (
     ResultStore,
-    StoreBackend,
     default_cache_dir,
     open_store,
 )
@@ -235,8 +234,8 @@ def serve(
     many jobs are admitted and unfinished; the error carries
     ``queue_depth`` and ``max_queue``.
 
-    ``store_url`` (``dir://`` or ``sqlite://``) is shorthand for
-    ``store=open_store(store_url)``.  It cannot be combined with
+    ``store_url`` (``sqlite://PATH`` or a database path) is shorthand
+    for ``store=open_store(store_url)``.  It cannot be combined with
     ``runner`` or ``store``: either would leave the URL unused.  Nor can
     ``store`` be combined with ``runner``, which keeps its own store.
     """
@@ -313,7 +312,6 @@ __all__ = [
     "FaultPlan",
     "FlakyStore",
     "ResultStore",
-    "StoreBackend",
     "open_store",
     "SweepResult",
     "ReplicationResult",

@@ -22,8 +22,9 @@ Commands
 ``suite --jobs N``
     Run the complete evaluation suite, fanning the declared run-set out
     across ``N`` worker processes first and persisting every result in
-    the on-disk cache (``.repro-cache/`` or ``$REPRO_CACHE_DIR``); a warm
-    cache makes a repeat suite purely a read.
+    the on-disk store (``results.db`` in ``.repro-cache/`` or
+    ``$REPRO_CACHE_DIR``); a warm store makes a repeat suite purely a
+    read, and a killed suite resumes where it stopped.
 ``check [--update-golden]``
     Conformance: simulate the pinned golden benchmark x scheme matrix with
     the runtime invariant checker attached and diff each event trace
@@ -60,6 +61,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -76,15 +78,13 @@ def _add_store_argument(
 ) -> None:
     """The shared ``--store URL`` flag.
 
-    Every store-touching command accepts the same URL syntax:
-    ``dir://PATH``, ``sqlite://PATH.db``, or a bare path (meaning
-    ``dir://``).
+    Every store-touching command accepts the same spelling of the one
+    SQLite database file: ``sqlite://PATH.db`` or the bare ``PATH.db``.
     """
     parser.add_argument(
         "--store", default=None, metavar="URL",
-        help="result store: dir://PATH, sqlite://PATH.db, "
-             "or a bare directory path "
-             "(default: $REPRO_CACHE_DIR or .repro-cache)",
+        help="result store: sqlite://PATH.db or PATH.db "
+             "(default: results.db in $REPRO_CACHE_DIR or .repro-cache)",
     )
     if no_store:
         parser.add_argument(
@@ -96,8 +96,8 @@ def _add_store_argument(
 def _resolve_store_url(args, *, default: bool):
     """``(use_store, url)`` from ``--store``/``--no-store``.
 
-    ``default=True`` opens the default directory cache when no flag was
-    given (suite/serve/cache); ``default=False`` stays storeless
+    ``default=True`` opens the default store when no flag was given
+    (suite/serve/cache); ``default=False`` stays storeless
     unless the user named one (run — historically cacheless).
     ``url`` may be None with ``use_store=True``, meaning "the default
     location" (:func:`repro.harness.store.open_store` resolves it).
@@ -183,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--max-retries", type=int, default=2, metavar="N",
                        help="re-dispatches per task after its first failed "
                             "attempt (default: 2)")
-    suite.add_argument("--resume", action="store_true",
-                       help="resume a partially-completed suite from the "
-                            "persistent store: only missing configs are "
-                            "simulated (requires the store)")
     suite.add_argument("--fail-fast", action="store_true",
                        help="abort on the first quarantined run instead of "
                             "completing the rest of the suite")
@@ -287,9 +283,8 @@ def cmd_run(args, out) -> int:
     result = runner.run(config, tracer=tracer)
     summary = dict(result.summary())
     if args.scheme != "flat":
-        summary["speedup_vs_flat"] = runner.speedup(
-            args.benchmark, args.scheme, seed=args.seed
-        )
+        flat = runner.run(dataclasses.replace(config, scheme="flat"))
+        summary["speedup_vs_flat"] = flat.makespan / result.makespan
     if tracer is not None:
         if args.trace:
             count = write_jsonl(tracer.events(), args.trace)
@@ -447,10 +442,6 @@ def cmd_suite(args, out) -> int:
         print(f"error: --max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
         return 2
-    if args.resume and args.no_store:
-        print("error: --resume needs the persistent store (drop --no-store)",
-              file=sys.stderr)
-        return 2
     store = _open_cli_store(args, default=True)
     runner = Runner(store=store)
     if args.experiments:
@@ -476,13 +467,6 @@ def cmd_suite(args, out) -> int:
     plan = suite_plan(args.seed, names)
     parallel = ParallelRunner(runner, policy=policy, faults=faults)
     report = parallel.run_suite(plan, jobs=jobs)
-    if args.resume:
-        print(
-            f"resume: {report.resumed} of "
-            f"{report.resumed + len(report.outcomes)} planned runs already "
-            "completed; re-simulated only the rest",
-            file=sys.stderr,
-        )
     if report.failures or report.skipped:
         rows = [
             (o.config.benchmark, o.config.scheme, o.status, o.attempts,
@@ -609,7 +593,6 @@ def cmd_cache(args, out) -> int:
             ["field", "value"],
             [
                 ("store", store.url),
-                ("backend", store.backend.name),
                 ("root", stats.root),
                 ("entries", stats.entries),
                 ("total_bytes", stats.total_bytes),

@@ -11,12 +11,6 @@ from repro.harness.schemes import (
     SchemeSpec,
     make_policy,
 )
-from repro.harness.export import (
-    experiment_to_csv,
-    experiment_to_json,
-    result_to_dict,
-    result_to_json,
-)
 from repro.harness.faults import FaultPlan, FlakyStore
 from repro.harness.parallel import (
     ExecutionPolicy,
@@ -34,7 +28,6 @@ from repro.harness.replication import (
 )
 from repro.harness.store import (
     ResultStore,
-    StoreBackend,
     StoreStats,
     default_cache_dir,
     open_store,
@@ -64,7 +57,6 @@ __all__ = [
     "RunConfig",
     "Runner",
     "SchemeSpec",
-    "StoreBackend",
     "StoreStats",
     "SweepPoint",
     "SweepResult",
@@ -73,16 +65,12 @@ __all__ = [
     "bar_chart",
     "default_cache_dir",
     "default_jobs",
-    "experiment_to_csv",
-    "experiment_to_json",
     "geometric_mean",
     "make_policy",
     "offline_search",
     "open_store",
     "replicate",
     "replication_plan",
-    "result_to_dict",
-    "result_to_json",
     "sweep_plan",
     "threshold_sweep",
     "timeline",

@@ -19,8 +19,8 @@ split on top of :class:`~repro.harness.runner.Runner`:
    progress: a killed suite resumes from the store, re-simulating only
    the missing configs).  "Single-producer" is per *runner*, not per
    host: every store write goes through one
-   :class:`~repro.harness.store.StoreBackend`, and the ``sqlite://``
-   WAL backend is safe under several parent processes sharing one file.
+   :class:`~repro.harness.store.ResultStore`, whose WAL-mode SQLite
+   file is safe under several parent processes sharing it.
 3. **Resolve.**  Results are returned in input order via the now-warm
    runner, so ``run_many`` output is bit-identical to running the same
    configs serially (simulations are deterministic and workers use the

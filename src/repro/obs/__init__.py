@@ -1,7 +1,7 @@
 """Observability layer: structured tracing, SPAWN decision audit, exporters.
 
-* :mod:`repro.obs.tracer` — typed simulator events, ring-buffer or
-  unbounded sinks, and the zero-overhead disabled default;
+* :mod:`repro.obs.tracer` — typed simulator events, an in-memory
+  sink, and the zero-overhead disabled default;
 * :mod:`repro.obs.audit` — per-decision SPAWN audit records joined with
   actual child completion times (controller prediction error);
 * :mod:`repro.obs.export` — JSONL dumps and Chrome ``trace_event`` JSON
@@ -29,7 +29,6 @@ from repro.obs.tracer import (
     NULL_TRACER,
     ListSink,
     NullTracer,
-    RingBufferSink,
     TraceEvent,
     Tracer,
     filter_events,
@@ -50,7 +49,6 @@ __all__ = [
     "NULL_TRACER",
     "ListSink",
     "NullTracer",
-    "RingBufferSink",
     "TraceEvent",
     "Tracer",
     "filter_events",

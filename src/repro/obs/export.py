@@ -92,9 +92,8 @@ def _open_for_write(dest: PathOrFile):
 def write_json_atomic(payload: object, path) -> Path:
     """Serialize ``payload`` to ``path`` via temp file + ``os.replace``.
 
-    The store's directory-backend idiom applied to report files
-    (``repro serve --stats-json``): the JSON is fully serialized
-    before the disk is touched, written to a temp file in the
+    For report files (``repro serve --stats-json``): the JSON is fully
+    serialized before the disk is touched, written to a temp file in the
     destination directory, and renamed into place — a reader (or a crash
     mid-write) can never observe a truncated file.
     Returns the destination path.
@@ -214,7 +213,7 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, object]:
         elif kind == CTA_FINISH:
             start = open_ctas.pop((args["kernel_id"], args["cta_index"]), None)
             if start is None:
-                continue  # dispatch fell off a ring buffer; skip the slice
+                continue  # a truncated stream lost the dispatch; skip the slice
             trace.append(
                 {
                     "ph": "X",
@@ -367,7 +366,7 @@ def _wall_clock_tracks(
                     event.ts, public_args(args),
                 )
                 pending_submit = None
-            else:  # submit fell off a ring buffer
+            else:  # a truncated stream lost the submit
                 trace.append(
                     {
                         "ph": "i", "s": "t", "pid": PID_SERVICE, "tid": 0,

@@ -38,11 +38,9 @@ instruments hold what no ledger does, chiefly distributions.  DESIGN
 §12 catalogues every instrument name with its kind, labels and
 emitting module, and
 ``tests/test_instrument_catalogue.py`` keeps the two in step.  The
-store instruments, ``store.reads_total{backend=, outcome=hit|miss}``
-and ``store.io_seconds{backend=, op=load|save}``, are emitted by the
-:class:`~repro.harness.store.ResultStore` *wrapper*, never by individual
-backends, so both backends (``dir``/``sqlite``) report under the
-same names and differ only in the ``backend`` label.
+store instruments, ``store.reads_total{outcome=hit|miss}`` and
+``store.io_seconds{op=load|save}``, are emitted by
+:class:`~repro.harness.store.ResultStore`.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ design:
   with well-known kind constants (below), so downstream consumers — the
   JSONL/Chrome exporters of :mod:`repro.obs.export` and the SPAWN decision
   audit of :mod:`repro.obs.audit` — join and filter without parsing.
-* **Bounded or unbounded sinks.**  The default :class:`ListSink` keeps
-  everything; :class:`RingBufferSink` keeps the last *N* events for
-  long-running sweeps where only the tail matters.
+* **Every event kept.**  The default :class:`ListSink` holds the whole
+  stream in memory, in emission order.
 
 Components that have no clock of their own (the GMU) stamp events through
 the tracer's bound ``clock`` callable, which the engine points at its event
@@ -25,8 +24,7 @@ queue at the start of every run.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 # ---------------------------------------------------------------------------
 # Event kind constants.  Dotted names group by emitting component.
@@ -105,32 +103,6 @@ class ListSink:
 
     def clear(self) -> None:
         self._events.clear()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-
-class RingBufferSink:
-    """Keeps only the most recent ``capacity`` events."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("ring buffer capacity must be positive")
-        self.capacity = capacity
-        self.dropped = 0
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-
-    def append(self, event: TraceEvent) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._events)

@@ -75,7 +75,7 @@ class TestRunnerConflicts:
     def test_conflict_raises_naming_the_arguments(self, runner, tmp_path,
                                                   call, names):
         values = {
-            "store": api.open_store(f"dir://{tmp_path}"),
+            "store": api.open_store(f"sqlite://{tmp_path}/results.db"),
             "gpu": api.small_debug_gpu(),
             "max_events": 10,
         }
@@ -93,7 +93,7 @@ class TestRunnerConflicts:
         assert (runner.store, runner.config) == (None, api.GPUConfig())
 
     def test_arguments_without_a_runner_build_it(self, tmp_path):
-        store = api.open_store(f"dir://{tmp_path}")
+        store = api.open_store(f"sqlite://{tmp_path}/results.db")
         result = api.simulate(FAST, "flat", gpu=api.GPUConfig(num_smx=6),
                               store=store)
         assert result.makespan > 0

@@ -1,125 +1,109 @@
-"""Backend contract suite: every StoreBackend obeys the same rules.
+"""Store contract suite: the rules the runner and the service rely on.
 
-One parametrized fixture yields a directory backend and a WAL-mode
-SQLite backend; every contract test runs against both.  The contract
-under test is the one
-:class:`~repro.harness.store.ResultStore` (and through it the runner and
-the service) relies on: raw-dict round trips, corrupt entries
-orphaned on read, strict JSON (NaN rejected with ``ValueError`` before
-anything is written), concurrent writers, and schema-version bumps
-invalidating stale entries end to end.
+The store is one WAL-mode SQLite file; the ``store`` fixture's parameter
+is its URL scheme.  The contract under test: result round trips, last
+write wins, corrupt entries orphaned on read, strict JSON (NaN rejected
+with ``ValueError`` before anything is written), delete and clear,
+concurrent writers, and schema-version bumps invalidating stale entries.
 """
 
+import json
 import sqlite3
 import threading
+from contextlib import closing
+from types import SimpleNamespace
 
 import pytest
 
 from repro.harness import store as store_mod
-from repro.harness.backends import (
-    DirectoryBackend,
-    SQLiteBackend,
-    StoreBackend,
-    open_backend,
-)
-from repro.harness.backends.base import describe
 from repro.harness.runner import RunConfig, Runner
-from repro.harness.store import ResultStore
+from repro.harness.store import open_store
+from repro.sim.engine import SimResult
+from repro.sim.stats import SimStats
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
 
 
-class BackendCase:
-    """A live backend plus backend-specific corruption/teardown hooks."""
-
-    def __init__(self, backend, corrupt, cleanup):
-        self.backend = backend
-        self.corrupt = corrupt
-        self.cleanup = cleanup
+def result_with(makespan):
+    stats = SimStats()
+    stats.makespan = makespan
+    return SimResult("app", "policy", stats)
 
 
-def _dir_case(tmp_path):
-    backend = DirectoryBackend(tmp_path / "cache")
-
-    def corrupt(key):
-        backend.path_for(key).write_text("{ not json", encoding="utf-8")
-
-    return BackendCase(backend, corrupt, backend.close)
-
-
-def _sqlite_case(tmp_path):
-    backend = SQLiteBackend(tmp_path / "cache.db")
-
-    def corrupt(key):
-        # An independent connection, like another process scribbling.
-        with sqlite3.connect(backend.location) as conn:
-            conn.execute(
-                "UPDATE entries SET payload = '{ not json' WHERE key = ?",
-                (key,),
-            )
-
-    return BackendCase(backend, corrupt, backend.close)
+def read_raw(store, key):
+    """``key``'s payload, read as another process would."""
+    with closing(sqlite3.connect(store.path)) as conn:
+        (text,) = conn.execute(
+            "SELECT payload FROM entries WHERE key = ?", (key,)
+        ).fetchone()
+    return json.loads(text)
 
 
-@pytest.fixture(params=["dir", "sqlite"])
-def case(request, tmp_path):
-    make_case = {"dir": _dir_case, "sqlite": _sqlite_case}
-    built = make_case[request.param](tmp_path)
-    yield built
-    built.cleanup()
+def write_raw(store, key, text):
+    """Overwrite ``key``'s payload text, as another process scribbling."""
+    with closing(sqlite3.connect(store.path)) as conn, conn:
+        conn.execute(
+            "UPDATE entries SET payload = ? WHERE key = ?", (text, key)
+        )
+
+
+@pytest.fixture(params=["sqlite"])
+def store(request, tmp_path):
+    opened = open_store(f"{request.param}://{tmp_path}/cache.db")
+    yield opened
+    opened.close()
 
 
 class TestContract:
-    def test_round_trip(self, case):
-        backend = case.backend
-        assert isinstance(backend, StoreBackend)
-        payload = {"schema": 3, "result": {"makespan": 1.5, "tags": ["a"]}}
-        assert backend.load(KEY) is None
-        assert not backend.contains(KEY)
-        backend.save(KEY, payload)
-        assert backend.contains(KEY)
-        assert backend.load(KEY) == payload
-        stats = backend.stats()
+    def test_round_trip(self, store):
+        assert store.load(KEY) is None
+        assert not store.contains(KEY)
+        store.save(KEY, result_with(1.5))
+        assert store.contains(KEY)
+        assert store.load(KEY).makespan == 1.5
+        stats = store.stats()
         assert stats.entries == 1
         assert stats.total_bytes > 0
 
-    def test_save_overwrites_last_wins(self, case):
-        case.backend.save(KEY, {"v": 1})
-        case.backend.save(KEY, {"v": 2})
-        assert case.backend.load(KEY) == {"v": 2}
-        assert case.backend.stats().entries == 1
+    def test_save_overwrites_last_wins(self, store):
+        store.save(KEY, result_with(1.0))
+        store.save(KEY, result_with(2.0))
+        assert store.load(KEY).makespan == 2.0
+        assert store.stats().entries == 1
 
-    def test_corrupt_entry_is_orphaned(self, case):
-        case.backend.save(KEY, {"v": 1})
-        case.corrupt(KEY)
-        assert case.backend.load(KEY) is None
+    def test_corrupt_entry_is_orphaned(self, store):
+        store.save(KEY, result_with(1.0))
+        write_raw(store, KEY, "{ not json")
+        assert store.load(KEY) is None
         # The read deleted the broken entry, not just skipped it.
-        assert case.backend.stats().entries == 0
+        assert store.stats().entries == 0
 
-    def test_nan_rejected_before_write(self, case):
+    def test_nan_rejected_before_write(self, store):
+        untagged = SimpleNamespace(to_dict=lambda: {"makespan": float("nan")})
         with pytest.raises(ValueError):
-            case.backend.save(KEY, {"makespan": float("nan")})
-        assert not case.backend.contains(KEY)
-        assert case.backend.stats().entries == 0
+            store.save(KEY, untagged)
+        # Not even the database file was created.
+        assert not store.path.exists()
+        assert store.stats().entries == 0
 
-    def test_delete_and_clear(self, case):
-        case.backend.save(KEY, {"v": 1})
-        case.backend.save(OTHER, {"v": 2})
-        case.backend.delete(KEY)
-        case.backend.delete(KEY)  # deleting a missing key is a no-op
-        assert case.backend.load(KEY) is None
-        assert case.backend.stats().entries == 1
-        assert case.backend.clear() == 1
-        assert case.backend.stats().entries == 0
+    def test_delete_and_clear(self, store):
+        store.save(KEY, result_with(1.0))
+        store.save(OTHER, result_with(2.0))
+        store.delete(KEY)
+        store.delete(KEY)  # deleting a missing key is a no-op
+        assert store.load(KEY) is None
+        assert store.stats().entries == 1
+        assert store.clear() == 1
+        assert store.stats().entries == 0
 
-    def test_concurrent_writers_all_land(self, case):
+    def test_concurrent_writers_all_land(self, store):
         keys = [f"{i:02x}" * 32 for i in range(16)]
         errors = []
 
         def write(key, value):
             try:
-                case.backend.save(key, {"value": value})
+                store.save(key, result_with(float(value)))
             except Exception as exc:  # noqa: BLE001 — collected for assert
                 errors.append(exc)
 
@@ -136,15 +120,14 @@ class TestContract:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert case.backend.stats().entries == len(keys) + 1
+        assert store.stats().entries == len(keys) + 1
         for i, key in enumerate(keys):
-            assert case.backend.load(key) == {"value": i}
-        assert case.backend.load(KEY)["value"] in range(100, 104)
+            assert store.load(key).makespan == i
+        assert store.load(KEY).makespan in range(100, 104)
 
     def test_schema_bump_invalidates_through_the_wrapper(
-        self, case, monkeypatch
+        self, store, monkeypatch
     ):
-        store = ResultStore(backend=case.backend)
         runner = Runner()
         config = RunConfig(benchmark="GC-citation", scheme="spawn")
         key = store.key_for(config, runner.config, runner.max_events)
@@ -153,12 +136,11 @@ class TestContract:
         monkeypatch.setattr(
             store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION + 1
         )
-        # The stale entry reads as a miss and is orphaned on any backend.
+        # The stale entry reads as a miss and is orphaned.
         assert store.load(key) is None
-        assert case.backend.stats().entries == 0
+        assert store.stats().entries == 0
 
-    def test_result_store_round_trip(self, case):
-        store = ResultStore(backend=case.backend)
+    def test_result_store_round_trip(self, store):
         runner = Runner()
         config = RunConfig(benchmark="GC-citation", scheme="spawn")
         result = runner.run(config)
@@ -182,13 +164,12 @@ class TestContract:
     @pytest.mark.parametrize(
         "damage", ["unequal_lengths", "missing_column", "stats_not_a_dict"]
     )
-    def test_damaged_stats_payload_loads_as_a_miss(self, case, damage):
-        store = ResultStore(backend=case.backend)
+    def test_damaged_stats_payload_loads_as_a_miss(self, store, damage):
         runner = Runner()
         config = RunConfig(benchmark="GC-citation", scheme="spawn")
         key = store.key_for(config, runner.config, runner.max_events)
         store.save(key, runner.run(config))
-        entry = case.backend.load(key)
+        entry = read_raw(store, key)
         columns = entry["result"]["stats"]["kernels"]
         if damage == "unequal_lengths":
             columns["completion_time"].pop()
@@ -196,48 +177,6 @@ class TestContract:
             del columns["arrival_time"]
         else:
             entry["result"]["stats"] = []
-        case.backend.save(key, entry)
+        write_raw(store, key, json.dumps(entry))
         assert store.load(key) is None
-        assert not case.backend.contains(key)
-
-
-class TestOpenBackend:
-    def test_bare_path_is_directory(self, tmp_path):
-        backend = open_backend(tmp_path / "cache")
-        assert isinstance(backend, DirectoryBackend)
-        assert describe(backend) == f"dir://{tmp_path / 'cache'}"
-
-    def test_dir_url(self, tmp_path):
-        backend = open_backend(f"dir://{tmp_path}/cache")
-        assert isinstance(backend, DirectoryBackend)
-
-    def test_sqlite_url(self, tmp_path):
-        backend = open_backend(f"sqlite://{tmp_path}/cache.db")
-        try:
-            assert isinstance(backend, SQLiteBackend)
-            assert describe(backend) == f"sqlite://{tmp_path}/cache.db"
-        finally:
-            backend.close()
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            open_backend("redis://localhost:6379")
-
-    def test_default_is_directory_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(store_mod.ENV_CACHE_DIR, str(tmp_path / "dflt"))
-        backend = open_backend(None)
-        assert isinstance(backend, DirectoryBackend)
-        assert str(tmp_path / "dflt") in describe(backend)
-
-
-class TestDeprecatedSpellings:
-    def test_root_and_backend_together_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            ResultStore(tmp_path, backend=DirectoryBackend(tmp_path))
-
-    def test_no_arg_store_does_not_warn(self, recwarn, monkeypatch, tmp_path):
-        monkeypatch.setenv(store_mod.ENV_CACHE_DIR, str(tmp_path))
-        ResultStore()
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+        assert not store.contains(key)

@@ -103,6 +103,17 @@ class TestObservabilityCommands:
         assert "speedup_vs_flat" in summary
         assert "peak_ccqs_depth" in summary
 
+    def test_run_speedup_is_of_the_configured_run(self):
+        argv = ("run", "GC-citation", "--stream-policy", "per-parent-cta",
+                "--json")
+        code, text = run_cli(*argv, "--scheme", "spawn")
+        assert code == 0
+        spawn = json.loads(text)
+        code, text = run_cli(*argv, "--scheme", "flat")
+        assert code == 0
+        flat = json.loads(text)
+        assert spawn["speedup_vs_flat"] == flat["makespan"] / spawn["makespan"]
+
     def test_run_json_flat_has_no_speedup(self):
         code, text = run_cli("run", "GC-citation", "--scheme", "flat", "--json")
         assert code == 0
@@ -181,14 +192,14 @@ class TestSuiteCacheBench:
         assert code == 2
 
     def test_suite_subset_with_store(self, tmp_path):
-        cache = tmp_path / "cache"
+        cache = tmp_path / "cache.db"
         code, text = run_cli(
             "suite", "--experiments", "fig19", "--jobs", "1",
             "--store", str(cache),
         )
         assert code == 0
         assert "fig19" in text
-        assert cache.is_dir()  # results were persisted
+        assert cache.is_file()  # results were persisted
 
     def test_suite_summary_counts_one_invocation(self, capsys):
         argv = ("--experiments", "fig19", "--no-store", "--jobs", "1")
@@ -200,7 +211,7 @@ class TestSuiteCacheBench:
 
     def test_warm_suite_counts_store_hits(self, tmp_path, capsys):
         argv = ("--experiments", "fig19", "--jobs", "1",
-                "--store", str(tmp_path))
+                "--store", str(tmp_path / "results.db"))
         suite_done(capsys, *argv)
         warm = suite_done(capsys, *argv)
         assert warm["resumed"] == "2"
@@ -208,10 +219,11 @@ class TestSuiteCacheBench:
         assert warm["fanned_out"] == warm["simulated_inline"] == "0"
 
     def test_cache_stats_and_clear(self, tmp_path):
-        code, text = run_cli("cache", "stats", "--store", str(tmp_path))
+        store = str(tmp_path / "results.db")
+        code, text = run_cli("cache", "stats", "--store", store)
         assert code == 0
         assert "entries" in text
-        code, text = run_cli("cache", "clear", "--store", str(tmp_path))
+        code, text = run_cli("cache", "clear", "--store", store)
         assert code == 0
         assert "removed 0 entries" in text
 

@@ -45,21 +45,23 @@ class TestAuditErrors:
 
 class TestCacheErrors:
     def test_stats_on_missing_dir(self, tmp_path):
-        missing = tmp_path / "never-created"
+        missing = tmp_path / "never-created" / "results.db"
         code, text = run_cli("cache", "stats", "--store", str(missing))
         assert code == 0
         assert "entries" in text and not missing.exists()
+        assert not missing.parent.exists()
 
     def test_clear_on_empty_dir(self, tmp_path):
-        code, text = run_cli("cache", "clear", "--store", str(tmp_path))
+        store = tmp_path / "results.db"
+        code, text = run_cli("cache", "clear", "--store", str(store))
         assert code == 0
-        assert "removed 0 entries" in text
+        assert "removed 0 entries" in text and not store.exists()
 
-    def test_stats_ignores_foreign_files(self, tmp_path):
-        (tmp_path / "README.txt").write_text("not a cache entry")
-        code, text = run_cli("cache", "stats", "--store", str(tmp_path))
-        assert code == 0
-        assert "entries" in text
+    @pytest.mark.parametrize("url", ["redis://x", "dir://x"])
+    def test_stats_on_another_scheme_fails_cleanly(self, url, capsys):
+        code, _ = run_cli("cache", "stats", "--store", url)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheckErrors:

@@ -131,7 +131,9 @@ class TestExecutionPolicy:
 
 class TestFlakyStore:
     def test_budgeted_errors_then_delegates(self, tmp_path):
-        flaky = FlakyStore(open_store(tmp_path), save_errors=1, load_errors=1)
+        flaky = FlakyStore(
+            open_store(tmp_path / "results.db"), save_errors=1, load_errors=1
+        )
         key = flaky.key_for(CONFIGS[0], Runner().config, 1000)  # delegated
         with pytest.raises(OSError):
             flaky.load(key)
@@ -139,22 +141,22 @@ class TestFlakyStore:
 
     def test_runner_survives_store_io_errors(self, tmp_path):
         plan = FaultPlan(store_save_errors=10, store_load_errors=10)
-        store = plan.flaky_store(open_store(tmp_path))
+        store = plan.flaky_store(open_store(tmp_path / "results.db"))
         runner = Runner(store=store)
         result = runner.run(CONFIGS[0])
         assert result.makespan > 0
         # Every disk write failed, but the memory cache still answers.
         assert runner.cached(CONFIGS[0]) is result
-        assert open_store(tmp_path).stats().entries == 0
+        assert open_store(tmp_path / "results.db").stats().entries == 0
 
     def test_flaky_store_passthrough_when_no_budget(self, tmp_path):
-        store = open_store(tmp_path)
+        store = open_store(tmp_path / "results.db")
         assert FaultPlan().flaky_store(store) is store
         assert FaultPlan().flaky_store(None) is None
 
     def test_run_suite_applies_the_plans_store_faults(self, tmp_path):
         """``faults=`` alone reaches the store: no hand-made wrap needed."""
-        runner = Runner(store=open_store(tmp_path))
+        runner = Runner(store=open_store(tmp_path / "results.db"))
         report = run_suite(
             [RunConfig(benchmark=FAST, scheme="flat")],
             jobs=1,
@@ -162,12 +164,12 @@ class TestFlakyStore:
             faults=FaultPlan(store_save_errors=1),
         )
         assert report.ok
-        assert open_store(tmp_path).stats().entries == 0
+        assert open_store(tmp_path / "results.db").stats().entries == 0
         assert runner.metrics.counter("runner.store_errors").value == 1
 
     def test_store_is_wrapped_once(self, tmp_path):
         plan = FaultPlan(store_save_errors=1)
-        runner = Runner(store=open_store(tmp_path))
+        runner = Runner(store=open_store(tmp_path / "results.db"))
         ParallelRunner(runner, faults=plan)
         wrapped = runner.store
         assert isinstance(wrapped, FlakyStore)
@@ -288,11 +290,11 @@ class TestQuarantine:
 class TestResume:
     def test_resume_dispatches_only_missing_configs(self, tmp_path):
         # First (partial) pass: two of the four runs reach the store.
-        first = Runner(store=open_store(tmp_path))
+        first = Runner(store=open_store(tmp_path / "results.db"))
         for config in CONFIGS[:2]:
             first.run(config)
         # Fresh process-equivalent: cold memory cache, same store.
-        pr = ParallelRunner(Runner(store=open_store(tmp_path)), jobs=2)
+        pr = ParallelRunner(Runner(store=open_store(tmp_path / "results.db")), jobs=2)
         report = pr.run_suite(CONFIGS)
         assert report.resumed == 2
         # Only the two missing configs became work items.
@@ -301,12 +303,12 @@ class TestResume:
         ]
         assert all(o.status == OK for o in report.outcomes)
         assert report.ok and all(r is not None for r in report.results)
-        assert open_store(tmp_path).stats().entries == 4
+        assert open_store(tmp_path / "results.db").stats().entries == 4
 
     def test_fully_cached_suite_dispatches_nothing(self, tmp_path):
-        warm = Runner(store=open_store(tmp_path))
+        warm = Runner(store=open_store(tmp_path / "results.db"))
         ParallelRunner(warm, jobs=1).run_many(CONFIGS)
-        pr = ParallelRunner(Runner(store=open_store(tmp_path)), jobs=2)
+        pr = ParallelRunner(Runner(store=open_store(tmp_path / "results.db")), jobs=2)
         report = pr.run_suite(CONFIGS)
         assert report.resumed == len(CONFIGS)
         assert report.outcomes == []
@@ -382,13 +384,13 @@ class TestServiceChaos:
 
     def test_flaky_store_under_live_traffic(self, baseline, tmp_path):
         plan = FaultPlan(store_save_errors=10, store_load_errors=10)
-        runner = Runner(store=open_store(tmp_path))
+        runner = Runner(store=open_store(tmp_path / "results.db"))
         stats, results = serve_chaos(CONFIGS, faults=plan, runner=runner)
         assert stats.failed == 0
         assert stats.lost == 0
         assert [r.summary() for r in results] == baseline
         # Every disk write failed; the service never noticed.
-        assert open_store(tmp_path).stats().entries == 0
+        assert open_store(tmp_path / "results.db").stats().entries == 0
 
     def test_combined_kill_and_flaky_store_completes_the_rest(
         self, baseline, tmp_path
@@ -402,7 +404,7 @@ class TestServiceChaos:
             store_save_errors=10,
             store_load_errors=10,
         )
-        runner = Runner(store=open_store(tmp_path))
+        runner = Runner(store=open_store(tmp_path / "results.db"))
         stats, results = serve_chaos(
             CONFIGS,
             faults=plan,

@@ -15,10 +15,7 @@ from repro.obs.tracer import (
     KERNEL_COMPLETE,
     LAUNCH_DECISION,
     NULL_TRACER,
-    ListSink,
     NullTracer,
-    RingBufferSink,
-    TraceEvent,
     Tracer,
     filter_events,
 )
@@ -100,29 +97,6 @@ class TestNullTracer:
         del sim
         gc.collect()
         assert ref() is None
-
-
-class TestRingBufferSink:
-    def test_keeps_last_n(self):
-        t = Tracer(sink=RingBufferSink(3))
-        for i in range(10):
-            t.emit(KERNEL_ARRIVAL, ts=float(i), kernel_id=i)
-        events = t.events()
-        assert len(events) == 3
-        assert [e.args["kernel_id"] for e in events] == [7, 8, 9]
-        assert t.sink.dropped == 7
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(0)
-
-    def test_clear_resets_dropped(self):
-        sink = RingBufferSink(1)
-        sink.append(TraceEvent(0.0, KERNEL_ARRIVAL, {}))
-        sink.append(TraceEvent(1.0, KERNEL_ARRIVAL, {}))
-        assert sink.dropped == 1
-        sink.clear()
-        assert sink.dropped == 0 and len(sink) == 0
 
 
 class TestEngineInstrumentation:

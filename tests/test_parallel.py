@@ -110,7 +110,7 @@ class TestRunMany:
         assert runner.cache_size() == 1
 
     def test_persists_to_store(self, tmp_path):
-        runner = Runner(store=open_store(tmp_path))
+        runner = Runner(store=open_store(tmp_path / "results.db"))
         pr = ParallelRunner(runner, jobs=2)
         configs = [
             RunConfig(benchmark=FAST, scheme="flat"),
@@ -119,7 +119,7 @@ class TestRunMany:
         pr.run_many(configs)
         assert runner.store.stats().entries == 2
         # A cold runner over the same store simulates nothing.
-        cold = Runner(store=open_store(tmp_path))
+        cold = Runner(store=open_store(tmp_path / "results.db"))
         for config in configs:
             assert cold.cached(config) is not None
 

@@ -1,24 +1,9 @@
-"""Tests for seed replication and result export."""
-
-import json
+"""Tests for seed replication."""
 
 import pytest
 
-from repro.core.policies import AlwaysLaunchPolicy
 from repro.errors import HarnessError
-from repro.experiments import tables
-from repro.harness.export import (
-    experiment_to_csv,
-    experiment_to_json,
-    result_to_dict,
-    result_to_json,
-)
 from repro.harness.replication import SchemeStats, replicate
-from repro.harness.runner import Runner
-from repro.sim.config import small_debug_gpu
-from repro.sim.engine import GPUSimulator
-
-from tests.conftest import make_dp_app
 
 FAST = "GC-citation"
 
@@ -61,39 +46,3 @@ class TestReplicate:
             replicate(FAST, seeds=())
         with pytest.raises(HarnessError):
             replicate(FAST, schemes=())
-
-
-class TestExport:
-    @pytest.fixture(scope="class")
-    def result(self):
-        sim = GPUSimulator(config=small_debug_gpu(), policy=AlwaysLaunchPolicy())
-        return sim.run(make_dp_app())
-
-    def test_result_dict_shape(self, result):
-        payload = result_to_dict(result)
-        assert payload["app"] == "dp-app"
-        assert payload["summary"]["child_kernels_launched"] == 32
-        assert len(payload["kernels"]) == 33  # root + 32 children
-        assert payload["trace"]
-        assert payload["launch_cdf"][-1][1] == 32
-
-    def test_result_json_round_trips(self, result):
-        payload = json.loads(result_to_json(result))
-        assert payload["summary"]["makespan"] > 0
-
-    def test_traces_can_be_omitted(self, result):
-        payload = result_to_dict(result, include_traces=False)
-        assert "trace" not in payload
-
-    def test_experiment_csv(self):
-        experiment = tables.run_table1()
-        text = experiment_to_csv(experiment)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("Application,")
-        assert len(lines) == 14  # header + 13 benchmarks
-
-    def test_experiment_json(self):
-        experiment = tables.run_table2()
-        payload = json.loads(experiment_to_json(experiment))
-        assert payload["experiment"] == "table2"
-        assert payload["rows"]

@@ -10,6 +10,8 @@ non-finite float is tagged.
 
 import json
 import math
+import sqlite3
+from contextlib import closing
 from dataclasses import fields
 
 from hypothesis import given, settings
@@ -177,9 +179,10 @@ class TestStoreRoundtrip:
         )
         stats.trace = [TraceSample(float("inf"), 0, 1, float("nan"))]
         result = SimResult("app", "policy", stats)
-        store = open_store(tmp_path)
+        store = open_store(tmp_path / "results.db")
         store.save("ab" + "0" * 62, result)
-        raw = store.backend.path_for("ab" + "0" * 62).read_text()
+        with closing(sqlite3.connect(store.path)) as conn:
+            (raw,) = conn.execute("SELECT payload FROM entries").fetchone()
         assert "NaN" not in raw and "Infinity" not in raw
         loaded = store.load("ab" + "0" * 62)
         assert math.isnan(loaded.stats.makespan)

@@ -1,9 +1,12 @@
-"""Tests for the persistent on-disk result store (.repro-cache)."""
+"""Tests for the persistent on-disk result store (.repro-cache/results.db)."""
 
-import json
+import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
+from repro.errors import HarnessError
 from repro.harness import store as store_mod
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.store import ResultStore, open_store
@@ -59,11 +62,11 @@ class TestRoundTrip:
     def test_save_load_summary_identical(self, tmp_path, run_config):
         runner = Runner()
         result = runner.run(run_config)
-        store = open_store(tmp_path)
+        store = open_store(tmp_path / "results.db")
         key = store.key_for(run_config, runner.config, runner.max_events)
         store.save(key, result)
         assert store.contains(key)
-        loaded = open_store(tmp_path).load(key)
+        loaded = open_store(tmp_path / "results.db").load(key)
         assert loaded is not None
         assert loaded.summary() == result.summary()
         assert loaded.makespan == result.makespan
@@ -74,23 +77,25 @@ class TestRoundTrip:
         assert loaded.stats.smx_occupancy == result.stats.smx_occupancy
 
     def test_missing_key_is_none(self, tmp_path):
-        assert open_store(tmp_path).load("ab" * 32) is None
+        assert open_store(tmp_path / "results.db").load("ab" * 32) is None
 
     def test_corrupt_entry_is_miss_and_removed(self, tmp_path, run_config):
         runner = Runner()
-        store = open_store(tmp_path)
+        store = open_store(tmp_path / "results.db")
         key = store.key_for(run_config, runner.config, runner.max_events)
         store.save(key, runner.run(run_config))
-        path = store.backend.path_for(key)
-        path.write_text("{ not json")
+        with closing(sqlite3.connect(store.path)) as conn, conn:
+            conn.execute(
+                "UPDATE entries SET payload = '{ not json' WHERE key = ?", (key,)
+            )
         assert store.load(key) is None
-        assert not path.exists()
+        assert not store.contains(key)
 
     def test_schema_bump_invalidates_stale_entries(
         self, tmp_path, run_config, monkeypatch
     ):
         runner = Runner()
-        store = open_store(tmp_path)
+        store = open_store(tmp_path / "results.db")
         old_key = store.key_for(run_config, runner.config, runner.max_events)
         store.save(old_key, runner.run(run_config))
         monkeypatch.setattr(store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION + 1)
@@ -105,7 +110,7 @@ class TestRoundTrip:
 class TestMaintenance:
     def test_stats_and_clear(self, tmp_path, run_config):
         runner = Runner()
-        store = open_store(tmp_path)
+        store = open_store(tmp_path / "results.db")
         empty = store.stats()
         assert empty.entries == 0 and empty.total_bytes == 0
         result = runner.run(run_config)
@@ -120,17 +125,41 @@ class TestMaintenance:
 
     def test_env_var_overrides_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(store_mod.ENV_CACHE_DIR, str(tmp_path / "elsewhere"))
-        assert ResultStore().backend.root == tmp_path / "elsewhere"
+        assert open_store().path == tmp_path / "elsewhere" / "results.db"
         monkeypatch.delenv(store_mod.ENV_CACHE_DIR)
-        assert str(ResultStore().backend.root) == store_mod.DEFAULT_CACHE_DIR
+        assert str(open_store().path) == os.path.join(
+            store_mod.DEFAULT_CACHE_DIR, store_mod.DEFAULT_DB_NAME
+        )
+        assert not (tmp_path / "elsewhere").exists()
+
+
+class TestOpenStore:
+    def test_url_and_bare_path_name_one_file(self, tmp_path):
+        path = tmp_path / "cache.db"
+        assert open_store(f"sqlite://{path}").path == open_store(path).path
+        assert open_store(path).url == f"sqlite://{path}"
+
+    def test_a_directory_is_rejected(self, tmp_path):
+        with pytest.raises(HarnessError, match="is a directory"):
+            open_store(tmp_path)
+
+    def test_sqlite_errors_are_oserrors(self, tmp_path):
+        path = tmp_path / "not-a-database.db"
+        path.write_text("plain text, not SQLite")
+        store = open_store(path)
+        with pytest.raises(OSError, match="not-a-database"):
+            store.load("ab" * 32)
+        store.close()
+        with pytest.raises(OSError, match="closed"):
+            store.contains("ab" * 32)
 
 
 class TestRunnerIntegration:
     def test_memory_then_disk_then_simulate(self, tmp_path, run_config):
-        first = Runner(store=open_store(tmp_path))
+        first = Runner(store=open_store(tmp_path / "results.db"))
         result = first.run(run_config)
         # A second runner (fresh process stand-in) answers from disk.
-        second = Runner(store=open_store(tmp_path))
+        second = Runner(store=open_store(tmp_path / "results.db"))
         loaded = second.run(run_config)
         assert loaded.summary() == result.summary()
         assert second.metrics.to_dict()["counters"] == {"runner.disk_hits": 1.0}
@@ -142,9 +171,9 @@ class TestRunnerIntegration:
         }
 
     def test_cached_probe_does_not_simulate(self, tmp_path, run_config):
-        warm = Runner(store=open_store(tmp_path))
+        warm = Runner(store=open_store(tmp_path / "results.db"))
         warm.run(run_config)
-        probe = Runner(store=open_store(tmp_path))
+        probe = Runner(store=open_store(tmp_path / "results.db"))
         assert probe.cached(run_config) is not None
         assert probe.cached(RunConfig(benchmark=FAST, scheme="dtbl")) is None
         # The promoted store hit counts; the pre-filter miss does not.
@@ -156,7 +185,7 @@ class TestRunnerIntegration:
 
     def test_trace_interval_not_conflated(self, tmp_path):
         """Regression: runs differing only in trace_interval are distinct."""
-        runner = Runner(store=open_store(tmp_path))
+        runner = Runner(store=open_store(tmp_path / "results.db"))
         coarse = runner.run(RunConfig(benchmark=FAST, scheme="flat"))
         fine = runner.run(
             RunConfig(benchmark=FAST, scheme="flat", trace_interval=100.0)
