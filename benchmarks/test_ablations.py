@@ -113,7 +113,8 @@ def test_ablation_ccqs_queue_cap(benchmark):
     def run():
         rows = []
         for cap in (64, 4096, 65536):
-            result = simulate(SpawnPolicy(max_queue_size=cap))
+            config = GPUConfig(max_pending_child_ctas=cap)
+            result = simulate(SpawnPolicy(), config=config)
             rows.append((cap, int(result.makespan),
                          result.stats.child_kernels_launched))
         return rows

@@ -5,8 +5,9 @@ for Dynamic Parallelism in GPUs* (HPCA 2017).  The package contains:
 
 * ``repro.sim`` — an approximate cycle-level, event-driven GPU simulator with
   dynamic-parallelism support (GMU, HWQs, launch overhead, SMX occupancy);
-* ``repro.core`` — the paper's contribution: the CCQS model and the SPAWN
-  controller (Algorithm 1), plus the alternative launch policies;
+* ``repro.core`` — the paper's contribution: the monitored CCQS metrics and
+  SPAWN's Algorithm 1 (``SpawnPolicy``), plus the alternative launch
+  policies;
 * ``repro.runtime`` — stream (SWQ) assignment policies;
 * ``repro.workloads`` — the 13 benchmarks of Table I with synthetic inputs;
 * ``repro.harness`` — runners, threshold sweeps, and report formatting;
@@ -22,8 +23,6 @@ Quickstart::
     print(result.makespan, result.summary())
 """
 
-from repro.core.ccqs import CCQS
-from repro.core.controller import SpawnController
 from repro.core.metrics import MetricsMonitor
 from repro.core.policies import (
     AlwaysLaunchPolicy,
@@ -55,7 +54,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Application",
     "AlwaysLaunchPolicy",
-    "CCQS",
     "ChildRequest",
     "ConfigError",
     "DecisionKind",
@@ -76,7 +74,6 @@ __all__ = [
     "ResourceError",
     "SimResult",
     "SimulationError",
-    "SpawnController",
     "SpawnPolicy",
     "StaticThresholdPolicy",
     "StreamPolicy",

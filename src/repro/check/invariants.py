@@ -25,8 +25,9 @@ Checked invariants, with the paper sections they encode:
 * **spawn** — every SPAWN decision matches an independent re-evaluation of
   Algorithm 1 (Section IV-B) from the traced monitor inputs: recomputed
   Equation 1/2 estimates must agree and the verdict must equal
-  ``t_child <= t_parent and n + x <= max_queue_size`` (bootstrap launches
-  unconditionally while ``t_cta == 0``).
+  ``t_child <= t_parent and n + x <= max_pending_child_ctas`` (the CCQS
+  bound of ``GPUConfig``; bootstrap launches unconditionally while
+  ``t_cta == 0``).
 * **stats** — counting identities between the event stream and the final
   :class:`~repro.sim.stats.SimStats` (``launched + serialized + reused ==
   decisions``, launch-time list length, makespan vs last completion), plus
@@ -61,7 +62,6 @@ from repro.obs.tracer import (
     KERNEL_SUSPEND,
     LAUNCH_DECISION,
     LAUNCH_MERGE,
-    ListSink,
     TraceEvent,
     Tracer,
 )
@@ -128,9 +128,9 @@ class ConformanceChecker(Tracer):
 
     Violations are *collected*, not raised, so one broken invariant does
     not mask the rest; call :meth:`raise_if_violations` (or inspect
-    :attr:`violations`) after the run.  Events are also retained in the
-    sink, so the same attached checker doubles as the event source for
-    golden-trace capture.
+    :attr:`violations`) after the run.  Events are also retained, so the
+    same attached checker doubles as the event source for golden-trace
+    capture.
     """
 
     def __init__(
@@ -138,12 +138,10 @@ class ConformanceChecker(Tracer):
         config: GPUConfig,
         *,
         scheme: Optional[str] = None,
-        max_queue_size: int = 65536,
         keep_events: bool = True,
     ):
-        super().__init__(sink=ListSink())
+        super().__init__()
         self.config = config
-        self.max_queue_size = max_queue_size
         self.keep_events = keep_events
         #: Scheme-aware expectations.  With no scheme the checker accepts
         #: whatever scope a merge event declares (still enforcing its
@@ -207,7 +205,7 @@ class ConformanceChecker(Tracer):
     def emit(self, kind: str, ts: Optional[float] = None, **args: object) -> None:
         event = TraceEvent(self.clock() if ts is None else ts, kind, args)
         if self.keep_events:
-            self.sink.append(event)
+            self._events.append(event)
         self.check_event(event)
 
     def check_event(self, event: TraceEvent) -> None:
@@ -730,11 +728,11 @@ class ConformanceChecker(Tracer):
     def _reevaluate_spawn(self, event: TraceEvent) -> None:
         """Replay Algorithm 1 from the traced monitor inputs.
 
-        Mirrors :class:`repro.core.controller.SpawnController` /
-        :class:`repro.core.ccqs.CCQS` arithmetic exactly:
-        ``T = max(n_con, 1) / t_cta``, ``t_child = overhead + (n + x) / T``
-        (Equation 1), ``t_parent = items * t_warp`` (Equation 2); launch
-        iff ``t_child <= t_parent`` and ``n + x <= max_queue_size``.
+        Mirrors :class:`repro.core.policies.SpawnPolicy` arithmetic
+        exactly: ``T = max(n_con, 1) / t_cta``, ``t_child = overhead +
+        (n + x) / T`` (Equation 1), ``t_parent = items * t_warp``
+        (Equation 2); launch iff ``t_child <= t_parent`` and ``n + x <=
+        config.max_pending_child_ctas``.
         """
         args = event.args
         verdict = args["verdict"]
@@ -777,14 +775,13 @@ class ConformanceChecker(Tracer):
                     f"from the traced inputs gives {derived}",
                     event,
                 )
-        should_launch = (
-            args["t_child"] <= args["t_parent"] and n + x <= self.max_queue_size
-        )
+        bound = self.config.max_pending_child_ctas
+        should_launch = args["t_child"] <= args["t_parent"] and n + x <= bound
         if should_launch != (verdict == "launch"):
             self._fail(
                 "spawn",
                 f"verdict {verdict!r} contradicts Algorithm 1: "
                 f"t_child={args['t_child']:.1f} t_parent={args['t_parent']:.1f} "
-                f"n+x={n + x} cap={self.max_queue_size}",
+                f"n+x={n + x} cap={bound}",
                 event,
             )

@@ -118,6 +118,23 @@ def _open_cli_store(args, *, default: bool):
     return open_store(url) if use else None
 
 
+def _print_summary(line: str, runner: Runner) -> None:
+    """Print a command's summary ``line`` with the runner's store errors.
+
+    The runner tolerates a failing store (the run goes on uncached), so
+    the exit code does not change; a warning says what was lost.
+    """
+    counters = runner.metrics.to_dict()["counters"]
+    errors = int(counters.get("runner.store_errors", 0))
+    print(f"{line} store_errors={errors}", file=sys.stderr)
+    if errors:
+        print(
+            f"warning: {errors} result store operations failed; "
+            "results were not kept in the store",
+            file=sys.stderr,
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -496,7 +513,7 @@ def cmd_suite(args, out) -> int:
         print(result.table(), file=out)
         print(file=out)
     counters = runner.metrics.to_dict()["counters"]
-    print(
+    _print_summary(
         "suite done: "
         f"jobs={jobs} "
         f"fanned_out={len(report.outcomes)} "
@@ -508,7 +525,7 @@ def cmd_suite(args, out) -> int:
         f"simulated_inline={int(counters.get('runner.cache_misses', 0))} "
         f"memory_hits={int(counters.get('runner.cache_hits', 0))} "
         f"disk_hits={int(counters.get('runner.disk_hits', 0))}",
-        file=sys.stderr,
+        runner,
     )
     return 1 if (report.failures or failed_experiments) else 0
 
@@ -665,11 +682,8 @@ def cmd_serve(args, out) -> int:
     if faults is not None:
         print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
 
-    service = SimulationService(
-        Runner(store=_open_cli_store(args, default=True)),
-        config=config,
-        faults=faults,
-    )
+    runner = Runner(store=_open_cli_store(args, default=True))
+    service = SimulationService(runner, config=config, faults=faults)
 
     async def drive():
         async with service:
@@ -684,13 +698,13 @@ def cmd_serve(args, out) -> int:
                 f"seed {request.seed}",
                 file=sys.stderr,
             )
-    print(
+    _print_summary(
         f"served {len(requests)} requests from {source}: "
         f"completed={stats.completed} failed={stats.failed} "
         f"shed={stats.shed} coalesced={stats.coalesced} "
         f"cache_hits={stats.cache_hits} "
         f"batches={stats.batches} lost={stats.lost}",
-        file=sys.stderr,
+        runner,
     )
     if args.stats:
         payload = stats.to_dict()

@@ -1,7 +1,5 @@
-"""The paper's contribution: CCQS, monitored metrics, SPAWN, policies."""
+"""The paper's contribution: monitored CCQS metrics, SPAWN, policies."""
 
-from repro.core.ccqs import CCQS
-from repro.core.controller import DecisionTrace, SpawnController
 from repro.core.metrics import MetricsMonitor, RunningMean, WindowedConcurrencyAverage
 from repro.core.policies import (
     AlwaysLaunchPolicy,
@@ -17,9 +15,7 @@ from repro.core.policies import (
 
 __all__ = [
     "AlwaysLaunchPolicy",
-    "CCQS",
     "DecisionKind",
-    "DecisionTrace",
     "DTBLPolicy",
     "FreeLaunchPolicy",
     "LaunchPolicy",
@@ -27,7 +23,6 @@ __all__ = [
     "MetricsMonitor",
     "NeverLaunchPolicy",
     "RunningMean",
-    "SpawnController",
     "SpawnPolicy",
     "StaticThresholdPolicy",
     "WindowedConcurrencyAverage",

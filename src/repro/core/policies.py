@@ -24,8 +24,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.ccqs import CCQS
-from repro.core.controller import SpawnController
 from repro.core.metrics import MetricsMonitor
 from repro.errors import ConfigError
 from repro.sim.config import GPUConfig
@@ -123,56 +121,81 @@ class StaticThresholdPolicy(LaunchPolicy):
 
 
 class SpawnPolicy(LaunchPolicy):
-    """The paper's contribution: Algorithm 1 over live CCQS metrics."""
+    """The paper's contribution: Algorithm 1 over live CCQS metrics.
+
+    The Child CTA Queuing System (CCQS, Section IV-A) abstracts the GMU as
+    a FCFS queue of child CTAs and the SMXs as a server of throughput
+    ``n_con / t_cta``.  At every device-side launch call SPAWN estimates
+
+    * ``t_child  = overhead + (n + x) * t_cta / n_con``   (Equation 1)
+    * ``t_parent = workload * t_warp``                    (Equation 2)
+
+    from the engine's :class:`MetricsMonitor` and launches the child only
+    if ``t_child <= t_parent`` and the CCQS holds ``n + x`` CTAs within
+    ``GPUConfig.max_pending_child_ctas``; otherwise the parent thread
+    performs the workload serially.  ``overhead`` is the measured
+    single-launch latency ``A*1 + b``; ``n_con`` is floored at 1.  Before
+    any child CTA has completed (``t_cta == 0``) SPAWN always launches:
+    the bootstrap path of Algorithm 1, lines 2-3, and the root cause of
+    the paper's SSSP-graph500 pathology (all launches happen before the
+    first metric update arrives).  The engine, not the policy, admits a
+    launched child's CTAs to the monitor (Algorithm 1, line 8).
+    """
 
     name = "spawn"
 
-    def __init__(self, *, max_queue_size: int = 65536, keep_trace: bool = False):
-        self.max_queue_size = max_queue_size
-        self.keep_trace = keep_trace
-        self.controller: SpawnController | None = None
-        self._audit_enabled = False
+    def __init__(self) -> None:
+        self.metrics: Optional[MetricsMonitor] = None
+        self.launch_overhead_cycles = 0.0
+        self.ccqs_bound = 0
+        self._audit = False
+        self._last: Optional[Dict[str, object]] = None
 
     def bind(self, metrics: MetricsMonitor, config: GPUConfig) -> None:
-        ccqs = CCQS(metrics, max_queue_size=self.max_queue_size)
-        self.controller = SpawnController(
-            ccqs=ccqs,
-            launch_overhead_cycles=float(config.launch.latency(1)),
-            keep_trace=self.keep_trace,
-            record_decisions=self._audit_enabled,
-            # The engine admits launched CTAs to the shared metrics monitor
-            # for every policy; avoid double-counting n here.
-            auto_admit=False,
-        )
+        self.metrics = metrics
+        self.launch_overhead_cycles = float(config.launch.latency(1))
+        self.ccqs_bound = config.max_pending_child_ctas
+        self._last = None
 
     def set_audit(self, enabled: bool) -> None:
-        self._audit_enabled = enabled
-        if self.controller is not None:
-            self.controller.record_decisions = enabled
+        self._audit = enabled
 
     def decide(self, request: LaunchRequest) -> DecisionKind:
-        if self.controller is None:
+        metrics = self.metrics
+        if metrics is None:
             raise ConfigError("SpawnPolicy used before bind()")
-        launch = self.controller.decide(
-            time=request.time,
-            num_ctas=request.num_ctas,
-            workload_items=request.items,
-        )
-        return DecisionKind.LAUNCH if launch else DecisionKind.SERIAL
+        metrics.advance(request.time)
+        t_cta = metrics.tcta
+        if t_cta == 0:
+            # No child CTA has finished yet, so there is no throughput
+            # estimate: Algorithm 1 launches unconditionally.
+            if self._audit:
+                self._record(metrics, 0.0, 0.0, True)
+            return DecisionKind.LAUNCH
+        n_x = metrics.n + request.num_ctas
+        t_child = self.launch_overhead_cycles + n_x / (max(metrics.ncon, 1) / t_cta)
+        t_parent = request.items * metrics.twarp
+        if self._audit:
+            self._record(metrics, t_child, t_parent, False)
+        if t_child <= t_parent and n_x <= self.ccqs_bound:
+            return DecisionKind.LAUNCH
+        return DecisionKind.SERIAL
+
+    def _record(
+        self, metrics: MetricsMonitor, t_child: float, t_parent: float, bootstrap: bool
+    ) -> None:
+        self._last = {
+            "n": metrics.n,
+            "n_con": metrics.ncon,
+            "t_cta": metrics.tcta,
+            "t_warp": metrics.twarp,
+            "t_child": t_child,
+            "t_parent": t_parent,
+            "bootstrap": bootstrap,
+        }
 
     def decision_audit(self) -> Optional[Dict[str, object]]:
-        if self.controller is None or self.controller.last_decision is None:
-            return None
-        d = self.controller.last_decision
-        return {
-            "n": d.n_before,
-            "n_con": d.n_con,
-            "t_cta": d.t_cta,
-            "t_warp": d.t_warp,
-            "t_child": d.t_child,
-            "t_parent": d.t_parent,
-            "bootstrap": d.bootstrap,
-        }
+        return self._last
 
 
 class FreeLaunchPolicy(LaunchPolicy):

@@ -1,7 +1,7 @@
 """Observability layer: structured tracing, SPAWN decision audit, exporters.
 
-* :mod:`repro.obs.tracer` — typed simulator events, an in-memory
-  sink, and the zero-overhead disabled default;
+* :mod:`repro.obs.tracer` — typed simulator events, kept in memory, and
+  the zero-overhead disabled default;
 * :mod:`repro.obs.audit` — per-decision SPAWN audit records joined with
   actual child completion times (controller prediction error);
 * :mod:`repro.obs.export` — JSONL dumps and Chrome ``trace_event`` JSON
@@ -27,7 +27,6 @@ from repro.obs.export import (
 )
 from repro.obs.tracer import (
     NULL_TRACER,
-    ListSink,
     NullTracer,
     TraceEvent,
     Tracer,
@@ -47,7 +46,6 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "NULL_TRACER",
-    "ListSink",
     "NullTracer",
     "TraceEvent",
     "Tracer",

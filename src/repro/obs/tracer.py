@@ -14,8 +14,8 @@ design:
   with well-known kind constants (below), so downstream consumers — the
   JSONL/Chrome exporters of :mod:`repro.obs.export` and the SPAWN decision
   audit of :mod:`repro.obs.audit` — join and filter without parsing.
-* **Every event kept.**  The default :class:`ListSink` holds the whole
-  stream in memory, in emission order.
+* **Every event kept.**  A :class:`Tracer` holds the whole stream in a
+  list, in emission order.
 
 Components that have no clock of their own (the GMU) stamp events through
 the tracer's bound ``clock`` callable, which the engine points at its event
@@ -24,7 +24,7 @@ queue at the start of every run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 # ---------------------------------------------------------------------------
 # Event kind constants.  Dotted names group by emitting component.
@@ -92,25 +92,6 @@ class TraceEvent:
         return f"TraceEvent(t={self.ts:.0f}, {self.kind}, {self.args})"
 
 
-class ListSink:
-    """Unbounded in-memory sink (the default)."""
-
-    def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
-
-    def append(self, event: TraceEvent) -> None:
-        self._events.append(event)
-
-    def clear(self) -> None:
-        self._events.clear()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-
 class Tracer:
     """Collects :class:`TraceEvent` records from simulator components.
 
@@ -121,12 +102,8 @@ class Tracer:
 
     enabled: bool = True
 
-    def __init__(
-        self,
-        sink: Optional[object] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
-        self.sink = sink if sink is not None else ListSink()
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
+        self._events: List[TraceEvent] = []
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -135,17 +112,17 @@ class Tracer:
 
     def emit(self, kind: str, ts: Optional[float] = None, **args: object) -> None:
         """Record one event, stamping the bound clock unless ``ts`` given."""
-        self.sink.append(TraceEvent(self.clock() if ts is None else ts, kind, args))
+        self._events.append(TraceEvent(self.clock() if ts is None else ts, kind, args))
 
     def events(self) -> List[TraceEvent]:
-        return list(self.sink)
+        return list(self._events)
 
     def clear(self) -> None:
-        self.sink.clear()
+        self._events.clear()
 
     @property
     def num_events(self) -> int:
-        return len(self.sink)
+        return len(self._events)
 
     # NOTE: deliberately no __len__ — an empty tracer must stay truthy so
     # `tracer or NULL_TRACER` style defaults cannot silently disable it.
@@ -160,9 +137,6 @@ class NullTracer(Tracer):
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(sink=ListSink())
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Keep no clock: the shared instance must not pin a simulator."""
@@ -185,7 +159,7 @@ class MultiTracer(Tracer):
     """
 
     def __init__(self, tracers: Iterable[Tracer]):
-        super().__init__(sink=ListSink())
+        super().__init__()
         self.tracers: List[Tracer] = list(tracers)
         self.enabled = any(t.enabled for t in self.tracers)
 

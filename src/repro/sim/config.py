@@ -175,7 +175,9 @@ class GPUConfig:
     per_warp_issue_rate: float = 0.25
     launch: LaunchOverheadConfig = field(default_factory=LaunchOverheadConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    #: CCQS bound from the Kepler pending-work limit used by SPAWN.
+    #: CCQS bound from the Kepler pending-work limit: SPAWN declines a
+    #: launch that would hold more child CTAs (``SpawnPolicy``), and the
+    #: conformance checker's ``spawn`` invariant reads the same field.
     max_pending_child_ctas: int = 65536
     #: SPAWN metric window (cycles); averages are computed per window and
     #: the paper sizes it so the average is a 10-bit shift.

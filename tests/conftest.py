@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.config import GPUConfig, small_debug_gpu
+from repro.core.metrics import MetricsMonitor
+from repro.core.policies import LaunchRequest, SpawnPolicy
+from repro.sim.config import GPUConfig, LaunchOverheadConfig, small_debug_gpu
 from repro.sim.engine import GPUSimulator
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
 
@@ -112,3 +114,39 @@ def dp_app() -> Application:
 @pytest.fixture
 def debug_sim(debug_config) -> GPUSimulator:
     return GPUSimulator(config=debug_config)
+
+
+def launch_request(items=100, num_ctas=2, time=0.0) -> LaunchRequest:
+    """One depth-1 launch call of ``num_ctas`` CTAs over ``items`` items."""
+    return LaunchRequest(
+        time=time, items=items, num_ctas=num_ctas, items_per_thread=1, depth=1
+    )
+
+
+def bind_spawn(**config_kwargs):
+    """A bound SpawnPolicy over a fresh 128-cycle-window monitor."""
+    monitor = MetricsMonitor(window_cycles=128)
+    config = GPUConfig(**config_kwargs)
+    policy = SpawnPolicy()
+    policy.bind(monitor, config)
+    return policy, monitor, config
+
+
+def free_launch() -> dict:
+    """Config kwargs that price a launch at zero cycles (overhead 0)."""
+    return {"launch": LaunchOverheadConfig(slope_cycles=0, base_cycles=0)}
+
+
+def feed_history(monitor: MetricsMonitor, *, tcta=100.0, ncon=4) -> None:
+    """Install a throughput history: ncon concurrent CTAs, tcta each.
+
+    Leaves the monitor with n == 0, tcta/twarp == tcta, and a completed
+    concurrency window averaging ``ncon``.
+    """
+    monitor.on_ctas_admitted(ncon)
+    for _ in range(ncon):
+        monitor.on_cta_started(0.0)
+    window = float(monitor._ncon.window)
+    monitor.advance(window)
+    for i in range(ncon):
+        monitor.on_cta_finished(window + i, exec_time=tcta, items_per_thread=1)

@@ -64,6 +64,55 @@ class TestCacheErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUnwritableStore:
+    """A store under a regular file fails every operation; the run goes on
+    uncached and exits as before, but the summary line counts the failures
+    and a warning says results were not kept."""
+
+    @staticmethod
+    def store_under_a_file(tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        return str(blocker / "results.db")
+
+    @staticmethod
+    def summary(err, prefix):
+        (line,) = [line for line in err.splitlines() if line.startswith(prefix)]
+        return dict(field.split("=") for field in line.split() if "=" in field)
+
+    def test_suite_reports_store_errors(self, tmp_path, capsys):
+        code, _ = run_cli(
+            "suite", "--experiments", "fig06", "--jobs", "1",
+            "--store", self.store_under_a_file(tmp_path),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert int(self.summary(err, "suite done: ")["store_errors"]) > 0
+        assert "warning: " in err and "not kept" in err
+
+    def test_serve_reports_store_errors(self, tmp_path, capsys):
+        code, _ = run_cli(
+            "serve", "--synthetic", "3", "--jobs", "1",
+            "--store", self.store_under_a_file(tmp_path),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        counts = self.summary(err, "served ")
+        assert counts["lost"] == "0"
+        assert int(counts["store_errors"]) > 0
+        assert "warning: " in err and "not kept" in err
+
+    def test_working_store_reports_zero_and_no_warning(self, tmp_path, capsys):
+        code, _ = run_cli(
+            "serve", "--synthetic", "3", "--jobs", "1",
+            "--store", str(tmp_path / "results.db"),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert self.summary(err, "served ")["store_errors"] == "0"
+        assert "warning: " not in err
+
+
 class TestCheckErrors:
     def test_unknown_benchmark_filter(self, capsys):
         code, _ = run_cli("check", "--benchmark", "no-such-benchmark")

@@ -105,7 +105,14 @@ class TestGPUConfig:
 
     @pytest.mark.parametrize(
         "field",
-        ["num_smx", "clock_mhz", "max_ctas_per_smx", "num_hwq", "metric_window_cycles"],
+        [
+            "num_smx",
+            "clock_mhz",
+            "max_ctas_per_smx",
+            "num_hwq",
+            "max_pending_child_ctas",
+            "metric_window_cycles",
+        ],
     )
     def test_rejects_non_positive_fields(self, field):
         with pytest.raises(ConfigError):

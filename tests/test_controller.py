@@ -1,117 +1,89 @@
-"""Unit tests for the SPAWN controller (Algorithm 1)."""
+"""Unit tests for SPAWN's decision rule (Algorithm 1) in ``SpawnPolicy``."""
 
-import pytest
-
-from repro.core.ccqs import CCQS
-from repro.core.controller import SpawnController
-from repro.core.metrics import MetricsMonitor
-from repro.errors import ConfigError
-
-
-def make_controller(max_queue=1000, overhead=20000.0, **kwargs):
-    monitor = MetricsMonitor(window_cycles=128)
-    ccqs = CCQS(monitor, max_queue_size=max_queue)
-    controller = SpawnController(
-        ccqs=ccqs, launch_overhead_cycles=overhead, keep_trace=True, **kwargs
-    )
-    return controller, monitor
-
-
-def feed_history(monitor, *, tcta=100.0, ncon=4):
-    """Install a throughput history: ncon concurrent CTAs, tcta each.
-
-    Leaves the monitor with n == 0, tcta/twarp == tcta, and a completed
-    concurrency window averaging ``ncon``.
-    """
-    monitor.on_ctas_admitted(ncon)
-    for _ in range(ncon):
-        monitor.on_cta_started(0.0)
-    window = float(monitor._ncon.window)
-    monitor.advance(window)
-    for i in range(ncon):
-        monitor.on_cta_finished(window + i, exec_time=tcta, items_per_thread=1)
+from repro.core.policies import DecisionKind
+from tests.conftest import bind_spawn, feed_history, free_launch, launch_request
 
 
 class TestBootstrap:
     def test_launches_unconditionally_before_first_completion(self):
-        controller, _ = make_controller()
+        policy, _, _ = bind_spawn()
+        policy.set_audit(True)
         for _ in range(5):
-            assert controller.decide(time=0.0, num_ctas=100, workload_items=1)
-        assert controller.launched == 5
-
-    def test_bootstrap_admits_to_ccqs(self):
-        controller, monitor = make_controller()
-        controller.decide(time=0.0, num_ctas=7, workload_items=1)
-        assert monitor.n == 7
+            verdict = policy.decide(launch_request(items=1, num_ctas=100))
+            assert verdict is DecisionKind.LAUNCH
+        audit = policy.decision_audit()
+        assert audit["bootstrap"] is True
+        assert audit["t_cta"] == audit["t_child"] == audit["t_parent"] == 0.0
 
 
 class TestDecisionRule:
     def test_large_workload_launches(self):
-        controller, monitor = make_controller()
+        policy, monitor, _ = bind_spawn()
         feed_history(monitor, tcta=100.0, ncon=4)
-        # t_parent = 10000 * 100 = 1e6 >> t_child = 20000 + small queue.
-        assert controller.decide(time=300.0, num_ctas=2, workload_items=10000)
+        # t_parent = 10000 * 100 = 1e6 >> t_child = 21931 + small queue.
+        verdict = policy.decide(launch_request(items=10000, num_ctas=2, time=300.0))
+        assert verdict is DecisionKind.LAUNCH
 
     def test_small_workload_declines(self):
-        controller, monitor = make_controller()
+        policy, monitor, _ = bind_spawn()
         feed_history(monitor, tcta=100.0, ncon=4)
-        # t_parent = 10 * 100 = 1000 << t_child >= 20000.
-        assert not controller.decide(time=300.0, num_ctas=1, workload_items=10)
+        # t_parent = 10 * 100 = 1000 << t_child >= 21931.
+        verdict = policy.decide(launch_request(items=10, num_ctas=1, time=300.0))
+        assert verdict is DecisionKind.SERIAL
 
     def test_queue_backlog_tips_the_balance(self):
-        controller, monitor = make_controller(overhead=0.0)
+        policy, monitor, _ = bind_spawn(**free_launch())
         feed_history(monitor, tcta=100.0, ncon=1)
         # Borderline workload: t_parent = 50*100 = 5000.
         # Empty queue: t_child = (0+1)*100 = 100 -> launch.
-        assert controller.decide(time=300.0, num_ctas=1, workload_items=50)
+        verdict = policy.decide(launch_request(items=50, num_ctas=1, time=300.0))
+        assert verdict is DecisionKind.LAUNCH
         # Pile up backlog: n large makes t_child exceed t_parent.
         monitor.on_ctas_admitted(200)
-        assert not controller.decide(time=301.0, num_ctas=1, workload_items=50)
+        verdict = policy.decide(launch_request(items=50, num_ctas=1, time=301.0))
+        assert verdict is DecisionKind.SERIAL
 
     def test_queue_capacity_blocks_launch(self):
-        controller, monitor = make_controller(max_queue=10)
+        policy, monitor, _ = bind_spawn(max_pending_child_ctas=10)
         feed_history(monitor, tcta=100.0, ncon=4)
         monitor.on_ctas_admitted(8)
-        # Even a hugely profitable launch is blocked by the CCQS bound.
-        assert not controller.decide(time=300.0, num_ctas=5, workload_items=10**6)
+        # Even a hugely profitable launch is blocked by the CCQS bound...
+        verdict = policy.decide(launch_request(items=10**6, num_ctas=5, time=300.0))
+        assert verdict is DecisionKind.SERIAL
+        # ...which is inclusive: n + x == bound still launches.
+        verdict = policy.decide(launch_request(items=10**6, num_ctas=2, time=300.0))
+        assert verdict is DecisionKind.LAUNCH
 
     def test_equal_estimates_launch(self):
         """Algorithm 1 launches on t_child <= t_parent (inclusive)."""
-        controller, monitor = make_controller(overhead=0.0)
+        policy, monitor, _ = bind_spawn(**free_launch())
         feed_history(monitor, tcta=100.0, ncon=1)
         # After history: n == 0. t_child = (0+1)*100 = 100; t_parent = 1*100.
-        assert controller.decide(time=300.0, num_ctas=1, workload_items=1)
+        verdict = policy.decide(launch_request(items=1, num_ctas=1, time=300.0))
+        assert verdict is DecisionKind.LAUNCH
 
 
 class TestBookkeeping:
     def test_trace_records_estimates(self):
-        controller, monitor = make_controller()
+        """The audited payload carries both estimates of the last decision."""
+        policy, monitor, _ = bind_spawn()
         feed_history(monitor, tcta=100.0, ncon=4)
-        controller.decide(time=300.0, num_ctas=2, workload_items=10)
-        entry = controller.trace[-1]
-        assert entry.launched is False
-        assert entry.t_parent == pytest.approx(10 * monitor.twarp)
-        assert entry.t_child > 0
-
-    def test_counts(self):
-        controller, monitor = make_controller()
-        feed_history(monitor, tcta=100.0, ncon=4)
-        controller.decide(time=300.0, num_ctas=1, workload_items=10**6)
-        controller.decide(time=300.0, num_ctas=1, workload_items=1)
-        assert controller.launched == 1
-        assert controller.declined == 1
-        assert controller.decisions == 2
+        policy.set_audit(True)
+        verdict = policy.decide(launch_request(items=10, num_ctas=2, time=300.0))
+        assert verdict is DecisionKind.SERIAL
+        audit = policy.decision_audit()
+        assert audit["bootstrap"] is False
+        assert audit["t_parent"] == 10 * monitor.twarp
+        assert audit["t_child"] > audit["t_parent"]
 
     def test_auto_admit_disabled(self):
-        monitor = MetricsMonitor(window_cycles=128)
-        controller = SpawnController(
-            ccqs=CCQS(monitor), launch_overhead_cycles=0.0, auto_admit=False
-        )
-        assert controller.decide(time=0.0, num_ctas=5, workload_items=1)
-        assert monitor.n == 0  # the engine is responsible for admission
-
-    def test_rejects_negative_overhead(self):
-        with pytest.raises(ConfigError):
-            SpawnController(
-                ccqs=CCQS(MetricsMonitor()), launch_overhead_cycles=-1.0
-            )
+        """SPAWN never admits: the engine is responsible for admission."""
+        policy, monitor, _ = bind_spawn(**free_launch())
+        verdict = policy.decide(launch_request(items=1, num_ctas=5))
+        assert verdict is DecisionKind.LAUNCH
+        assert monitor.n == 0
+        feed_history(monitor)
+        monitor.on_ctas_admitted(3)
+        for items in (1, 10**6):
+            policy.decide(launch_request(items=items, num_ctas=2, time=300.0))
+            assert monitor.n == 3

@@ -7,7 +7,6 @@ from repro.core.policies import (
     AlwaysLaunchPolicy,
     DecisionKind,
     DTBLPolicy,
-    LaunchRequest,
     NeverLaunchPolicy,
     SpawnPolicy,
     StaticThresholdPolicy,
@@ -15,25 +14,20 @@ from repro.core.policies import (
 from repro.errors import ConfigError
 from repro.runtime.streams import PerChildStream, PerParentCTAStream
 from repro.sim.config import GPUConfig
-
-
-def request(items=100, num_ctas=2):
-    return LaunchRequest(
-        time=0.0, items=items, num_ctas=num_ctas, items_per_thread=1, depth=1
-    )
+from tests.conftest import bind_spawn, feed_history, launch_request
 
 
 class TestStaticPolicies:
     def test_always_launch(self):
-        assert AlwaysLaunchPolicy().decide(request(1)) is DecisionKind.LAUNCH
+        assert AlwaysLaunchPolicy().decide(launch_request(1)) is DecisionKind.LAUNCH
 
     def test_never_launch(self):
-        assert NeverLaunchPolicy().decide(request(10**9)) is DecisionKind.SERIAL
+        assert NeverLaunchPolicy().decide(launch_request(10**9)) is DecisionKind.SERIAL
 
     def test_threshold_boundary_is_strict(self):
         policy = StaticThresholdPolicy(100)
-        assert policy.decide(request(items=100)) is DecisionKind.SERIAL
-        assert policy.decide(request(items=101)) is DecisionKind.LAUNCH
+        assert policy.decide(launch_request(items=100)) is DecisionKind.SERIAL
+        assert policy.decide(launch_request(items=101)) is DecisionKind.LAUNCH
 
     def test_threshold_rejects_negative(self):
         with pytest.raises(ConfigError):
@@ -47,32 +41,45 @@ class TestStaticPolicies:
 class TestSpawnPolicy:
     def test_requires_bind(self):
         with pytest.raises(ConfigError):
-            SpawnPolicy().decide(request())
+            SpawnPolicy().decide(launch_request())
 
     def test_bind_builds_controller_with_paper_overhead(self):
         policy = SpawnPolicy()
         config = GPUConfig()
         policy.bind(MetricsMonitor(), config)
-        assert policy.controller is not None
-        assert policy.controller.launch_overhead_cycles == config.launch.latency(1)
-        assert policy.controller.auto_admit is False
+        assert policy.metrics is not None
+        assert policy.launch_overhead_cycles == config.launch.latency(1)
 
     def test_bootstrap_decision_launches(self):
         policy = SpawnPolicy()
         policy.bind(MetricsMonitor(), GPUConfig())
-        assert policy.decide(request()) is DecisionKind.LAUNCH
+        assert policy.decide(launch_request()) is DecisionKind.LAUNCH
 
     def test_max_queue_size_forwarded(self):
-        policy = SpawnPolicy(max_queue_size=77)
+        """The CCQS bound is GPUConfig.max_pending_child_ctas."""
+        policy = SpawnPolicy()
+        policy.bind(MetricsMonitor(), GPUConfig(max_pending_child_ctas=77))
+        assert policy.ccqs_bound == 77
+
+    def test_audit_off_keeps_nothing(self):
+        policy, monitor, _ = bind_spawn()
+        policy.decide(launch_request(items=10, num_ctas=1, time=0.0))
+        feed_history(monitor)
+        policy.decide(launch_request(items=10, num_ctas=1, time=300.0))
+        assert policy.decision_audit() is None
+        policy.set_audit(True)
+        policy.decide(launch_request(items=10, num_ctas=1, time=300.0))
+        assert policy.decision_audit() is not None
+        # A new run starts with no decision to report.
         policy.bind(MetricsMonitor(), GPUConfig())
-        assert policy.controller.ccqs.max_queue_size == 77
+        assert policy.decision_audit() is None
 
 
 class TestDTBLPolicy:
     def test_coalesces_above_threshold(self):
         policy = DTBLPolicy(50)
-        assert policy.decide(request(items=51)) is DecisionKind.COALESCE
-        assert policy.decide(request(items=50)) is DecisionKind.SERIAL
+        assert policy.decide(launch_request(items=51)) is DecisionKind.COALESCE
+        assert policy.decide(launch_request(items=50)) is DecisionKind.SERIAL
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ConfigError):
