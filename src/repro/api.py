@@ -17,13 +17,14 @@ release in which the old spelling still works and emits
 ``DeprecationWarning``.  Every other exported name may change or go
 without one, as may the internal modules (``repro.sim``,
 ``repro.harness`` internals, ``repro.core``) — import those directly
-only when you accept that churn.
+only when you accept that churn.  One break skipped that release:
+:func:`run_suite` lost its retry-delay and fault-plan keywords, and
+fault injection now lives in the test suite.
 
 The façade deliberately re-exports the few types its signatures mention
 (:class:`RunConfig`, :class:`Runner`, :class:`SimResult`,
-:class:`GPUConfig`, :class:`SuiteReport`, :class:`ExecutionPolicy`,
-:class:`FaultPlan`, ...) so downstream code can depend on ``repro.api``
-alone.
+:class:`GPUConfig`, :class:`SuiteReport`, :class:`ExecutionPolicy`, ...)
+so downstream code can depend on ``repro.api`` alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.errors import (
     TaskTimeout,
     WorkerCrash,
 )
-from repro.harness.faults import FaultPlan, FlakyStore
 from repro.harness.parallel import (
     ExecutionPolicy,
     ParallelRunner,
@@ -174,9 +174,7 @@ def run_suite(
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     max_retries: int = 2,
-    backoff: float = 0.0,
     fail_fast: bool = False,
-    faults: Optional[FaultPlan] = None,
     max_events: Optional[int] = None,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
@@ -188,7 +186,9 @@ def run_suite(
     ``(benchmark, scheme)`` pairs (run under ``seed``).  The suite
     completes even when individual runs crash, hang past ``timeout``, or
     fail permanently — inspect :attr:`SuiteReport.failures` afterwards, or
-    call :meth:`SuiteReport.raise_if_failed`.  Attach a ``store`` to
+    call :meth:`SuiteReport.raise_if_failed`.  A crash or timeout gets up
+    to ``max_retries`` more attempts; an error the run itself raises
+    (:class:`ReproError`) is final on its first.  Attach a ``store`` to
     checkpoint completed runs: re-invoking after a mid-suite kill
     re-simulates only the missing configs.  ``gpu``, ``max_events`` and
     ``store`` build the suite's runner; passing any of them beside
@@ -198,12 +198,9 @@ def run_suite(
         "run_suite", runner, gpu=gpu, max_events=max_events, store=store
     )
     policy = ExecutionPolicy(
-        timeout=timeout,
-        max_retries=max_retries,
-        backoff=backoff,
-        fail_fast=fail_fast,
+        timeout=timeout, max_retries=max_retries, fail_fast=fail_fast
     )
-    parallel = ParallelRunner(runner, policy=policy, faults=faults, tracer=tracer)
+    parallel = ParallelRunner(runner, policy=policy, tracer=tracer)
     return parallel.run_suite(
         [as_run_config(entry, seed) for entry in configs], jobs=jobs
     )
@@ -218,7 +215,6 @@ def serve(
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
     policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
     tracer: Optional[Tracer] = None,
 ) -> SimulationService:
     """Build a :class:`SimulationService` (not yet started).
@@ -248,13 +244,7 @@ def serve(
     if store_url is not None:
         store = open_store(store_url)
     runner = _runner_for("serve", runner, store=store)
-    return SimulationService(
-        runner,
-        config=config,
-        policy=policy,
-        faults=faults,
-        tracer=tracer,
-    )
+    return SimulationService(runner, config=config, policy=policy, tracer=tracer)
 
 
 async def submit(
@@ -309,8 +299,6 @@ __all__ = [
     "SuiteReport",
     "TaskOutcome",
     "ExecutionPolicy",
-    "FaultPlan",
-    "FlakyStore",
     "ResultStore",
     "open_store",
     "SweepResult",

@@ -39,8 +39,7 @@ Commands
     without touching the pool, and everything else is batched onto the
     pool, or shed once ``--max-queue`` jobs are admitted and unfinished.
     ``--stats`` prints the routing ledger and latency percentiles;
-    ``--stats-json FILE`` saves them machine-readably.  Honours
-    ``REPRO_FAULTS`` like ``suite``.
+    ``--stats-json FILE`` saves them machine-readably.
 
 Examples
 --------
@@ -448,7 +447,6 @@ def cmd_experiment(args, out) -> int:
 def cmd_suite(args, out) -> int:
     from repro.experiments import ALL_EXPERIMENTS
     from repro.experiments.plans import suite_plan
-    from repro.harness.faults import FaultPlan
     from repro.harness.parallel import ExecutionPolicy, ParallelRunner, default_jobs
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
@@ -478,11 +476,8 @@ def cmd_suite(args, out) -> int:
         max_retries=args.max_retries,
         fail_fast=args.fail_fast,
     )
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
     plan = suite_plan(args.seed, names)
-    parallel = ParallelRunner(runner, policy=policy, faults=faults)
+    parallel = ParallelRunner(runner, policy=policy)
     report = parallel.run_suite(plan, jobs=jobs)
     if report.failures or report.skipped:
         rows = [
@@ -516,7 +511,7 @@ def cmd_suite(args, out) -> int:
     _print_summary(
         "suite done: "
         f"jobs={jobs} "
-        f"fanned_out={len(report.outcomes)} "
+        f"fanned_out={report.dispatched} "
         f"resumed={report.resumed} "
         f"retries={report.retries} "
         f"timeouts={report.timeouts} "
@@ -650,7 +645,6 @@ def _latency_rows(latency: dict) -> list:
 def cmd_serve(args, out) -> int:
     import asyncio
 
-    from repro.harness.faults import FaultPlan
     from repro.service import (
         ServiceConfig,
         ServiceOverloaded,
@@ -678,12 +672,8 @@ def cmd_serve(args, out) -> int:
     config = ServiceConfig(
         jobs=args.jobs, max_batch=args.max_batch, max_queue=args.max_queue
     )
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
-
     runner = Runner(store=_open_cli_store(args, default=True))
-    service = SimulationService(runner, config=config, faults=faults)
+    service = SimulationService(runner, config=config)
 
     async def drive():
         async with service:

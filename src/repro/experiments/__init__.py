@@ -58,24 +58,10 @@ EXTRA_EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
-def run_all(
-    runner: Optional[Runner] = None, seed: int = 1, jobs: int = 1, policy=None
-):
-    """Run every experiment against one shared runner; yields results.
-
-    ``jobs > 1`` first fans the union of every experiment's declared
-    run-set (:func:`repro.experiments.plans.suite_plan`) out across
-    worker processes; the experiments then execute against a warm cache.
-    ``policy`` is an optional
-    :class:`~repro.harness.parallel.ExecutionPolicy` for the fan-out.
-    """
+def run_all(runner: Optional[Runner] = None, seed: int = 1):
+    """Run every experiment against one shared runner; yields results."""
     shared = runner if runner is not None else Runner()
-    if jobs > 1:
-        from repro.experiments.plans import suite_plan
-        from repro.harness.parallel import ParallelRunner
-
-        ParallelRunner(shared, policy=policy).run_many(suite_plan(seed), jobs=jobs)
-    for name, entry in ALL_EXPERIMENTS.items():
+    for entry in ALL_EXPERIMENTS.values():
         yield entry(shared, seed)
 
 

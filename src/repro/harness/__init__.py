@@ -11,7 +11,6 @@ from repro.harness.schemes import (
     SchemeSpec,
     make_policy,
 )
-from repro.harness.faults import FaultPlan, FlakyStore
 from repro.harness.parallel import (
     ExecutionPolicy,
     ParallelRunner,
@@ -46,8 +45,6 @@ __all__ = [
     "DTBL",
     "ExecutionPolicy",
     "FLAT",
-    "FaultPlan",
-    "FlakyStore",
     "OFFLINE",
     "SPAWN",
     "ParallelRunner",

@@ -34,9 +34,11 @@ by an :class:`ExecutionPolicy`:
   parent starts waiting on that task, so a task queued behind a slow one
   can time out early — that only costs a spurious retry, never a wrong
   result.)
-* **Bounded retry with deterministic backoff.**  Failed attempts are
-  re-dispatched up to ``max_retries`` times, sleeping
-  ``backoff * 2**(attempt-1)`` seconds in the parent between attempts.
+* **Bounded retry.**  Failed attempts are re-dispatched up to
+  ``max_retries`` times.  A deterministic failure, a
+  :class:`~repro.errors.ReproError` the run itself raised (an exhausted
+  event budget, an invalid workload), is quarantined on its first
+  attempt: a retry would fail the same way.
 * **Crash re-dispatch.**  A worker death breaks the whole
   ``ProcessPoolExecutor``; in-flight tasks are re-queued, the pool is
   rebuilt (up to ``max_pool_rebuilds`` times), and execution continues.
@@ -49,8 +51,8 @@ by an :class:`ExecutionPolicy`:
 Determinism note: retries re-run a *pure deterministic* simulation, so a
 retried task's payload is bit-identical to what the first attempt would
 have produced; results are merged in *input order*, not completion order,
-so neither scheduling jitter nor injected faults (see
-:mod:`repro.harness.faults`) can reorder anything observable.
+so neither scheduling jitter nor recovered failures can reorder
+anything observable.
 """
 
 from __future__ import annotations
@@ -63,9 +65,14 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import HarnessError, RunFailure, TaskTimeout, WorkerCrash
+from repro.errors import (
+    HarnessError,
+    ReproError,
+    RunFailure,
+    TaskTimeout,
+    WorkerCrash,
+)
 from repro.harness import schemes as sch
-from repro.harness.faults import FaultPlan
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.sweep import sweep_result, sweep_variants
 from repro.obs.metrics import METRICS
@@ -105,7 +112,6 @@ class ExecutionPolicy:
 
     timeout: Optional[float] = None  # per-task seconds; None = wait forever
     max_retries: int = 2  # re-dispatches after the first failed attempt
-    backoff: float = 0.0  # base seconds for exponential retry backoff
     fail_fast: bool = False  # stop the suite on the first quarantined task
     max_pool_rebuilds: int = 2  # broken pools replaced before going serial
 
@@ -114,18 +120,10 @@ class ExecutionPolicy:
             raise HarnessError(f"timeout must be positive, got {self.timeout}")
         if self.max_retries < 0:
             raise HarnessError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 0:
-            raise HarnessError(f"backoff must be >= 0, got {self.backoff}")
         if self.max_pool_rebuilds < 0:
             raise HarnessError(
                 f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
             )
-
-    def backoff_seconds(self, failed_attempts: int) -> float:
-        """Deterministic sleep before re-dispatching attempt N+1."""
-        if self.backoff <= 0:
-            return 0.0
-        return self.backoff * (2 ** max(failed_attempts - 1, 0))
 
 
 @dataclass
@@ -152,6 +150,7 @@ class SuiteReport:
     results: List[Optional[SimResult]] = field(default_factory=list)
     outcomes: List[TaskOutcome] = field(default_factory=list)
     resumed: int = 0  # planned runs answered from cache before dispatch
+    dispatched: int = 0  # tasks submitted to the pool, retries included
     retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
@@ -202,19 +201,27 @@ class _TaskState:
         )
 
 
+def _run_failure(state: _TaskState, exc: Exception) -> RunFailure:
+    """The typed failure for an attempt that raised ``exc``."""
+    config = state.config
+    failure = RunFailure(
+        f"{config.benchmark}/{config.scheme} failed: {exc}",
+        config=config,
+        attempts=state.attempts,
+    )
+    failure.__cause__ = exc
+    return failure
+
+
 def _simulate_payload(task: Tuple) -> Dict:
     """Worker entry point: simulate one config, return a JSON payload.
 
-    Module-level so it pickles under every start method.  The worker uses
-    a fresh memory-only runner — persistence is the parent's job.  The
-    dispatch sequence number and (optional) fault plan exist purely for
-    deterministic fault injection; a fault-free dispatch is unaffected.
+    Module-level so it pickles under every start method, and looked up at
+    submit time, so a wrapper installed before the pool starts reaches
+    forked workers.  The worker uses a fresh memory-only runner —
+    persistence is the parent's job.
     """
-    run_config, gpu_config, max_events, seq, faults = task
-    if faults is not None:
-        plan = FaultPlan.from_dict(faults)
-        if plan.apply_in_worker(seq, run_config):
-            return {"__injected_corrupt__": seq}
+    run_config, gpu_config, max_events = task
     runner = Runner(gpu_config, max_events=max_events)
     return runner.run(run_config).to_dict()
 
@@ -226,10 +233,7 @@ class ParallelRunner:
     the wrapped runner answers every planned config from cache, so
     experiment modules can keep their serial ``runner.run`` code and
     still benefit.  ``policy`` tunes timeouts/retries/quarantine;
-    ``faults`` injects deterministic failures (chaos tests only); its
-    store IO errors take effect by wrapping ``runner.store`` in a
-    :class:`~repro.harness.faults.FlakyStore`.  ``tracer`` receives
-    ``harness.*`` events for every recovery action.
+    ``tracer`` receives ``harness.*`` events for every recovery action.
     """
 
     def __init__(
@@ -238,19 +242,12 @@ class ParallelRunner:
         *,
         jobs: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
-        faults: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.runner = runner if runner is not None else Runner()
         self.jobs = jobs if jobs is not None else default_jobs()
         self.policy = policy if policy is not None else ExecutionPolicy()
-        if faults is not None and faults.is_noop():
-            faults = None
-        self.faults = faults
-        if faults is not None:
-            self.runner.store = faults.flaky_store(self.runner.store)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._dispatch_seq = 0
 
     # ------------------------------------------------------------------
     # Planning
@@ -349,29 +346,13 @@ class ParallelRunner:
                 self._skip(state, pending, report)
                 continue
             state.attempts += 1
-            seq = self._next_seq()
             started = time.perf_counter()
             try:
-                if self.faults is not None:
-                    self.faults.apply_inline(seq, state.config)
                 self.runner.run(state.config)
-            except WorkerCrash as exc:
-                report.worker_crashes += 1
-                self._emit(
-                    HARNESS_WORKER_CRASH,
-                    benchmark=state.config.benchmark,
-                    scheme=state.config.scheme,
-                )
-                exc.attempts = state.attempts
-                self._after_failure(state, exc, pending, report)
             except Exception as exc:  # quarantine, never abort the suite
-                failure = RunFailure(
-                    f"{state.config.benchmark}/{state.config.scheme} failed: {exc}",
-                    config=state.config,
-                    attempts=state.attempts,
+                self._after_failure(
+                    state, _run_failure(state, exc), pending, report
                 )
-                failure.__cause__ = exc
-                self._after_failure(state, failure, pending, report)
             else:
                 state.status = OK
                 METRICS.histogram("harness.task_seconds", mode="serial").observe(
@@ -389,6 +370,7 @@ class ParallelRunner:
         try:
             while pending:
                 inflight, submit_broken = self._submit_round(pool, pending)
+                report.dispatched += len(inflight)
                 broken = submit_broken
                 for state, future, dispatched in inflight:
                     if broken or state.status is not None or state in pending:
@@ -415,14 +397,9 @@ class ParallelRunner:
                         )
                         self._after_failure(state, failure, pending, report)
                     except Exception as exc:  # task raised / torn payload
-                        failure = RunFailure(
-                            f"{state.config.benchmark}/{state.config.scheme} "
-                            f"failed: {exc}",
-                            config=state.config,
-                            attempts=state.attempts,
+                        self._after_failure(
+                            state, _run_failure(state, exc), pending, report
                         )
-                        failure.__cause__ = exc
-                        self._after_failure(state, failure, pending, report)
                     else:
                         self.runner.cache_result(state.config, result)
                         state.status = OK
@@ -465,14 +442,7 @@ class ParallelRunner:
             if state.status is not None:
                 continue
             state.attempts += 1
-            seq = self._next_seq()
-            task = (
-                state.config,
-                self.runner.config,
-                self.runner.max_events,
-                seq,
-                self.faults.to_dict() if self.faults is not None else None,
-            )
+            task = (state.config, self.runner.config, self.runner.max_events)
             try:
                 future = pool.submit(_simulate_payload, task)
             except (BrokenExecutor, RuntimeError):
@@ -513,14 +483,16 @@ class ParallelRunner:
     ) -> bool:
         """Requeue ``state`` for another attempt or quarantine it.
 
-        Returns True when the task got another attempt.  Permanent
-        injected failures are retried like real ones — proving quarantine
-        needs the retry budget to be spent first.
+        Returns True when the task got another attempt.  A failure caused
+        by a :class:`ReproError` other than a :class:`RunFailure` (the
+        run's own ``SimulationError``, ``WorkloadError``, ...) is
+        deterministic, so it is quarantined on this attempt.  Worker
+        crashes, timeouts, torn payloads and any other exception get
+        ``max_retries`` more attempts.
         """
-        if state.attempts <= self.policy.max_retries:
-            delay = self.policy.backoff_seconds(state.attempts)
-            if delay > 0:
-                time.sleep(delay)
+        cause = failure.__cause__
+        final = isinstance(cause, ReproError) and not isinstance(cause, RunFailure)
+        if not final and state.attempts <= self.policy.max_retries:
             report.retries += 1
             METRICS.counter("harness.retries_total").inc()
             self._emit(
@@ -552,11 +524,6 @@ class ParallelRunner:
 
     def _fail_fast_triggered(self, report: SuiteReport) -> bool:
         return self.policy.fail_fast and report.quarantined > 0
-
-    def _next_seq(self) -> int:
-        seq = self._dispatch_seq
-        self._dispatch_seq += 1
-        return seq
 
     def _emit(self, kind: str, **args) -> None:
         if self.tracer.enabled:

@@ -98,14 +98,11 @@ def replicate(
     seeds: Sequence[int] = (1, 2, 3),
     runner: Optional[Runner] = None,
     jobs: int = 1,
-    policy=None,
 ) -> ReplicationResult:
     """Run ``schemes`` on ``benchmark`` across ``seeds``; aggregate speedups.
 
     ``jobs > 1`` pre-runs the whole seed/scheme grid across worker
     processes; the aggregation below then reads pure cache hits.
-    ``policy`` is an optional
-    :class:`~repro.harness.parallel.ExecutionPolicy` for the fan-out.
     """
     if not seeds:
         raise HarnessError("replication needs at least one seed")
@@ -115,7 +112,7 @@ def replicate(
     if jobs > 1:
         from repro.harness.parallel import ParallelRunner
 
-        ParallelRunner(runner, policy=policy).run_many(
+        ParallelRunner(runner).run_many(
             replication_plan(benchmark, schemes=schemes, seeds=seeds), jobs=jobs
         )
     stats: Dict[str, SchemeStats] = {}

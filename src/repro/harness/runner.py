@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import HarnessError
 from repro.harness import schemes as sch
@@ -74,6 +74,8 @@ class Runner:
         self._cache: Dict[Tuple, SimResult] = {}
         #: Optional persistent layer; None keeps the runner memory-only.
         self.store = store
+        #: Keys the store missed; not read again until cached here.
+        self._store_misses: Set[Tuple] = set()
         #: This runner's lookup counts and simulation timings (``runner.*``).
         self.metrics = MetricsRegistry()
 
@@ -165,13 +167,25 @@ class Runner:
         return self._promote(run_config)
 
     def _promote(self, run_config: RunConfig) -> Optional[SimResult]:
-        """Load ``run_config`` from the store into memory, counting a hit."""
+        """Load ``run_config`` from the store into memory, counting a hit.
+
+        The store is read once per key: a miss is remembered until the
+        key is cached, so the pre-filter, a service submit and the run
+        that follows share one load.  If another process writes such a
+        key in between, this runner re-simulates it, with the same
+        deterministic result.
+        """
         if self.store is None:
             return None
+        key = run_config.key()
+        if key in self._store_misses:
+            return None
         stored = self._store_load(run_config)
-        if stored is not None:
+        if stored is None:
+            self._store_misses.add(key)
+        else:
             self.metrics.counter("runner.disk_hits").inc()
-            self._cache[run_config.key()] = stored
+            self._cache[key] = stored
         return stored
 
     def cache_result(self, run_config: RunConfig, result: SimResult) -> None:
@@ -180,7 +194,9 @@ class Runner:
         Used after simulating locally and by the parallel harness to merge
         worker results back into the shared caches.
         """
-        self._cache[run_config.key()] = result
+        key = run_config.key()
+        self._cache[key] = result
+        self._store_misses.discard(key)
         if self.store is not None:
             self._store_save(run_config, result)
 
@@ -261,6 +277,7 @@ class Runner:
 
     def clear_cache(self) -> None:
         self._cache.clear()
+        self._store_misses.clear()
 
 
 def geometric_mean(values) -> float:

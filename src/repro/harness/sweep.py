@@ -110,15 +110,12 @@ def threshold_sweep(
     seed: int = 1,
     thresholds: Optional[Tuple[int, ...]] = None,
     jobs: int = 1,
-    policy=None,
 ) -> SweepResult:
     """Run the benchmark at every static THRESHOLD (plus the flat bound).
 
     ``jobs > 1`` fans the sweep's runs out across worker processes first;
     results are identical to the serial sweep (simulations are
-    deterministic), just wall-clock faster.  ``policy`` is an optional
-    :class:`~repro.harness.parallel.ExecutionPolicy` for the fan-out
-    (timeouts/retries).
+    deterministic), just wall-clock faster.
     """
     benchmark = get_benchmark(benchmark_name)
     sweep = thresholds if thresholds is not None else benchmark.sweep_thresholds
@@ -126,7 +123,7 @@ def threshold_sweep(
     if jobs > 1:
         from repro.harness.parallel import ParallelRunner
 
-        ParallelRunner(runner, policy=policy).run_many(plan, jobs=jobs)
+        ParallelRunner(runner).run_many(plan, jobs=jobs)
     flat, *results = [runner.run(config) for config in plan]
     return sweep_result(benchmark_name, sweep, flat, results)
 
@@ -137,7 +134,6 @@ def offline_search(
     *,
     seed: int = 1,
     jobs: int = 1,
-    policy=None,
 ) -> Tuple[int, SimResult]:
     """Best static threshold and its run (the paper's Offline-Search).
 
@@ -145,9 +141,7 @@ def offline_search(
     best *DP* workload distribution; a benchmark that prefers ~0% offload
     expresses that through a large THRESHOLD.
     """
-    sweep = threshold_sweep(
-        runner, benchmark_name, seed=seed, jobs=jobs, policy=policy
-    )
+    sweep = threshold_sweep(runner, benchmark_name, seed=seed, jobs=jobs)
     best = sweep.best()
     result = runner.run(
         RunConfig(

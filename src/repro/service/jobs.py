@@ -147,7 +147,7 @@ class ServiceStats:
 
     # -- batching / pool aggregates (from SuiteReports)
     batches: int = 0
-    pool_runs: int = 0  # work items the pool actually executed
+    pool_runs: int = 0  # uncached batch work items, in-process or pooled
     pool_resumed: int = 0  # batch slots answered from cache by the pool
     retries: int = 0
     timeouts: int = 0

@@ -62,7 +62,6 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.harness import schemes as sch
-from repro.harness.faults import FaultPlan
 from repro.harness.parallel import (
     FAILED,
     ExecutionPolicy,
@@ -134,10 +133,9 @@ class SimulationService:
             result = await job
 
     ``runner`` supplies the caches (attach a store for cross-process
-    persistence); ``policy`` and ``faults`` are passed straight to the
-    underlying :class:`~repro.harness.parallel.ParallelRunner`, so the
-    execution layer's timeout/retry/quarantine behaviour — and its chaos
-    testability — carry over unchanged.
+    persistence); ``policy`` is passed straight to the underlying
+    :class:`~repro.harness.parallel.ParallelRunner`, so the execution
+    layer's timeout/retry/quarantine behaviour carries over unchanged.
     """
 
     def __init__(
@@ -146,7 +144,6 @@ class SimulationService:
         *,
         config: Optional[ServiceConfig] = None,
         policy: Optional[ExecutionPolicy] = None,
-        faults: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.runner = runner if runner is not None else Runner()
@@ -158,9 +155,7 @@ class SimulationService:
             stage: self.metrics.histogram("service.stage_seconds", stage=stage)
             for stage in ("admit", "queue", "dispatch", "total")
         }
-        self._parallel = ParallelRunner(
-            self.runner, policy=policy, faults=faults, tracer=tracer
-        )
+        self._parallel = ParallelRunner(self.runner, policy=policy, tracer=tracer)
         self._scheduler = BatchScheduler(
             self._dispatch, self._on_batch_done,
             max_batch=self.config.max_batch,

@@ -75,10 +75,21 @@ class Benchmark:
     description: str = ""
 
     def flat(self, seed: int = 1) -> Application:
-        return self.build_flat(seed)
+        return self.build_flat(_checked_seed(seed))
 
     def dp(self, seed: int = 1, cta_threads: Optional[int] = None) -> Application:
-        return self.build_dp(seed, cta_threads)
+        return self.build_dp(_checked_seed(seed), cta_threads)
+
+
+def _checked_seed(seed: int) -> int:
+    """``seed``, or :class:`WorkloadError` for a negative one.
+
+    numpy's generators reject a negative seed with a bare ``ValueError``,
+    and some builders add an offset first, which would hide it.
+    """
+    if seed < 0:
+        raise WorkloadError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 class BenchmarkRegistry:

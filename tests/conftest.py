@@ -13,9 +13,24 @@ import pytest
 
 from repro.core.metrics import MetricsMonitor
 from repro.core.policies import LaunchRequest, SpawnPolicy
+from repro.harness.store import ResultStore
 from repro.sim.config import GPUConfig, LaunchOverheadConfig, small_debug_gpu
 from repro.sim.engine import GPUSimulator
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
+
+
+@pytest.fixture
+def store_loads(monkeypatch) -> list:
+    """The key of every ``ResultStore.load`` call during the test."""
+    loads = []
+    load = ResultStore.load
+
+    def counted(self, key):
+        loads.append(key)
+        return load(self, key)
+
+    monkeypatch.setattr(ResultStore, "load", counted)
+    return loads
 
 
 @pytest.fixture

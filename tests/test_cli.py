@@ -206,8 +206,18 @@ class TestSuiteCacheBench:
         first = suite_done(capsys, *argv)
         second = suite_done(capsys, *argv)
         assert second == first
+        # jobs=1 runs in-process: nothing reaches a pool.
         assert (second["fanned_out"], second["simulated_inline"],
-                second["memory_hits"]) == ("2", "2", "2")
+                second["memory_hits"]) == ("0", "2", "2")
+
+    def test_suite_fans_out_only_pool_dispatches(self, capsys):
+        # One planned run takes the in-process path even at --jobs 2.
+        done = suite_done(capsys, "--experiments", "fig06", "--no-store",
+                          "--jobs", "2")
+        assert (done["fanned_out"], done["simulated_inline"]) == ("0", "1")
+        done = suite_done(capsys, "--experiments", "fig19", "--no-store",
+                          "--jobs", "2")
+        assert (done["fanned_out"], done["simulated_inline"]) == ("2", "0")
 
     def test_warm_suite_counts_store_hits(self, tmp_path, capsys):
         argv = ("--experiments", "fig19", "--jobs", "1",

@@ -30,6 +30,14 @@ class TestRunErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["GC-citation", "AMR"])
+    def test_negative_seed(self, name, capsys):
+        # AMR offsets its seed before numpy sees it, hiding small negatives.
+        code, _ = run_cli("run", name, "--scheme", "flat", "--seed", "-1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+
 
 class TestAuditErrors:
     def test_unknown_benchmark(self, capsys):

@@ -1,26 +1,35 @@
-"""Chaos tests: deterministic fault injection against the suite executor.
+"""Chaos tests: deterministic faults against the suite executor.
 
-The headline assertions mirror the ISSUE acceptance criteria: with faults
-injected (worker kills, hangs past the timeout, torn payloads, flaky
-store IO) a parallel suite still completes, and every retried task's
-result is **bit-identical** to a fault-free serial run.  A permanently
-failing run is quarantined and reported without aborting the others.
+Faults come from ``tests/fault_injection.py``, which patches the pool's
+worker entry point and the result store from outside the package.  With
+worker kills, hangs past the timeout, torn payloads or flaky store IO
+injected, a parallel suite still completes, and every retried task's
+result is **bit-identical** to a fault-free serial run.  A deterministic
+failure, a real ``WorkloadError``, is quarantined on its first attempt
+and reported without aborting the others.
 
 ``TestServiceChaos`` lifts the same guarantees one layer up: the same
-fault plans injected *under live service traffic* must leave the
+faults injected *under live service traffic* must leave the
 :class:`~repro.service.SimulationService` standing — quarantined jobs
 fail their own handles and show up in the stats ledger, everything else
 completes bit-identically, and no submission is ever lost.
 """
 
 import asyncio
+import dataclasses
 import json
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
 from repro.api import run_suite
-from repro.errors import HarnessError, RunFailure, SimulationError, WorkerCrash
-from repro.harness.faults import ENV_FAULTS, FaultPlan, FlakyStore
+from repro.errors import HarnessError, RunFailure, WorkloadError
+from repro.harness import parallel
 from repro.harness.parallel import (
     FAILED,
     OK,
@@ -29,9 +38,12 @@ from repro.harness.parallel import (
     ParallelRunner,
 )
 from repro.harness.runner import RunConfig, Runner
-from repro.harness.store import open_store
+from repro.harness.store import ResultStore, open_store
 from repro.obs.metrics import METRICS
+from repro.obs.tracer import HARNESS_REQUEUE, Tracer
 from repro.service import ServiceConfig, SimulationService
+from repro.sim.engine import GPUSimulator
+from tests.fault_injection import ENV_FAULTS, FaultPlan, injected
 
 #: The two cheapest end-to-end benchmarks.
 FAST = "GC-citation"
@@ -44,6 +56,13 @@ CONFIGS = [
     RunConfig(benchmark=FAST2, scheme="flat"),
     RunConfig(benchmark=FAST2, scheme="spawn"),
 ]
+
+#: A run that fails the same way on every attempt: its workload builder
+#: raises WorkloadError for a negative child CTA size.
+DOOMED = RunConfig(benchmark=FAST, scheme="spawn", cta_threads=-32)
+
+#: The chaos suite with its second run replaced by the doomed one.
+WITH_DOOMED = [CONFIGS[0], DOOMED, *CONFIGS[2:]]
 
 
 @pytest.fixture(scope="module")
@@ -58,28 +77,65 @@ def assert_bit_identical(report, baseline):
     assert [r.summary() for r in report.results] == baseline
 
 
-class TestFaultPlanModel:
-    def test_round_trips_through_dict(self):
-        plan = FaultPlan(kill_on_dispatch=3, delay_on_dispatch=1, delay_seconds=0.5)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+def survivors_of_doomed(results, baseline):
+    """(summaries of the runs that completed, what they should equal)."""
+    survivors = [
+        result.summary()
+        for result in results
+        if not isinstance(result, RunFailure)
+    ]
+    return survivors, [baseline[0], *baseline[2:]]
 
-    def test_rejects_unknown_fields(self):
+
+def assert_doomed_quarantined_once(report, baseline):
+    assert report.quarantined == 1
+    assert report.retries == 0
+    [failure] = report.failures
+    assert failure.config == DOOMED
+    assert failure.attempts == 1
+    assert isinstance(failure.failure.__cause__, WorkloadError)
+    # Exactly the doomed slot is None; every other run completed.
+    assert [r is None for r in report.results] == [
+        c is DOOMED for c in WITH_DOOMED
+    ]
+    survivors = [r.summary() for r in report.results if r is not None]
+    assert survivors == [baseline[0], *baseline[2:]]
+
+
+class TestFaultPlanModel:
+    def test_round_trips_through_dict(self, monkeypatch):
+        plan = FaultPlan(kill_on_dispatch=3, delay_on_dispatch=1, delay_seconds=0.5)
+        monkeypatch.setenv(ENV_FAULTS, json.dumps(dataclasses.asdict(plan)))
+        assert FaultPlan.from_env() == plan
+
+    def test_rejects_unknown_fields(self, monkeypatch):
+        monkeypatch.setenv(ENV_FAULTS, json.dumps({"kill_on_dispach": 3}))
         with pytest.raises(HarnessError, match="unknown fault plan field"):
-            FaultPlan.from_dict({"kill_on_dispach": 3})
+            FaultPlan.from_env()
 
     def test_delay_needs_duration(self):
         with pytest.raises(HarnessError):
             FaultPlan(delay_on_dispatch=0)
 
     def test_noop_detection(self):
-        assert FaultPlan().is_noop()
-        assert not FaultPlan(kill_on_dispatch=0).is_noop()
-        # A ParallelRunner drops a no-op plan entirely.
-        assert ParallelRunner(jobs=1, faults=FaultPlan()).faults is None
+        """An empty plan patches nothing; a task fault patches the pool's
+        worker entry point only."""
+        def hooks():
+            return parallel._simulate_payload, ResultStore.load, ResultStore.save
+
+        originals = hooks()
+        assert not FaultPlan().injects_task_faults()
+        with injected(FaultPlan()):
+            assert hooks() == originals
+        with injected(FaultPlan(kill_on_dispatch=0)):
+            patched = hooks()
+            assert patched[0] is not originals[0]
+            assert patched[1:] == originals[1:]
+        assert hooks() == originals
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(ENV_FAULTS, raising=False)
-        assert FaultPlan.from_env() is None
+        assert FaultPlan.from_env() == FaultPlan()
         monkeypatch.setenv(ENV_FAULTS, json.dumps({"kill_on_dispatch": 2}))
         assert FaultPlan.from_env() == FaultPlan(kill_on_dispatch=2)
         monkeypatch.setenv(ENV_FAULTS, "{not json")
@@ -89,25 +145,13 @@ class TestFaultPlanModel:
         with pytest.raises(HarnessError):
             FaultPlan.from_env()
 
-    def test_permanent_selector_needs_every_set_field(self):
-        both = FaultPlan(fail_benchmark=FAST, fail_scheme="spawn")
-        assert both.permanently_fails(RunConfig(benchmark=FAST, scheme="spawn"))
-        assert not both.permanently_fails(RunConfig(benchmark=FAST, scheme="flat"))
-        assert not both.permanently_fails(RunConfig(benchmark=FAST2, scheme="spawn"))
-        assert not FaultPlan().permanently_fails(
-            RunConfig(benchmark=FAST, scheme="spawn")
-        )
-
-    def test_inline_injection_raises_typed_errors(self):
-        config = RunConfig(benchmark=FAST, scheme="spawn")
-        with pytest.raises(WorkerCrash):
-            FaultPlan(kill_on_dispatch=5).apply_inline(5, config)
-        with pytest.raises(ValueError):
-            FaultPlan(corrupt_on_dispatch=5).apply_inline(5, config)
-        with pytest.raises(SimulationError):
-            FaultPlan(fail_benchmark=FAST).apply_inline(0, config)
-        # A non-matching sequence number injects nothing.
-        FaultPlan(kill_on_dispatch=5, corrupt_on_dispatch=6).apply_inline(4, config)
+    def test_install_needs_the_fork_start_method(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
+        with pytest.raises(RuntimeError, match="fork"):
+            with injected(FaultPlan(kill_on_dispatch=0)):
+                pass
+        assert parallel._simulate_payload.__module__ == "repro.harness.parallel"
+        assert not hasattr(parallel._simulate_payload, "__wrapped__")
 
 
 class TestExecutionPolicy:
@@ -117,169 +161,201 @@ class TestExecutionPolicy:
         with pytest.raises(HarnessError):
             ExecutionPolicy(max_retries=-1)
         with pytest.raises(HarnessError):
-            ExecutionPolicy(backoff=-0.1)
-        with pytest.raises(HarnessError):
             ExecutionPolicy(max_pool_rebuilds=-1)
 
-    def test_backoff_doubles_per_failed_attempt(self):
-        policy = ExecutionPolicy(backoff=0.1)
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
-        assert ExecutionPolicy().backoff_seconds(3) == 0.0
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy)] == [
+            "timeout", "max_retries", "fail_fast", "max_pool_rebuilds",
+        ]
 
 
 class TestFlakyStore:
     def test_budgeted_errors_then_delegates(self, tmp_path):
-        flaky = FlakyStore(
-            open_store(tmp_path / "results.db"), save_errors=1, load_errors=1
-        )
-        key = flaky.key_for(CONFIGS[0], Runner().config, 1000)  # delegated
-        with pytest.raises(OSError):
-            flaky.load(key)
-        assert flaky.load(key) is None  # budget spent; real (empty) store
+        store = open_store(tmp_path / "results.db")
+        key = store.key_for(CONFIGS[0], Runner().config, 1000)
+        with injected(FaultPlan(store_load_errors=1)):
+            with pytest.raises(OSError):
+                store.load(key)
+            assert store.load(key) is None  # budget spent; real (empty) store
 
     def test_runner_survives_store_io_errors(self, tmp_path):
-        plan = FaultPlan(store_save_errors=10, store_load_errors=10)
-        store = plan.flaky_store(open_store(tmp_path / "results.db"))
-        runner = Runner(store=store)
-        result = runner.run(CONFIGS[0])
+        runner = Runner(store=open_store(tmp_path / "results.db"))
+        with injected(FaultPlan(store_save_errors=10, store_load_errors=10)):
+            result = runner.run(CONFIGS[0])
         assert result.makespan > 0
         # Every disk write failed, but the memory cache still answers.
         assert runner.cached(CONFIGS[0]) is result
+        assert runner.metrics.counter("runner.store_errors").value == 2
         assert open_store(tmp_path / "results.db").stats().entries == 0
 
-    def test_flaky_store_passthrough_when_no_budget(self, tmp_path):
-        store = open_store(tmp_path / "results.db")
-        assert FaultPlan().flaky_store(store) is store
-        assert FaultPlan().flaky_store(None) is None
+    def test_flaky_store_passthrough_when_no_budget(self):
+        load, save = ResultStore.load, ResultStore.save
+        with injected(FaultPlan(corrupt_on_dispatch=0)):
+            assert (ResultStore.load, ResultStore.save) == (load, save)
+        with injected(FaultPlan(store_save_errors=1)):
+            assert ResultStore.load is load
+            assert ResultStore.save is not save
 
     def test_run_suite_applies_the_plans_store_faults(self, tmp_path):
-        """``faults=`` alone reaches the store: no hand-made wrap needed."""
         runner = Runner(store=open_store(tmp_path / "results.db"))
-        report = run_suite(
-            [RunConfig(benchmark=FAST, scheme="flat")],
-            jobs=1,
-            runner=runner,
-            faults=FaultPlan(store_save_errors=1),
-        )
+        with injected(FaultPlan(store_save_errors=1)):
+            report = run_suite(
+                [RunConfig(benchmark=FAST, scheme="flat")], jobs=1, runner=runner
+            )
         assert report.ok
         assert open_store(tmp_path / "results.db").stats().entries == 0
         assert runner.metrics.counter("runner.store_errors").value == 1
 
-    def test_store_is_wrapped_once(self, tmp_path):
+    def test_store_is_wrapped_once(self):
+        """A second plan cannot stack its budget on the first."""
+        save = ResultStore.save
         plan = FaultPlan(store_save_errors=1)
-        runner = Runner(store=open_store(tmp_path / "results.db"))
-        ParallelRunner(runner, faults=plan)
-        wrapped = runner.store
-        assert isinstance(wrapped, FlakyStore)
-        ParallelRunner(runner, faults=plan)
-        assert runner.store is wrapped
+        with injected(plan):
+            wrapped = ResultStore.save
+            with pytest.raises(RuntimeError, match="already installed"):
+                with injected(plan):
+                    pass
+            assert ResultStore.save is wrapped
+        assert ResultStore.save is save
 
 
 class TestChaosDeterminism:
     """Injected faults may cost retries, never change a result."""
 
     def test_worker_kill_is_retried_bit_identically(self, baseline):
-        pr = ParallelRunner(
-            Runner(), jobs=2, faults=FaultPlan(kill_on_dispatch=0)
-        )
-        report = pr.run_suite(CONFIGS)
+        with injected(FaultPlan(kill_on_dispatch=0)):
+            report = ParallelRunner(Runner(), jobs=2).run_suite(CONFIGS)
         assert report.worker_crashes >= 1
         assert report.pool_rebuilds >= 1
         assert report.retries >= 1
+        assert report.dispatched == len(CONFIGS) + report.retries
         assert_bit_identical(report, baseline)
 
     def test_hung_task_times_out_and_retries_bit_identically(self, baseline):
-        pr = ParallelRunner(
-            Runner(),
-            jobs=2,
-            policy=ExecutionPolicy(timeout=2.0),
-            faults=FaultPlan(delay_on_dispatch=1, delay_seconds=6.0),
-        )
-        report = pr.run_suite(CONFIGS)
+        pr = ParallelRunner(Runner(), jobs=2, policy=ExecutionPolicy(timeout=2.0))
+        with injected(FaultPlan(delay_on_dispatch=1, delay_seconds=6.0)):
+            report = pr.run_suite(CONFIGS)
         assert report.timeouts >= 1
         assert report.retries >= 1
         assert_bit_identical(report, baseline)
 
     def test_corrupt_payload_is_retried_bit_identically(self, baseline):
-        pr = ParallelRunner(
-            Runner(), jobs=2, faults=FaultPlan(corrupt_on_dispatch=0)
-        )
-        report = pr.run_suite(CONFIGS)
+        with injected(FaultPlan(corrupt_on_dispatch=0)):
+            report = ParallelRunner(Runner(), jobs=2).run_suite(CONFIGS)
         assert report.retries >= 1
         assert_bit_identical(report, baseline)
 
     def test_dying_pool_degrades_to_serial_bit_identically(self, baseline):
         pr = ParallelRunner(
-            Runner(),
-            jobs=2,
-            policy=ExecutionPolicy(max_pool_rebuilds=0),
-            faults=FaultPlan(kill_on_dispatch=0),
+            Runner(), jobs=2, policy=ExecutionPolicy(max_pool_rebuilds=0)
         )
-        report = pr.run_suite(CONFIGS)
+        with injected(FaultPlan(kill_on_dispatch=0)):
+            report = pr.run_suite(CONFIGS)
         assert report.serial_fallback
         assert report.worker_crashes >= 1
         assert report.pool_rebuilds == 0
         assert_bit_identical(report, baseline)
 
     def test_inline_faults_follow_the_same_retry_path(self, baseline):
-        pr = ParallelRunner(
-            Runner(),
-            jobs=1,
-            faults=FaultPlan(kill_on_dispatch=0, corrupt_on_dispatch=1),
-        )
-        report = pr.run_suite(CONFIGS)
-        assert report.worker_crashes == 1
-        assert report.retries >= 2
+        """A transient error on the serial path is retried like a pooled one."""
+
+        class FailsOnce(Runner):
+            failed = False
+
+            def run(self, run_config, **kwargs):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError("transient host error")
+                return super().run(run_config, **kwargs)
+
+        report = ParallelRunner(FailsOnce(), jobs=1).run_suite(CONFIGS)
+        assert report.retries == 1
+        assert report.worker_crashes == 0
+        assert report.dispatched == 0
+        assert [o.attempts for o in report.outcomes] == [2, 1, 1, 1]
         assert_bit_identical(report, baseline)
 
 
 class TestQuarantine:
-    def test_permanent_failure_is_quarantined_not_fatal(self):
-        plan = FaultPlan(fail_benchmark=FAST, fail_scheme="spawn")
-        pr = ParallelRunner(
-            Runner(), jobs=2, policy=ExecutionPolicy(max_retries=1), faults=plan
-        )
+    def test_permanent_failure_is_quarantined_not_fatal(self, baseline):
+        pr = ParallelRunner(Runner(), jobs=2)
         retries = METRICS.counter("harness.retries_total")
         quarantined = METRICS.counter("harness.quarantined_total")
         before = (retries.value, quarantined.value)
-        report = pr.run_suite(CONFIGS)
+        report = pr.run_suite(WITH_DOOMED)
         assert not report.ok
-        assert report.quarantined == 1
+        assert_doomed_quarantined_once(report, baseline)
         # The process-wide counters move by exactly the report's counts.
-        assert retries.value - before[0] == report.retries == 1
+        assert retries.value - before[0] == report.retries
         assert quarantined.value - before[1] == report.quarantined
-        [failure] = report.failures
-        assert failure.config.benchmark == FAST
-        assert failure.config.scheme == "spawn"
-        assert failure.attempts == 2  # first try + one retry
-        # Exactly the doomed slot is None; every other run completed.
-        assert [r is None for r in report.results] == [
-            c.benchmark == FAST and c.scheme == "spawn" for c in CONFIGS
-        ]
         with pytest.raises(RunFailure):
             report.raise_if_failed()
 
-    def test_run_many_raises_on_quarantine(self):
-        plan = FaultPlan(fail_benchmark=FAST, fail_scheme="spawn")
-        pr = ParallelRunner(
-            Runner(), jobs=1, policy=ExecutionPolicy(max_retries=0), faults=plan
+    def test_permanent_failure_is_quarantined_serially(self, baseline):
+        report = ParallelRunner(Runner(), jobs=1).run_suite(WITH_DOOMED)
+        assert_doomed_quarantined_once(report, baseline)
+
+    def test_exhausted_event_budget_is_simulated_once(self, monkeypatch):
+        calls = []
+        simulate = GPUSimulator.run
+
+        def counted(self, app):
+            calls.append(app)
+            return simulate(self, app)
+
+        monkeypatch.setattr(GPUSimulator, "run", counted)
+        config = RunConfig(benchmark=FAST, scheme="baseline-dp")
+        report = ParallelRunner(Runner(max_events=50), jobs=1).run_suite([config])
+        assert len(calls) == 1
+        [failure] = report.failures
+        assert failure.attempts == 1
+        assert "event budget" in failure.error
+
+    def test_negative_seed_is_quarantined_after_one_attempt(self):
+        report = run_suite([(FAST, "flat"), (FAST, "spawn")], seed=-1, jobs=1)
+        assert report.quarantined == 2
+        assert report.retries == 0
+        assert [o.attempts for o in report.outcomes] == [1, 1]
+        assert all(
+            isinstance(o.failure.__cause__, WorkloadError) for o in report.outcomes
         )
+
+    def test_kill_then_legitimate_failure_takes_two_attempts(self):
+        """A crash is retried; the real failure behind it is not."""
+        doomed = [DOOMED, dataclasses.replace(DOOMED, scheme="baseline-dp")]
+        tracer = Tracer()
+        pr = ParallelRunner(Runner(), jobs=2, tracer=tracer)
+        with injected(FaultPlan(kill_on_dispatch=0)):
+            report = pr.run_suite(doomed)
+        requeued = Counter(
+            event.args["scheme"]
+            for event in tracer.events()
+            if event.kind == HARNESS_REQUEUE
+        )
+        assert report.worker_crashes >= 1
+        assert report.quarantined == 2
+        assert [o.status for o in report.outcomes] == [FAILED, FAILED]
+        # Each run had one attempt per crash it was lost to, plus the one
+        # that raised WorkloadError; the kill hit one of them.
+        assert [o.attempts for o in report.outcomes] == [
+            1 + requeued[config.scheme] for config in doomed
+        ]
+        assert max(o.attempts for o in report.outcomes) == 2
+        assert all(
+            isinstance(o.failure.__cause__, WorkloadError) for o in report.outcomes
+        )
+
+    def test_run_many_raises_on_quarantine(self):
+        pr = ParallelRunner(Runner(), jobs=1)
         with pytest.raises(RunFailure):
-            pr.run_many(CONFIGS)
+            pr.run_many(WITH_DOOMED)
 
     def test_fail_fast_skips_the_rest(self):
-        plan = FaultPlan(fail_benchmark=FAST, fail_scheme="spawn")
         pr = ParallelRunner(
-            Runner(),
-            jobs=1,
-            policy=ExecutionPolicy(max_retries=0, fail_fast=True),
-            faults=plan,
+            Runner(), jobs=1, policy=ExecutionPolicy(fail_fast=True)
         )
         # Doomed config first, so everything behind it is skipped.
-        ordered = [CONFIGS[1], CONFIGS[0], CONFIGS[2]]
-        report = pr.run_suite(ordered)
+        report = pr.run_suite([DOOMED, CONFIGS[0], CONFIGS[2]])
         statuses = [o.status for o in report.outcomes]
         assert statuses == [FAILED, SKIPPED, SKIPPED]
         assert report.results == [None, None, None]
@@ -312,25 +388,25 @@ class TestResume:
         report = pr.run_suite(CONFIGS)
         assert report.resumed == len(CONFIGS)
         assert report.outcomes == []
+        assert report.dispatched == 0
         assert report.ok
 
 
-def serve_chaos(configs, *, faults, runner=None, policy=None, jobs=2):
-    """Burst ``configs`` through one faulted service; (stats, results)."""
+def serve_chaos(configs, *, faults, runner=None, jobs=2):
+    """Burst ``configs`` through one service under ``faults``; (stats, results)."""
 
     async def _drive():
         service = SimulationService(
             runner if runner is not None else Runner(),
             config=ServiceConfig(jobs=jobs),
-            policy=policy,
-            faults=faults,
         )
         async with service:
             handles = [await service.submit(config) for config in configs]
             results = await service.gather(handles, return_exceptions=True)
         return service.stats(), results
 
-    return asyncio.run(_drive())
+    with injected(faults):
+        return asyncio.run(_drive())
 
 
 class TestServiceChaos:
@@ -351,35 +427,21 @@ class TestServiceChaos:
     def test_permanent_failure_quarantines_only_its_own_handle(
         self, baseline
     ):
-        stats, results = serve_chaos(
-            CONFIGS,
-            faults=FaultPlan(fail_benchmark=FAST, fail_scheme="spawn"),
-            policy=ExecutionPolicy(max_retries=1),
-        )
-        # The ledger reports the quarantined job...
+        stats, results = serve_chaos(WITH_DOOMED, faults=FaultPlan())
+        # The ledger reports the quarantined job, retried never...
         assert stats.quarantined == 1
+        assert stats.retries == 0
         assert stats.failed == 1
         assert stats.completed == len(CONFIGS) - 1
         assert stats.lost == 0
         # ...and only the doomed handle failed, with the typed error.
-        doomed = [
-            isinstance(result, RunFailure) for result in results
-        ]
-        assert doomed == [
-            c.benchmark == FAST and c.scheme == "spawn" for c in CONFIGS
+        assert [isinstance(r, RunFailure) for r in results] == [
+            c is DOOMED for c in WITH_DOOMED
         ]
         [failure] = [r for r in results if isinstance(r, RunFailure)]
-        assert failure.config.scheme == "spawn"
-        survivors = [
-            result.summary()
-            for result in results
-            if not isinstance(result, RunFailure)
-        ]
-        expected = [
-            summary
-            for config, summary in zip(CONFIGS, baseline)
-            if not (config.benchmark == FAST and config.scheme == "spawn")
-        ]
+        assert failure.config == DOOMED
+        assert failure.attempts == 1
+        survivors, expected = survivors_of_doomed(results, baseline)
         assert survivors == expected
 
     def test_flaky_store_under_live_traffic(self, baseline, tmp_path):
@@ -395,63 +457,45 @@ class TestServiceChaos:
     def test_combined_kill_and_flaky_store_completes_the_rest(
         self, baseline, tmp_path
     ):
-        """The ISSUE's chaos variant: worker kill + torn store IO +
-        a permanently failing pair, all under one live service."""
+        """Worker kill + torn store IO + a deterministically failing
+        run, all under one live service."""
         plan = FaultPlan(
-            kill_on_dispatch=0,
-            fail_benchmark=FAST,
-            fail_scheme="spawn",
-            store_save_errors=10,
-            store_load_errors=10,
+            kill_on_dispatch=0, store_save_errors=10, store_load_errors=10
         )
         runner = Runner(store=open_store(tmp_path / "results.db"))
-        stats, results = serve_chaos(
-            CONFIGS,
-            faults=plan,
-            runner=runner,
-            policy=ExecutionPolicy(max_retries=1),
-        )
+        stats, results = serve_chaos(WITH_DOOMED, faults=plan, runner=runner)
         assert stats.worker_crashes >= 1
         assert stats.quarantined == 1
         assert stats.failed == 1
         assert stats.completed == len(CONFIGS) - 1
         assert stats.lost == 0
-        survivors = [
-            result.summary()
-            for result in results
-            if not isinstance(result, RunFailure)
-        ]
-        expected = [
-            summary
-            for config, summary in zip(CONFIGS, baseline)
-            if not (config.benchmark == FAST and config.scheme == "spawn")
-        ]
+        survivors, expected = survivors_of_doomed(results, baseline)
         assert survivors == expected
 
-    def test_repro_serve_honours_env_fault_plan(self, monkeypatch, tmp_path):
-        """`REPRO_FAULTS` reaches the service through the CLI, and a
-        faulted serve still drains clean (exit 0, nothing lost)."""
-        from repro.cli import main
-
-        monkeypatch.setenv(
-            ENV_FAULTS,
-            json.dumps(
-                {
-                    "kill_on_dispatch": 0,
-                    "store_save_errors": 5,
-                    "store_load_errors": 5,
-                }
-            ),
+    def test_repro_serve_honours_env_fault_plan(self, tmp_path):
+        """``python -m tests.fault_injection serve`` installs
+        ``$REPRO_FAULTS`` before the CLI runs, and a faulted serve still
+        drains clean (exit 0, nothing lost)."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        env[ENV_FAULTS] = json.dumps(
+            {"kill_on_dispatch": 0, "store_save_errors": 5, "store_load_errors": 5}
         )
         stats_path = tmp_path / "stats.json"
-        code = main(
+        proc = subprocess.run(
             [
+                sys.executable, "-m", "tests.fault_injection",
                 "serve", "--synthetic", "6", "--jobs", "2",
-                "--store", str(tmp_path / "cache"),
+                "--store", str(tmp_path / "results.db"),
                 "--stats-json", str(stats_path),
-            ]
+            ],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
         )
-        assert code == 0
+        assert proc.returncode == 0, proc.stderr
+        assert "chaos: injecting faults" in proc.stderr
         stats = json.loads(stats_path.read_text())
         assert stats["submitted"] == 6
         assert stats["failed"] == 0

@@ -109,6 +109,14 @@ class TestRunMany:
         assert result.makespan > 0
         assert runner.cache_size() == 1
 
+    def test_cold_planned_run_reads_the_store_once(self, tmp_path, store_loads):
+        runner = Runner(store=open_store(tmp_path / "results.db"))
+        report = ParallelRunner(runner, jobs=1).run_suite(
+            [RunConfig(benchmark=FAST, scheme="flat")]
+        )
+        assert report.ok
+        assert len(store_loads) == 1
+
     def test_persists_to_store(self, tmp_path):
         runner = Runner(store=open_store(tmp_path / "results.db"))
         pr = ParallelRunner(runner, jobs=2)

@@ -376,3 +376,17 @@ def test_pooled_sqlite_service_matches_serial_runner(tmp_path):
     assert warm.submitted == len(requests)
     assert warm.cache_hits == warm.submitted
     assert warm.pool_runs == 0
+
+
+def test_cold_submit_reads_the_store_once(tmp_path, store_loads):
+    """Submit's cache probe, the batch pre-filter and the run share one
+    store read."""
+
+    async def _scenario():
+        runner = Runner(store=open_store(tmp_path / "results.db"))
+        async with SimulationService(runner, config=ServiceConfig(jobs=1)) as svc:
+            job = await svc.submit(FAST)
+            return await job
+
+    assert asyncio.run(_scenario()).makespan > 0
+    assert len(store_loads) == 1

@@ -179,6 +179,21 @@ class TestRunnerIntegration:
         # The promoted store hit counts; the pre-filter miss does not.
         assert probe.metrics.to_dict()["counters"] == {"runner.disk_hits": 1.0}
 
+    def test_a_miss_is_read_once_until_cached(self, tmp_path, run_config,
+                                              store_loads):
+        loads = store_loads
+        runner = Runner(store=open_store(tmp_path / "results.db"))
+        assert runner.cached(run_config) is None
+        assert runner.cached(run_config) is None
+        assert len(loads) == 1
+        # Another process writes the key: the remembered miss hides it...
+        Runner(store=open_store(tmp_path / "results.db")).run(run_config)
+        assert runner.cached(run_config) is None
+        # ...until the runner drops its caches.
+        runner.clear_cache()
+        assert runner.cached(run_config) is not None
+        assert len(loads) == 3  # the writer's own cold load included
+
     def test_no_store_by_default(self, run_config):
         runner = Runner()
         assert runner.store is None
