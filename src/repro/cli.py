@@ -18,13 +18,15 @@ Commands
 ``sweep BENCHMARK``
     The Fig. 5 threshold sweep for one benchmark.
 ``experiment ID``
-    Regenerate one paper table/figure (``all`` runs everything).
+    Regenerate one paper table/figure, or one extension experiment.
 ``suite --jobs N``
-    Run the complete evaluation suite, fanning the declared run-set out
-    across ``N`` worker processes first and persisting every result in
-    the on-disk store (``results.db`` in ``.repro-cache/`` or
-    ``$REPRO_CACHE_DIR``); a warm store makes a repeat suite purely a
-    read, and a killed suite resumes where it stopped.
+    Run the complete evaluation suite: fan the union of the experiments'
+    plans out across ``N`` worker processes once, persisting every result
+    in the on-disk store (``results.db`` in ``.repro-cache/`` or
+    ``$REPRO_CACHE_DIR``), then render every table from the finished
+    runs.  A warm store makes a repeat suite purely a read, a killed
+    suite resumes where it stopped, and an experiment that reads a
+    quarantined run fails with that run's error.
 ``check [--update-golden]``
     Conformance: simulate the pinned golden benchmark x scheme matrix with
     the runtime invariant checker attached and diff each event trace
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=1)
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("id", help="table1, table2, fig01..fig21, or 'all'")
+    exp.add_argument("id", help="table1, table2, fig01..fig21, or an extension")
     exp.add_argument("--seed", type=int, default=1)
 
     suite = sub.add_parser(
@@ -428,17 +430,12 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_experiment(args, out) -> int:
-    from repro.experiments import ALL_EXPERIMENTS, EXTRA_EXPERIMENTS, run_all
+    from repro.experiments import ALL_EXPERIMENTS, EXTRA_EXPERIMENTS
 
-    if args.id == "all":
-        for result in run_all(seed=args.seed):
-            print(result.table(), file=out)
-            print(file=out)
-        return 0
     entry = ALL_EXPERIMENTS.get(args.id) or EXTRA_EXPERIMENTS.get(args.id)
     if entry is None:
         known = ", ".join([*ALL_EXPERIMENTS, *EXTRA_EXPERIMENTS])
-        print(f"unknown experiment {args.id!r}; known: {known}, all", file=sys.stderr)
+        print(f"unknown experiment {args.id!r}; known: {known}", file=sys.stderr)
         return 2
     print(entry(Runner(), args.seed).table(), file=out)
     return 0
@@ -446,7 +443,7 @@ def cmd_experiment(args, out) -> int:
 
 def cmd_suite(args, out) -> int:
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.plans import suite_plan
+    from repro.experiments.common import PlannedRuns
     from repro.harness.parallel import ExecutionPolicy, ParallelRunner, default_jobs
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
@@ -457,10 +454,15 @@ def cmd_suite(args, out) -> int:
         print(f"error: --max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
         return 2
-    store = _open_cli_store(args, default=True)
-    runner = Runner(store=store)
-    if args.experiments:
-        names = [name.strip() for name in args.experiments.split(",") if name.strip()]
+    if args.experiments is not None:
+        # A name given twice renders once.
+        names = list(dict.fromkeys(
+            name.strip() for name in args.experiments.split(",") if name.strip()
+        ))
+        if not names:
+            print(f"error: --experiments {args.experiments!r} names no "
+                  "experiment", file=sys.stderr)
+            return 2
         unknown = [name for name in names if name not in ALL_EXPERIMENTS]
         if unknown:
             print(
@@ -476,7 +478,9 @@ def cmd_suite(args, out) -> int:
         max_retries=args.max_retries,
         fail_fast=args.fail_fast,
     )
-    plan = suite_plan(args.seed, names)
+    # run_suite fans each run the plans share out once.
+    plan = [config for name in names for config in ALL_EXPERIMENTS[name].plan(args.seed)]
+    runner = Runner(store=_open_cli_store(args, default=True))
     parallel = ParallelRunner(runner, policy=policy)
     report = parallel.run_suite(plan, jobs=jobs)
     if report.failures or report.skipped:
@@ -497,10 +501,11 @@ def cmd_suite(args, out) -> int:
         if args.fail_fast:
             print("suite aborted (--fail-fast)", file=sys.stderr)
             return 1
+    runs = PlannedRuns(runner, report)
     failed_experiments = []
     for name in names:
         try:
-            result = ALL_EXPERIMENTS[name](runner, args.seed)
+            result = ALL_EXPERIMENTS[name].render(runs, args.seed)
         except ReproError as exc:
             failed_experiments.append((name, str(exc)))
             print(f"experiment {name} failed: {exc}", file=sys.stderr)
@@ -518,7 +523,6 @@ def cmd_suite(args, out) -> int:
         f"worker_crashes={report.worker_crashes} "
         f"quarantined={report.quarantined} "
         f"simulated_inline={int(counters.get('runner.cache_misses', 0))} "
-        f"memory_hits={int(counters.get('runner.cache_hits', 0))} "
         f"disk_hits={int(counters.get('runner.disk_hits', 0))}",
         runner,
     )

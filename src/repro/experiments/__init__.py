@@ -1,12 +1,17 @@
 """One module per reproduced table/figure of the paper's evaluation.
 
-Each module exposes ``run(runner=None, seed=1) -> ExperimentResult``.
-``ALL_EXPERIMENTS`` maps experiment ids to their entry points, in paper
-order; ``run_all`` executes everything against one shared runner (so the
-common simulation runs are only performed once).
+Each paper module declares its run-set once (``plan``), renders its table
+from the finished runs (``render``), and exposes both as one
+:class:`~repro.experiments.common.Experiment` entry point,
+``run(runner=None, seed=1) -> ExperimentResult``.  ``ALL_EXPERIMENTS``
+maps experiment ids to those entry points, in paper order; ``repro
+suite`` fans the union of their plans out once and renders each of them
+from it.  ``EXTRA_EXPERIMENTS`` are plain ``run(runner, seed)``
+functions: three of the four build GPU configurations or policies that
+no :class:`~repro.harness.runner.RunConfig` can name.
 """
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.experiments import (
     extra_bootstrap,
@@ -28,10 +33,9 @@ from repro.experiments import (
     fig21_dtbl,
     tables,
 )
-from repro.experiments.common import ExperimentResult
-from repro.harness.runner import Runner
+from repro.experiments.common import Experiment, ExperimentResult
 
-ALL_EXPERIMENTS: Dict[str, Callable] = {
+ALL_EXPERIMENTS: Dict[str, Experiment] = {
     "table1": tables.run_table1,
     "table2": tables.run_table2,
     "fig01": fig01_imbalance.run,
@@ -57,12 +61,4 @@ EXTRA_EXPERIMENTS: Dict[str, Callable] = {
     "scheme-zoo": extra_scheme_zoo.run,
 }
 
-
-def run_all(runner: Optional[Runner] = None, seed: int = 1):
-    """Run every experiment against one shared runner; yields results."""
-    shared = runner if runner is not None else Runner()
-    for entry in ALL_EXPERIMENTS.values():
-        yield entry(shared, seed)
-
-
-__all__ = ["ALL_EXPERIMENTS", "EXTRA_EXPERIMENTS", "ExperimentResult", "run_all"]
+__all__ = ["ALL_EXPERIMENTS", "EXTRA_EXPERIMENTS", "Experiment", "ExperimentResult"]

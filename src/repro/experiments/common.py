@@ -1,22 +1,30 @@
 """Shared infrastructure for the per-figure experiment modules.
 
-Every experiment module exposes ``run(runner=None, seed=1) -> ExperimentResult``.
-An :class:`ExperimentResult` carries the same rows/series the paper's table
-or figure reports, renders as an aligned ASCII table, and keeps the raw data
-available for tests and benchmarks.
+Every paper experiment module declares its run-set once, as
+``plan(seed=1, **options) -> List[RunConfig]``, and its table as
+``render(runs, seed=1, **options) -> ExperimentResult``, which reads each
+run through ``runs.run(config)``.  ``run = Experiment(plan, render)`` is
+its entry point; ``repro suite`` instead fans the union of the requested
+plans out once and renders every experiment from one
+:class:`PlannedRuns`.  An :class:`ExperimentResult` carries the same
+rows/series the paper's table or figure reports, renders as an aligned
+ASCII table, and keeps the raw data available for tests and benchmarks.
 
-Experiments share a :class:`~repro.harness.runner.Runner`; passing one in
-lets a session reuse cached simulation results across figures (Fig. 15, 16,
-17, and 18 all derive from the same three runs per benchmark).
+Passing one :class:`~repro.harness.runner.Runner` to several experiments
+reuses its cached simulation results across figures (Fig. 15, 16, 17,
+and 18 all derive from the same three runs per benchmark).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.errors import HarnessError, RunFailure
+from repro.harness.parallel import ParallelRunner, SuiteReport
 from repro.harness.report import format_table
-from repro.harness.runner import Runner
+from repro.harness.runner import RunConfig, Runner
+from repro.sim.engine import SimResult
 
 
 @dataclass
@@ -43,6 +51,67 @@ class ExperimentResult:
 
 def ensure_runner(runner: Optional[Runner]) -> Runner:
     return runner if runner is not None else Runner()
+
+
+class PlannedRuns:
+    """The finished runs of one fanned-out plan, read without simulating.
+
+    ``run(config)`` answers from the runner's cache.  A config outside
+    the plan raises :class:`~repro.errors.HarnessError`, so a plan that
+    under-declares its experiment fails loudly.  An ``offline`` entry
+    plans its whole threshold sweep, so
+    :func:`~repro.harness.sweep.offline_search` and
+    :func:`~repro.harness.sweep.threshold_sweep` read through this
+    object unchanged.  A quarantined config raises its run's
+    :class:`~repro.errors.RunFailure`: it is never attempted again.
+    """
+
+    def __init__(self, runner: Runner, report: SuiteReport):
+        self._runner = runner
+        #: The GPU configuration every planned run simulated.
+        self.config = runner.config
+        self._planned = {c.key() for c in ParallelRunner.expand(report.configs)}
+        self._failures: Dict[tuple, RunFailure] = {
+            outcome.config.key(): outcome.failure for outcome in report.failures
+        }
+
+    def run(self, config: RunConfig) -> SimResult:
+        key = config.key()
+        label = f"{config.benchmark}/{config.scheme} (seed {config.seed})"
+        if key not in self._planned:
+            raise HarnessError(f"{label} is not in the experiment's plan")
+        failure = self._failures.get(key)
+        if failure is not None:
+            raise failure
+        result = self._runner.cached(config)
+        if result is None:  # skipped after a fail-fast quarantine
+            raise HarnessError(f"{label} did not run")
+        return result
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A paper experiment's entry point: plan, one fan-out, render.
+
+    ``plan`` and ``render`` take the same keyword options; a plan
+    ignores those that only shape the table (``samples``).
+    """
+
+    plan: Callable[..., List[RunConfig]]
+    render: Callable[..., ExperimentResult]
+
+    def __call__(
+        self, runner: Optional[Runner] = None, seed: int = 1, **options
+    ) -> ExperimentResult:
+        runner = ensure_runner(runner)
+        parallel = ParallelRunner(runner, jobs=1)
+        report = parallel.run_suite(self.plan(seed, **options))
+        return self.render(PlannedRuns(runner, report), seed, **options)
+
+
+def no_runs(seed: int = 1) -> List[RunConfig]:
+    """The plan of an experiment that derives from static inputs."""
+    return []
 
 
 #: Benchmarks the paper's deep-dive figures use.

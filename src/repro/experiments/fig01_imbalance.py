@@ -8,17 +8,13 @@ largest frontier level.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import Runner
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns, no_runs
 from repro.workloads import bfs
 
 
-def run(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResult:
-    ensure_runner(runner)
+def render(runs: PlannedRuns, seed: int = 1) -> ExperimentResult:
     graph = bfs._graph("citation", seed)
     levels = bfs._levels("citation", seed)
     frontier = max(levels, key=len)
@@ -46,3 +42,6 @@ def run(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResult:
         ),
         extras={"work": work},
     )
+
+
+run = Experiment(no_runs, render)

@@ -8,24 +8,31 @@ Observations 1-4 of Section III-A are derived from exactly this data.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import Runner
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
+from repro.harness.runner import RunConfig
 from repro.harness.sweep import threshold_sweep
 from repro.workloads import TABLE1_NAMES
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
+    # An offline entry plans its benchmark's whole threshold sweep.
+    return [
+        RunConfig(benchmark=name, scheme="offline", seed=seed)
+        for name in benchmarks or TABLE1_NAMES
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     sweeps = {}
     for name in benchmarks or TABLE1_NAMES:
-        sweep = threshold_sweep(runner, name, seed=seed)
+        sweep = threshold_sweep(runs, name, seed=seed)
         sweeps[name] = sweep
         best = sweep.best()
         for point in sweep.points:
@@ -54,3 +61,6 @@ def run(
         notes="(*) best static distribution = Offline-Search's pick",
         extras={"sweeps": sweeps},
     )
+
+
+run = Experiment(plan, render)

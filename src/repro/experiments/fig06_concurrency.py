@@ -8,21 +8,28 @@ usage), sampled over the run.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
-from repro.experiments.common import DEEP_DIVE_BENCHMARK, ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import (
+    DEEP_DIVE_BENCHMARK, Experiment, ExperimentResult, PlannedRuns,
+)
+from repro.harness.runner import RunConfig
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(
+    seed: int = 1, benchmark: str = DEEP_DIVE_BENCHMARK, scheme: str = "baseline-dp", **_
+) -> List[RunConfig]:
+    return [RunConfig(benchmark=benchmark, scheme=scheme, seed=seed)]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmark: str = DEEP_DIVE_BENCHMARK,
     scheme: str = "baseline-dp",
     samples: int = 24,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
-    result = runner.run(RunConfig(benchmark=benchmark, scheme=scheme, seed=seed))
+    result = runs.run(RunConfig(benchmark=benchmark, scheme=scheme, seed=seed))
     trace = result.stats.trace
     step = max(1, len(trace) // samples)
     rows = []
@@ -37,7 +44,7 @@ def run(
             )
         )
     peak = max((s.total_ctas for s in trace), default=0)
-    limit = runner.config.max_concurrent_ctas
+    limit = runs.config.max_concurrent_ctas
     return ExperimentResult(
         experiment="fig06",
         title=f"Concurrent CTAs and utilization over time ({benchmark}, {scheme})",
@@ -49,3 +56,6 @@ def run(
         ),
         extras={"trace": trace, "result": result},
     )
+
+
+run = Experiment(plan, render)

@@ -7,26 +7,33 @@ Each benchmark's DP variant is re-run with every child kernel resized to
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
+from repro.harness.runner import RunConfig
 from repro.workloads import TABLE1_NAMES
 
 CTA_SIZES = (32, 64, 128, 256)
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=name, scheme="baseline-dp", seed=seed, cta_threads=cta)
+        for name in benchmarks or TABLE1_NAMES
+        for cta in CTA_SIZES
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     for name in benchmarks or TABLE1_NAMES:
         makespans = {}
         for cta in CTA_SIZES:
-            result = runner.run(
+            result = runs.run(
                 RunConfig(
                     benchmark=name,
                     scheme="baseline-dp",
@@ -50,3 +57,6 @@ def run(
         headers=["benchmark", "CTA-64", "CTA-128", "CTA-256"],
         rows=rows,
     )
+
+
+run = Experiment(plan, render)

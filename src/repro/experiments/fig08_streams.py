@@ -8,26 +8,33 @@ Baseline-DP.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import PER_CHILD, PER_PARENT_CTA, RunConfig, Runner
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
+from repro.harness.runner import PER_CHILD, PER_PARENT_CTA, RunConfig
 from repro.workloads import TABLE1_NAMES
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=name, scheme="baseline-dp", seed=seed, stream_policy=policy)
+        for name in benchmarks or TABLE1_NAMES
+        for policy in (PER_CHILD, PER_PARENT_CTA)
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     for name in benchmarks or TABLE1_NAMES:
-        per_child = runner.run(
+        per_child = runs.run(
             RunConfig(benchmark=name, scheme="baseline-dp", seed=seed,
                       stream_policy=PER_CHILD)
         )
-        per_parent = runner.run(
+        per_parent = runs.run(
             RunConfig(benchmark=name, scheme="baseline-dp", seed=seed,
                       stream_policy=PER_PARENT_CTA)
         )
@@ -41,3 +48,6 @@ def run(
         rows=rows,
         notes="values >= 1 mean unique streams win, as the paper reports",
     )
+
+
+run = Experiment(plan, render)

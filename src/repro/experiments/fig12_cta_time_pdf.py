@@ -8,24 +8,32 @@ the PDF summary for the paper's four representative benchmarks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import FIG12_BENCHMARKS, ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import (
+    FIG12_BENCHMARKS, Experiment, ExperimentResult, PlannedRuns,
+)
+from repro.harness.runner import RunConfig
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=name, scheme="baseline-dp", seed=seed)
+        for name in benchmarks or FIG12_BENCHMARKS
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     histograms = {}
     for name in benchmarks or FIG12_BENCHMARKS:
-        result = runner.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
+        result = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
         times = np.asarray(result.stats.child_cta_exec_times)
         if times.size == 0:
             rows.append((name, 0, 0.0, "0%", "0%"))
@@ -50,3 +58,6 @@ def run(
         rows=rows,
         extras={"times": histograms},
     )
+
+
+run = Experiment(plan, render)

@@ -7,28 +7,35 @@ few percent of Offline-Search.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner, geometric_mean
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
+from repro.harness.runner import RunConfig, geometric_mean
 from repro.harness.sweep import offline_search
 from repro.workloads import TABLE1_NAMES
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=name, scheme=scheme, seed=seed)
+        for name in benchmarks or TABLE1_NAMES
+        for scheme in ("flat", "baseline-dp", "offline", "spawn")
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     speedups = {"baseline-dp": [], "offline": [], "spawn": []}
     results = {}
     for name in benchmarks or TABLE1_NAMES:
-        flat = runner.run(RunConfig(benchmark=name, scheme="flat", seed=seed))
-        base = runner.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
-        threshold, offline = offline_search(runner, name, seed=seed)
-        spawn = runner.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
+        flat = runs.run(RunConfig(benchmark=name, scheme="flat", seed=seed))
+        base = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
+        threshold, offline = offline_search(runs, name, seed=seed)
+        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
         trio = (
             flat.makespan / base.makespan,
             flat.makespan / offline.makespan,
@@ -67,3 +74,6 @@ def run(
         ),
         extras={"results": results, "geomeans": means},
     )
+
+
+run = Experiment(plan, render)

@@ -7,26 +7,34 @@ Offline-Search.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner, geometric_mean
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
+from repro.harness.runner import RunConfig, geometric_mean
 from repro.harness.sweep import offline_search
 from repro.workloads import TABLE1_NAMES
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
+    """Baseline-DP, Offline-Search and SPAWN per benchmark (Figs. 16-18)."""
+    return [
+        RunConfig(benchmark=name, scheme=scheme, seed=seed)
+        for name in benchmarks or TABLE1_NAMES
+        for scheme in ("baseline-dp", "offline", "spawn")
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     ratios = []
     for name in benchmarks or TABLE1_NAMES:
-        base = runner.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
-        _, offline = offline_search(runner, name, seed=seed)
-        spawn = runner.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
+        base = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
+        _, offline = offline_search(runs, name, seed=seed)
+        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
         occ = (
             base.stats.smx_occupancy,
             offline.stats.smx_occupancy,
@@ -55,3 +63,6 @@ def run(
         rows=rows,
         notes=note,
     )
+
+
+run = Experiment(plan, render)

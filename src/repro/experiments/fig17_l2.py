@@ -10,24 +10,24 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
+from repro.experiments.fig16_occupancy import plan
+from repro.harness.runner import RunConfig
 from repro.harness.sweep import offline_search
 from repro.workloads import TABLE1_NAMES
 
 
-def run(
-    runner: Optional[Runner] = None,
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     deltas = []
     for name in benchmarks or TABLE1_NAMES:
-        base = runner.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
-        _, offline = offline_search(runner, name, seed=seed)
-        spawn = runner.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
+        base = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
+        _, offline = offline_search(runs, name, seed=seed)
+        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
         hit = (
             base.stats.l2_hit_rate,
             offline.stats.l2_hit_rate,
@@ -50,3 +50,6 @@ def run(
         rows=rows,
         notes=f"mean SPAWN - Baseline-DP hit-rate delta: {avg_delta:+.1f} points",
     )
+
+
+run = Experiment(plan, render)

@@ -7,23 +7,33 @@ fewer children, and the run finishes earlier.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
-from repro.experiments.common import DEEP_DIVE_BENCHMARK, ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import (
+    DEEP_DIVE_BENCHMARK, Experiment, ExperimentResult, PlannedRuns,
+)
+from repro.harness.runner import RunConfig
+
+SCHEMES = ("baseline-dp", "spawn")
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmark: str = DEEP_DIVE_BENCHMARK, **_) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=benchmark, scheme=scheme, seed=seed)
+        for scheme in SCHEMES
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmark: str = DEEP_DIVE_BENCHMARK,
     samples: int = 16,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     traces = {}
-    for scheme in ("baseline-dp", "spawn"):
-        result = runner.run(RunConfig(benchmark=benchmark, scheme=scheme, seed=seed))
+    for scheme in SCHEMES:
+        result = runs.run(RunConfig(benchmark=benchmark, scheme=scheme, seed=seed))
         trace = result.stats.trace
         traces[scheme] = (trace, result)
         step = max(1, len(trace) // samples)
@@ -50,3 +60,6 @@ def run(
         ),
         extras={"traces": traces},
     )
+
+
+run = Experiment(plan, render)

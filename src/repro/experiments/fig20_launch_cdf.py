@@ -7,23 +7,31 @@ best threshold would do.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
-from repro.experiments.common import DEEP_DIVE_BENCHMARK, ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import (
+    DEEP_DIVE_BENCHMARK, Experiment, ExperimentResult, PlannedRuns,
+)
+from repro.harness.runner import RunConfig
 from repro.harness.sweep import offline_search
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(seed: int = 1, benchmark: str = DEEP_DIVE_BENCHMARK, **_) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=benchmark, scheme=scheme, seed=seed)
+        for scheme in ("baseline-dp", "offline", "spawn")
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     benchmark: str = DEEP_DIVE_BENCHMARK,
     samples: int = 12,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
-    base = runner.run(RunConfig(benchmark=benchmark, scheme="baseline-dp", seed=seed))
-    threshold, offline = offline_search(runner, benchmark, seed=seed)
-    spawn = runner.run(RunConfig(benchmark=benchmark, scheme="spawn", seed=seed))
+    base = runs.run(RunConfig(benchmark=benchmark, scheme="baseline-dp", seed=seed))
+    threshold, offline = offline_search(runs, benchmark, seed=seed)
+    spawn = runs.run(RunConfig(benchmark=benchmark, scheme="spawn", seed=seed))
     rows = []
     cdfs = {}
     for scheme, result in (
@@ -46,3 +54,6 @@ def run(
         rows=rows,
         extras={"cdfs": cdfs},
     )
+
+
+run = Experiment(plan, render)

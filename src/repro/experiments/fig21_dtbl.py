@@ -9,23 +9,34 @@ flat implementation.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.common import FIG21_PAIRS, ExperimentResult, ensure_runner
-from repro.harness.runner import RunConfig, Runner
+from repro.experiments.common import (
+    FIG21_PAIRS, Experiment, ExperimentResult, PlannedRuns,
+)
+from repro.harness.runner import RunConfig
 
 
-def run(
-    runner: Optional[Runner] = None,
+def plan(
+    seed: int = 1, pairs: Optional[Sequence[Tuple[str, str]]] = None
+) -> List[RunConfig]:
+    return [
+        RunConfig(benchmark=name, scheme=scheme, seed=seed)
+        for _app, name in pairs or FIG21_PAIRS
+        for scheme in ("flat", "spawn", "dtbl")
+    ]
+
+
+def render(
+    runs: PlannedRuns,
     seed: int = 1,
     pairs: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ExperimentResult:
-    runner = ensure_runner(runner)
     rows = []
     for app, name in pairs or FIG21_PAIRS:
-        flat = runner.run(RunConfig(benchmark=name, scheme="flat", seed=seed))
-        spawn = runner.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
-        dtbl = runner.run(RunConfig(benchmark=name, scheme="dtbl", seed=seed))
+        flat = runs.run(RunConfig(benchmark=name, scheme="flat", seed=seed))
+        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
+        dtbl = runs.run(RunConfig(benchmark=name, scheme="dtbl", seed=seed))
         rows.append(
             (
                 app,
@@ -40,3 +51,6 @@ def run(
         headers=["application", "benchmark", "SPAWN", "DTBL"],
         rows=rows,
     )
+
+
+run = Experiment(plan, render)

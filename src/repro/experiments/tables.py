@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import Runner
+from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns, no_runs
 from repro.sim.config import GPUConfig
 from repro.workloads import TABLE1_NAMES, get_benchmark
 
 
-def run_table1(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResult:
+def render_table1(runs: PlannedRuns, seed: int = 1) -> ExperimentResult:
     """Table I: the 13 <application, input> benchmarks."""
     rows = []
     for name in TABLE1_NAMES:
@@ -41,10 +38,9 @@ def run_table1(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResu
     )
 
 
-def run_table2(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResult:
+def render_table2(runs: PlannedRuns, seed: int = 1) -> ExperimentResult:
     """Table II: GPU configuration parameters of the simulated system."""
-    config = ensure_runner(runner).config
-    rows = _config_rows(config)
+    rows = _config_rows(runs.config)
     return ExperimentResult(
         experiment="table2",
         title="GPU configuration parameters",
@@ -91,6 +87,5 @@ def _config_rows(config: GPUConfig):
     ]
 
 
-def run(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResult:
-    """Default entry point: Table I (Table II available via run_table2)."""
-    return run_table1(runner, seed)
+run_table1 = Experiment(no_runs, render_table1)
+run_table2 = Experiment(no_runs, render_table2)

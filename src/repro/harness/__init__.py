@@ -23,7 +23,6 @@ from repro.harness.replication import (
     ReplicationResult,
     SchemeStats,
     replicate,
-    replication_plan,
 )
 from repro.harness.store import (
     ResultStore,
@@ -35,7 +34,6 @@ from repro.harness.sweep import (
     SweepPoint,
     SweepResult,
     offline_search,
-    sweep_plan,
     threshold_sweep,
 )
 
@@ -67,8 +65,6 @@ __all__ = [
     "offline_search",
     "open_store",
     "replicate",
-    "replication_plan",
-    "sweep_plan",
     "threshold_sweep",
     "timeline",
 ]

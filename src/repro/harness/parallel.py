@@ -6,10 +6,10 @@ simulations in different processes.  This module adds a plan/execute
 split on top of :class:`~repro.harness.runner.Runner`:
 
 1. **Plan.**  Callers declare the full run-set up front as a list of
-   :class:`RunConfig` (experiment modules expose these via
-   :mod:`repro.experiments.plans`).  ``offline`` entries are expanded into
-   the threshold sweep that defines them, so every scheme in
-   ``DP_SCHEMES`` — including Offline-Search — can be fanned out.
+   :class:`RunConfig` (each paper experiment declares its own ``plan``
+   in its module).  ``offline`` entries are expanded into the threshold
+   sweep that defines them, so every scheme in ``DP_SCHEMES`` —
+   including Offline-Search — can be fanned out.
 2. **Execute.**  Unique, uncached configs are shipped to a
    ``ProcessPoolExecutor``; each worker simulates independently and
    returns a JSON payload (:meth:`SimResult.to_dict`).  Workers never
@@ -21,10 +21,12 @@ split on top of :class:`~repro.harness.runner.Runner`:
    host: every store write goes through one
    :class:`~repro.harness.store.ResultStore`, whose WAL-mode SQLite
    file is safe under several parent processes sharing it.
-3. **Resolve.**  Results are returned in input order via the now-warm
-   runner, so ``run_many`` output is bit-identical to running the same
-   configs serially (simulations are deterministic and workers use the
-   same GPU config and event budget as the parent).
+3. **Resolve.**  Results are returned in input order from the now-warm
+   runner, so ``run_suite`` results are bit-identical to running the
+   same configs serially (simulations are deterministic and workers use
+   the same GPU config and event budget as the parent).  Nothing
+   simulates after this: an experiment renders from the finished runs
+   (:class:`repro.experiments.common.PlannedRuns`).
 
 Execution survives the failure modes a long sweep actually hits, governed
 by an :class:`ExecutionPolicy`:
@@ -229,10 +231,9 @@ def _simulate_payload(task: Tuple) -> Dict:
 class ParallelRunner:
     """Fans a declared run-set out across worker processes, surviving them.
 
-    Wraps (and shares caches with) a :class:`Runner`; after ``run_many``
-    the wrapped runner answers every planned config from cache, so
-    experiment modules can keep their serial ``runner.run`` code and
-    still benefit.  ``policy`` tunes timeouts/retries/quarantine;
+    Wraps (and shares caches with) a :class:`Runner`; after
+    ``run_suite`` the wrapped runner answers every planned config that
+    finished from cache.  ``policy`` tunes timeouts/retries/quarantine;
     ``tracer`` receives ``harness.*`` events for every recovery action.
     """
 
@@ -252,7 +253,8 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def expand(self, configs: Sequence[RunConfig]) -> List[RunConfig]:
+    @staticmethod
+    def expand(configs: Sequence[RunConfig]) -> List[RunConfig]:
         """Concrete, deduplicated work-set for ``configs`` (input order).
 
         ``offline`` is not directly runnable — it is *defined* as the best
@@ -281,18 +283,6 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_many(
-        self, configs: Sequence[RunConfig], *, jobs: Optional[int] = None
-    ) -> List[SimResult]:
-        """Run every config (fanning misses out) and return results in order.
-
-        Raises the first task's typed :class:`RunFailure` if any run was
-        quarantined; use :meth:`run_suite` to get a report instead.
-        """
-        report = self.run_suite(configs, jobs=jobs)
-        report.raise_if_failed()
-        return list(report.results)
-
     def run_suite(
         self, configs: Sequence[RunConfig], *, jobs: Optional[int] = None
     ) -> SuiteReport:

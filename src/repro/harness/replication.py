@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
 from repro.harness.runner import RunConfig, Runner
@@ -70,51 +70,24 @@ class ReplicationResult:
         return all(f > s for f, s in zip(fast, slow))
 
 
-def replication_plan(
-    benchmark: str,
-    *,
-    schemes: Sequence[str] = ("baseline-dp", "spawn"),
-    seeds: Sequence[int] = (1, 2, 3),
-) -> List[RunConfig]:
-    """The run-set :func:`replicate` needs (flat + schemes, per seed).
-
-    Feed this to the parallel harness to warm the cache; seeds are
-    independent simulations, so replication fans out near-perfectly.
-    """
-    plan: List[RunConfig] = []
-    for seed in seeds:
-        plan.append(RunConfig(benchmark=benchmark, scheme="flat", seed=seed))
-        plan.extend(
-            RunConfig(benchmark=benchmark, scheme=scheme, seed=seed)
-            for scheme in schemes
-        )
-    return plan
-
-
 def replicate(
     benchmark: str,
     *,
     schemes: Sequence[str] = ("baseline-dp", "spawn"),
     seeds: Sequence[int] = (1, 2, 3),
     runner: Optional[Runner] = None,
-    jobs: int = 1,
 ) -> ReplicationResult:
     """Run ``schemes`` on ``benchmark`` across ``seeds``; aggregate speedups.
 
-    ``jobs > 1`` pre-runs the whole seed/scheme grid across worker
-    processes; the aggregation below then reads pure cache hits.
+    To run the seed/scheme grid in parallel, fan it out through
+    :meth:`~repro.harness.parallel.ParallelRunner.run_suite` on
+    ``runner`` first; the aggregation then reads cache hits.
     """
     if not seeds:
         raise HarnessError("replication needs at least one seed")
     if not schemes:
         raise HarnessError("replication needs at least one scheme")
     runner = runner or Runner()
-    if jobs > 1:
-        from repro.harness.parallel import ParallelRunner
-
-        ParallelRunner(runner).run_many(
-            replication_plan(benchmark, schemes=schemes, seeds=seeds), jobs=jobs
-        )
     stats: Dict[str, SchemeStats] = {}
     for scheme in schemes:
         speedups = []

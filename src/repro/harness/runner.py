@@ -118,7 +118,6 @@ class Runner:
             stored = self._promote(run_config)
             if stored is not None:
                 return stored
-        self.metrics.counter("runner.cache_misses").inc()
         benchmark = get_benchmark(run_config.benchmark)
         spec = sch.SchemeSpec.parse(run_config.scheme)
         if spec.name == sch.OFFLINE:
@@ -140,6 +139,9 @@ class Runner:
             max_events=self.max_events,
             bind_policy=spec.bind_policy,
         )
+        # Counted here, so a run whose benchmark or scheme fails to
+        # build is no simulation.
+        self.metrics.counter("runner.cache_misses").inc()
         started = time.perf_counter()
         result = sim.run(app)
         self.metrics.histogram(

@@ -41,24 +41,6 @@ class SweepResult:
         return max(self.points, key=lambda p: p.speedup_over_flat)
 
 
-def sweep_plan(
-    benchmark_name: str,
-    *,
-    seed: int = 1,
-    thresholds: Optional[Tuple[int, ...]] = None,
-) -> List[RunConfig]:
-    """The run-set a threshold sweep needs (flat + every threshold).
-
-    Feed this to :meth:`repro.harness.parallel.ParallelRunner.run_many`
-    to warm the cache before :func:`threshold_sweep` /
-    :func:`offline_search`, which then complete without simulating.
-    """
-    return sweep_variants(
-        RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed),
-        thresholds,
-    )
-
-
 def sweep_variants(
     config: RunConfig, thresholds: Optional[Tuple[int, ...]] = None
 ) -> List[RunConfig]:
@@ -109,23 +91,23 @@ def threshold_sweep(
     *,
     seed: int = 1,
     thresholds: Optional[Tuple[int, ...]] = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Run the benchmark at every static THRESHOLD (plus the flat bound).
 
-    ``jobs > 1`` fans the sweep's runs out across worker processes first;
-    results are identical to the serial sweep (simulations are
-    deterministic), just wall-clock faster.
+    ``runner`` is a :class:`Runner` or anything with its ``run(config)``,
+    such as an experiment's
+    :class:`~repro.experiments.common.PlannedRuns`.  To run a sweep in
+    parallel, fan an ``offline`` config out through
+    :meth:`~repro.harness.parallel.ParallelRunner.run_suite` first; the
+    sweep then reads cache hits.
     """
-    benchmark = get_benchmark(benchmark_name)
-    sweep = thresholds if thresholds is not None else benchmark.sweep_thresholds
-    plan = sweep_plan(benchmark_name, seed=seed, thresholds=sweep)
-    if jobs > 1:
-        from repro.harness.parallel import ParallelRunner
-
-        ParallelRunner(runner).run_many(plan, jobs=jobs)
-    flat, *results = [runner.run(config) for config in plan]
-    return sweep_result(benchmark_name, sweep, flat, results)
+    if thresholds is None:
+        thresholds = get_benchmark(benchmark_name).sweep_thresholds
+    flat_config = RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed)
+    flat, *results = [
+        runner.run(config) for config in sweep_variants(flat_config, thresholds)
+    ]
+    return sweep_result(benchmark_name, thresholds, flat, results)
 
 
 def offline_search(
@@ -133,7 +115,6 @@ def offline_search(
     benchmark_name: str,
     *,
     seed: int = 1,
-    jobs: int = 1,
 ) -> Tuple[int, SimResult]:
     """Best static threshold and its run (the paper's Offline-Search).
 
@@ -141,7 +122,7 @@ def offline_search(
     best *DP* workload distribution; a benchmark that prefers ~0% offload
     expresses that through a large THRESHOLD.
     """
-    sweep = threshold_sweep(runner, benchmark_name, seed=seed, jobs=jobs)
+    sweep = threshold_sweep(runner, benchmark_name, seed=seed)
     best = sweep.best()
     result = runner.run(
         RunConfig(

@@ -10,8 +10,8 @@ a worker thread so the event loop keeps accepting (and coalescing)
 traffic while the pool simulates.
 
 One batch at a time: ``run_suite`` already fans one batch across all
-pool workers, so overlapping dispatches would only fight over cores and
-interleave fault-injection sequence numbers.  Batching therefore changes
+pool workers, so overlapping dispatches would only fight over cores.
+Batching therefore changes
 *when* a simulation runs, never *what* it computes — results come out of
 the same deterministic runner, which the load tests pin down as
 bit-identical to serial :meth:`Runner.run`.

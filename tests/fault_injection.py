@@ -37,6 +37,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -143,9 +144,16 @@ def _faulty_tasks(plan: FaultPlan) -> Callable:
     # the wrapper by reference and each worker finds its inherited copy.
     @functools.wraps(simulate)
     def faulty(task):
-        with starts.get_lock():
-            seq = starts.value
-            starts.value += 1
+        # A kill breaks the pool, which then SIGTERMs the other workers;
+        # one that died holding the shared lock would block every later
+        # worker, so the count is taken with SIGTERM deferred.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            with starts.get_lock():
+                seq = starts.value
+                starts.value += 1
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if seq == plan.kill_on_dispatch:
             os._exit(KILL_EXIT_CODE)
         if seq == plan.delay_on_dispatch:

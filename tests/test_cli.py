@@ -18,9 +18,12 @@ def suite_done(capsys, *argv):
     """Run ``repro suite`` and parse its ``suite done:`` stderr line."""
     code, _ = run_cli("suite", *argv)
     assert code == 0
+    return parse_done(capsys.readouterr().err)
+
+
+def parse_done(err):
     (line,) = [
-        line for line in capsys.readouterr().err.splitlines()
-        if line.startswith("suite done: ")
+        line for line in err.splitlines() if line.startswith("suite done: ")
     ]
     return dict(field.split("=") for field in line.split()[2:])
 
@@ -187,6 +190,20 @@ class TestSuiteCacheBench:
                           "--no-store")
         assert code == 2
 
+    @pytest.mark.parametrize("names", [",", ""])
+    def test_suite_rejects_a_list_naming_nothing(self, names, capsys):
+        code, text = run_cli("suite", "--experiments", names, "--jobs", "2",
+                             "--no-store")
+        assert (code, text) == (2, "")
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_suite_renders_a_name_given_twice_once(self):
+        code, text = run_cli("suite", "--experiments", "fig06,fig06",
+                             "--jobs", "1", "--no-store")
+        assert code == 0
+        assert text.count("fig06: ") == 1
+
     def test_suite_rejects_bad_jobs(self):
         code, _ = run_cli("suite", "--jobs", "0", "--no-store")
         assert code == 2
@@ -207,8 +224,9 @@ class TestSuiteCacheBench:
         second = suite_done(capsys, *argv)
         assert second == first
         # jobs=1 runs in-process: nothing reaches a pool.
-        assert (second["fanned_out"], second["simulated_inline"],
-                second["memory_hits"]) == ("0", "2", "2")
+        assert (second["fanned_out"], second["simulated_inline"]) == ("0", "2")
+        # The experiments render from the fan-out, not through Runner.run.
+        assert "memory_hits" not in second
 
     def test_suite_fans_out_only_pool_dispatches(self, capsys):
         # One planned run takes the in-process path even at --jobs 2.
@@ -218,6 +236,26 @@ class TestSuiteCacheBench:
         done = suite_done(capsys, "--experiments", "fig19", "--no-store",
                           "--jobs", "2")
         assert (done["fanned_out"], done["simulated_inline"]) == ("2", "0")
+
+    @pytest.mark.parametrize(
+        "experiment,jobs,counts",
+        [("fig19", "2", ("2", "2", "0")), ("fig06", "1", ("0", "1", "0"))],
+        ids=["fig19-jobs2", "fig06-jobs1"],
+    )
+    def test_a_quarantined_run_is_attempted_once(
+        self, experiment, jobs, counts, capsys
+    ):
+        code, _ = run_cli("suite", "--experiments", experiment, "--seed", "-1",
+                          "--jobs", jobs, "--no-store")
+        assert code == 1
+        err = capsys.readouterr().err
+        done = parse_done(err)
+        fields = ("fanned_out", "quarantined", "simulated_inline")
+        assert tuple(done[field] for field in fields) == counts
+        failed = [line for line in err.splitlines()
+                  if line.startswith(f"experiment {experiment} failed: ")]
+        assert len(failed) == 1
+        assert "BFS-graph500/baseline-dp failed: " in failed[0]
 
     def test_warm_suite_counts_store_hits(self, tmp_path, capsys):
         argv = ("--experiments", "fig19", "--jobs", "1",

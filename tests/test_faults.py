@@ -345,11 +345,6 @@ class TestQuarantine:
             isinstance(o.failure.__cause__, WorkloadError) for o in report.outcomes
         )
 
-    def test_run_many_raises_on_quarantine(self):
-        pr = ParallelRunner(Runner(), jobs=1)
-        with pytest.raises(RunFailure):
-            pr.run_many(WITH_DOOMED)
-
     def test_fail_fast_skips_the_rest(self):
         pr = ParallelRunner(
             Runner(), jobs=1, policy=ExecutionPolicy(fail_fast=True)
@@ -383,7 +378,7 @@ class TestResume:
 
     def test_fully_cached_suite_dispatches_nothing(self, tmp_path):
         warm = Runner(store=open_store(tmp_path / "results.db"))
-        ParallelRunner(warm, jobs=1).run_many(CONFIGS)
+        ParallelRunner(warm, jobs=1).run_suite(CONFIGS).raise_if_failed()
         pr = ParallelRunner(Runner(store=open_store(tmp_path / "results.db")), jobs=2)
         report = pr.run_suite(CONFIGS)
         assert report.resumed == len(CONFIGS)

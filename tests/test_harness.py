@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import HarnessError
+from repro.errors import HarnessError, WorkloadError
 from repro.harness import schemes as sch
 from repro.harness.report import format_series, format_table, percent
 from repro.harness.runner import PER_PARENT_CTA, RunConfig, Runner, geometric_mean
@@ -96,6 +96,12 @@ class TestRunner:
         (timer,) = metrics["histograms"].items()
         assert timer[0] == f"runner.sim_seconds{{benchmark={FAST},scheme=flat}}"
         assert timer[1]["count"] == 1 and timer[1]["sum"] > 0
+
+    def test_a_run_that_fails_to_build_is_no_simulation(self):
+        runner = Runner()
+        with pytest.raises(WorkloadError):
+            runner.run(RunConfig(benchmark=FAST, scheme="spawn", seed=-1))
+        assert runner.metrics.counter("runner.cache_misses").value == 0
 
 
 class TestSweep:

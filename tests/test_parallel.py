@@ -4,11 +4,11 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.harness.parallel import ParallelRunner, default_jobs
-from repro.harness.replication import replicate, replication_plan
+from repro.harness.replication import replicate
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.schemes import DP_SCHEMES
 from repro.harness.store import open_store
-from repro.harness.sweep import offline_search, sweep_plan, threshold_sweep
+from repro.harness.sweep import offline_search, threshold_sweep
 from repro.workloads import get_benchmark
 
 #: The two cheapest end-to-end benchmarks.
@@ -50,12 +50,14 @@ class TestExpand:
 
 
 class TestRunMany:
+    """Many configs through one ``run_suite``, read from its ``results``."""
+
     def test_empty_plan(self):
-        assert ParallelRunner(jobs=2).run_many([]) == []
+        assert ParallelRunner(jobs=2).run_suite([]).results == []
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(HarnessError):
-            ParallelRunner(jobs=2).run_many(
+            ParallelRunner(jobs=2).run_suite(
                 [RunConfig(benchmark=FAST, scheme="flat")], jobs=0
             )
 
@@ -72,8 +74,9 @@ class TestRunMany:
             for name in (FAST, FAST2)
             for scheme in ("flat",) + DP_SCHEMES
         ]
-        parallel = ParallelRunner(Runner(), jobs=4)
-        fanned = parallel.run_many(configs)
+        report = ParallelRunner(Runner(), jobs=4).run_suite(configs)
+        report.raise_if_failed()
+        fanned = report.results
 
         serial_runner = Runner()
         for config, result in zip(configs, fanned):
@@ -98,14 +101,14 @@ class TestRunMany:
         runner = Runner()
         pr = ParallelRunner(runner, jobs=2)
         config = RunConfig(benchmark=FAST, scheme="spawn")
-        [result] = pr.run_many([config, ])
+        [result] = pr.run_suite([config]).results
         # The wrapped runner now answers from memory: same object back.
         assert runner.run(config) is result
 
     def test_jobs_one_runs_inline(self):
         runner = Runner()
         pr = ParallelRunner(runner, jobs=1)
-        [result] = pr.run_many([RunConfig(benchmark=FAST, scheme="flat")])
+        [result] = pr.run_suite([RunConfig(benchmark=FAST, scheme="flat")]).results
         assert result.makespan > 0
         assert runner.cache_size() == 1
 
@@ -124,7 +127,7 @@ class TestRunMany:
             RunConfig(benchmark=FAST, scheme="flat"),
             RunConfig(benchmark=FAST, scheme="spawn"),
         ]
-        pr.run_many(configs)
+        pr.run_suite(configs).raise_if_failed()
         assert runner.store.stats().entries == 2
         # A cold runner over the same store simulates nothing.
         cold = Runner(store=open_store(tmp_path / "results.db"))
@@ -133,28 +136,26 @@ class TestRunMany:
 
 
 class TestPlanHelpers:
-    def test_sweep_plan_contents(self):
-        plan = sweep_plan(FAST)
-        thresholds = get_benchmark(FAST).sweep_thresholds
-        assert [c.scheme for c in plan] == ["flat"] + [
-            f"threshold:{t}" for t in thresholds
-        ]
+    """Sweeps and replication read a run-set fanned out beforehand."""
 
     def test_threshold_sweep_parallel_matches_serial(self):
         serial = threshold_sweep(Runner(), FAST)
-        parallel = threshold_sweep(Runner(), FAST, jobs=2)
-        assert parallel == serial
-
-    def test_replication_plan_contents(self):
-        plan = replication_plan(FAST, schemes=("spawn",), seeds=(1, 2))
-        assert [(c.scheme, c.seed) for c in plan] == [
-            ("flat", 1),
-            ("spawn", 1),
-            ("flat", 2),
-            ("spawn", 2),
-        ]
+        runner = Runner()
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        ParallelRunner(runner, jobs=2).run_suite([offline]).raise_if_failed()
+        misses = runner.metrics.counter("runner.cache_misses")
+        assert threshold_sweep(runner, FAST) == serial
+        assert misses.value == 0
 
     def test_replicate_parallel_matches_serial(self):
         serial = replicate(FAST, schemes=("spawn",), seeds=(1, 2))
-        parallel = replicate(FAST, schemes=("spawn",), seeds=(1, 2), jobs=2)
+        runner = Runner()
+        grid = [
+            RunConfig(benchmark=FAST, scheme=scheme, seed=seed)
+            for seed in (1, 2)
+            for scheme in ("flat", "spawn")
+        ]
+        ParallelRunner(runner, jobs=2).run_suite(grid).raise_if_failed()
+        parallel = replicate(FAST, schemes=("spawn",), seeds=(1, 2), runner=runner)
         assert parallel.stats["spawn"].speedups == serial.stats["spawn"].speedups
+        assert runner.metrics.counter("runner.cache_misses").value == 0
