@@ -151,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--scheme",
         default="spawn",
-        help="flat | baseline-dp | spawn | dtbl | threshold:<T> (default: spawn)",
+        help="flat | baseline-dp | offline | spawn | dtbl | threshold:<T> "
+        "(default: spawn)",
     )
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--cta-threads", type=int, default=None,

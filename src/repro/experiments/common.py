@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import HarnessError, RunFailure
+from repro.errors import HarnessError
 from repro.harness.parallel import ParallelRunner, SuiteReport
 from repro.harness.report import format_table
 from repro.harness.runner import RunConfig, Runner
@@ -56,36 +56,34 @@ def ensure_runner(runner: Optional[Runner]) -> Runner:
 class PlannedRuns:
     """The finished runs of one fanned-out plan, read without simulating.
 
-    ``run(config)`` answers from the runner's cache.  A config outside
-    the plan raises :class:`~repro.errors.HarnessError`, so a plan that
-    under-declares its experiment fails loudly.  An ``offline`` entry
-    plans its whole threshold sweep, so
-    :func:`~repro.harness.sweep.offline_search` and
-    :func:`~repro.harness.sweep.threshold_sweep` read through this
-    object unchanged.  A quarantined config raises its run's
-    :class:`~repro.errors.RunFailure`: it is never attempted again.
+    ``run(config)`` accepts the requested configs and their expansion (an
+    ``offline`` entry plans its whole threshold sweep, so
+    :func:`~repro.harness.sweep.offline_search` reads through this object
+    unchanged) and answers with ``Runner.cached``.  A config outside the
+    plan raises :class:`~repro.errors.HarnessError`, so a plan that
+    under-declares its experiment fails loudly.  A config without a
+    result raises ``SuiteReport.failure_of``: it is never attempted again.
     """
 
     def __init__(self, runner: Runner, report: SuiteReport):
         self._runner = runner
+        self._report = report
         #: The GPU configuration every planned run simulated.
         self.config = runner.config
-        self._planned = {c.key() for c in ParallelRunner.expand(report.configs)}
-        self._failures: Dict[tuple, RunFailure] = {
-            outcome.config.key(): outcome.failure for outcome in report.failures
+        self._planned = {
+            c.key()
+            for c in (*report.configs, *ParallelRunner.expand(report.configs))
         }
 
     def run(self, config: RunConfig) -> SimResult:
-        key = config.key()
-        label = f"{config.benchmark}/{config.scheme} (seed {config.seed})"
-        if key not in self._planned:
-            raise HarnessError(f"{label} is not in the experiment's plan")
-        failure = self._failures.get(key)
-        if failure is not None:
-            raise failure
+        if config.key() not in self._planned:
+            raise HarnessError(
+                f"{config.benchmark}/{config.scheme} (seed {config.seed}) "
+                "is not in the experiment's plan"
+            )
         result = self._runner.cached(config)
-        if result is None:  # skipped after a fail-fast quarantine
-            raise HarnessError(f"{label} did not run")
+        if result is None:
+            raise self._report.failure_of(config)
         return result
 
 

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.policies import SpawnPolicy, StaticThresholdPolicy
 from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import Runner
+from repro.harness.runner import RunConfig, Runner
 from repro.harness.sweep import offline_search
 from repro.sim.config import GPUConfig, LaunchOverheadConfig
-from repro.sim.engine import GPUSimulator
-from repro.workloads import get_benchmark
 
 DEFAULT_BENCHMARKS = ("BFS-graph500", "SSSP-citation", "GC-graph500")
 BASE_SCALES = (1.0, 0.25, 0.05)
@@ -36,7 +33,6 @@ def run(
     runner = ensure_runner(runner)
     rows = []
     for name in benchmarks or DEFAULT_BENCHMARKS:
-        bench = get_benchmark(name)
         best_threshold, _ = offline_search(runner, name, seed=seed)
         for scale in scales:
             config = GPUConfig(
@@ -45,12 +41,10 @@ def run(
                     base_cycles=max(1, int(20210 * scale)),
                 )
             )
-            flat = GPUSimulator(config=config).run(bench.flat(seed))
-            offline = GPUSimulator(
-                config=config, policy=StaticThresholdPolicy(best_threshold)
-            ).run(bench.dp(seed))
-            spawn = GPUSimulator(config=config, policy=SpawnPolicy()).run(
-                bench.dp(seed)
+            scaled = Runner(config, max_events=runner.max_events)
+            flat, offline, spawn = (
+                scaled.run(RunConfig(benchmark=name, scheme=scheme, seed=seed))
+                for scheme in ("flat", f"threshold:{best_threshold}", "spawn")
             )
             off_speedup = flat.makespan / offline.makespan
             spawn_speedup = flat.makespan / spawn.makespan

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.policies import SpawnPolicy, StaticThresholdPolicy
 from repro.experiments.common import ExperimentResult, ensure_runner
-from repro.harness.runner import Runner
+from repro.harness.runner import RunConfig, Runner
 from repro.sim.config import GPUConfig
-from repro.sim.engine import GPUSimulator
-from repro.workloads import get_benchmark
 
 DEFAULT_BENCHMARKS = ("BFS-graph500", "GC-graph500", "SSSP-citation")
 
@@ -39,19 +36,15 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     scales: Sequence = SCALES,
 ) -> ExperimentResult:
-    ensure_runner(runner)
+    runner = ensure_runner(runner)
     rows = []
     for name in benchmarks or DEFAULT_BENCHMARKS:
-        bench = get_benchmark(name)
         for label, smx_factor, hwq_factor in scales:
             config = scaled_config(smx_factor, hwq_factor)
-            flat = GPUSimulator(config=config).run(bench.flat(seed))
-            base = GPUSimulator(
-                config=config,
-                policy=StaticThresholdPolicy(bench.default_threshold),
-            ).run(bench.dp(seed))
-            spawn = GPUSimulator(config=config, policy=SpawnPolicy()).run(
-                bench.dp(seed)
+            scaled = Runner(config, max_events=runner.max_events)
+            flat, base, spawn = (
+                scaled.run(RunConfig(benchmark=name, scheme=scheme, seed=seed))
+                for scheme in ("flat", "baseline-dp", "spawn")
             )
             rows.append(
                 (

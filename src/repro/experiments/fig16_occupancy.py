@@ -11,8 +11,11 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
 from repro.harness.runner import RunConfig, geometric_mean
-from repro.harness.sweep import offline_search
 from repro.workloads import TABLE1_NAMES
+
+
+#: The schemes Figs. 16-18 compare, in column order.
+SCHEMES = ("baseline-dp", "offline", "spawn")
 
 
 def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunConfig]:
@@ -20,7 +23,7 @@ def plan(seed: int = 1, benchmarks: Optional[Sequence[str]] = None) -> List[RunC
     return [
         RunConfig(benchmark=name, scheme=scheme, seed=seed)
         for name in benchmarks or TABLE1_NAMES
-        for scheme in ("baseline-dp", "offline", "spawn")
+        for scheme in SCHEMES
     ]
 
 
@@ -32,13 +35,10 @@ def render(
     rows = []
     ratios = []
     for name in benchmarks or TABLE1_NAMES:
-        base = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
-        _, offline = offline_search(runs, name, seed=seed)
-        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
-        occ = (
-            base.stats.smx_occupancy,
-            offline.stats.smx_occupancy,
-            spawn.stats.smx_occupancy,
+        occ = tuple(
+            runs.run(RunConfig(benchmark=name, scheme=scheme, seed=seed))
+            .stats.smx_occupancy
+            for scheme in SCHEMES
         )
         if occ[0] > 0 and occ[2] > 0:
             ratios.append(occ[2] / occ[0])

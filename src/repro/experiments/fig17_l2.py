@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
-from repro.experiments.fig16_occupancy import plan
+from repro.experiments.fig16_occupancy import SCHEMES, plan
 from repro.harness.runner import RunConfig
-from repro.harness.sweep import offline_search
 from repro.workloads import TABLE1_NAMES
 
 
@@ -25,13 +24,10 @@ def render(
     rows = []
     deltas = []
     for name in benchmarks or TABLE1_NAMES:
-        base = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
-        _, offline = offline_search(runs, name, seed=seed)
-        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
-        hit = (
-            base.stats.l2_hit_rate,
-            offline.stats.l2_hit_rate,
-            spawn.stats.l2_hit_rate,
+        hit = tuple(
+            runs.run(RunConfig(benchmark=name, scheme=scheme, seed=seed))
+            .stats.l2_hit_rate
+            for scheme in SCHEMES
         )
         deltas.append(hit[2] - hit[0])
         rows.append(

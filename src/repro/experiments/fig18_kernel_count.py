@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns
-from repro.experiments.fig16_occupancy import plan
+from repro.experiments.fig16_occupancy import SCHEMES, plan
 from repro.harness.runner import RunConfig
-from repro.harness.sweep import offline_search
 from repro.workloads import TABLE1_NAMES
 
 
@@ -24,13 +23,10 @@ def render(
     rows = []
     reductions = []
     for name in benchmarks or TABLE1_NAMES:
-        base = runs.run(RunConfig(benchmark=name, scheme="baseline-dp", seed=seed))
-        _, offline = offline_search(runs, name, seed=seed)
-        spawn = runs.run(RunConfig(benchmark=name, scheme="spawn", seed=seed))
-        counts = (
-            base.stats.child_kernels_launched,
-            offline.stats.child_kernels_launched,
-            spawn.stats.child_kernels_launched,
+        counts = tuple(
+            runs.run(RunConfig(benchmark=name, scheme=scheme, seed=seed))
+            .stats.child_kernels_launched
+            for scheme in SCHEMES
         )
         if counts[0]:
             reductions.append(1.0 - counts[2] / counts[0])

@@ -21,10 +21,12 @@ split on top of :class:`~repro.harness.runner.Runner`:
    host: every store write goes through one
    :class:`~repro.harness.store.ResultStore`, whose WAL-mode SQLite
    file is safe under several parent processes sharing it.
-3. **Resolve.**  Results are returned in input order from the now-warm
-   runner, so ``run_suite`` results are bit-identical to running the
-   same configs serially (simulations are deterministic and workers use
-   the same GPU config and event budget as the parent).  Nothing
+3. **Resolve.**  Each requested config's result is ``Runner.cached``
+   on the now-warm runner, in input order, so ``run_suite`` results are
+   bit-identical to running the same configs serially (simulations are
+   deterministic and workers use the same GPU config and event budget
+   as the parent).  A config's failure is the first quarantined run in
+   its expansion (:meth:`SuiteReport.failure_of`).  Nothing
    simulates after this: an experiment renders from the finished runs
    (:class:`repro.experiments.common.PlannedRuns`).
 
@@ -76,7 +78,7 @@ from repro.errors import (
 )
 from repro.harness import schemes as sch
 from repro.harness.runner import RunConfig, Runner
-from repro.harness.sweep import sweep_result, sweep_variants
+from repro.harness.sweep import sweep_variants
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import (
     HARNESS_POOL_REBUILD,
@@ -90,7 +92,6 @@ from repro.obs.tracer import (
     Tracer,
 )
 from repro.sim.engine import SimResult
-from repro.workloads.base import get_benchmark
 
 #: Task outcome statuses.
 OK = "ok"
@@ -171,6 +172,17 @@ class SuiteReport:
     @property
     def ok(self) -> bool:
         return not self.failures and not self.skipped
+
+    def failure_of(self, config: RunConfig) -> RunFailure:
+        """Why the requested ``config`` has no result: the failure of the
+        first quarantined run in its expansion (:meth:`ParallelRunner.expand`),
+        else (skipped by fail-fast) a plain :class:`RunFailure`."""
+        keys = {c.key() for c in ParallelRunner.expand([config])}
+        for outcome in self.failures:
+            if outcome.config.key() in keys and outcome.failure is not None:
+                return outcome.failure
+        label = f"{config.benchmark}/{config.scheme} (seed {config.seed})"
+        return RunFailure(f"{label} did not run", config=config)
 
     def raise_if_failed(self) -> None:
         """Re-raise the first quarantined task's typed failure, if any."""
@@ -257,7 +269,7 @@ class ParallelRunner:
     def expand(configs: Sequence[RunConfig]) -> List[RunConfig]:
         """Concrete, deduplicated work-set for ``configs`` (input order).
 
-        ``offline`` is not directly runnable — it is *defined* as the best
+        ``offline`` is no single simulation — it is *defined* as the best
         static threshold found by sweeping — so an offline entry expands
         into its benchmark's flat run plus every ``threshold:<T>`` in the
         sweep list (:func:`repro.harness.sweep.sweep_variants`).
@@ -306,7 +318,7 @@ class ParallelRunner:
             states = [_TaskState(config) for config in work]
             self._execute(states, jobs, report)
             report.outcomes = [state.outcome() for state in states]
-        report.results = [self._resolve(config) for config in configs]
+        report.results = [self.runner.cached(config) for config in configs]
         return report
 
     def _execute(
@@ -518,29 +530,3 @@ class ParallelRunner:
     def _emit(self, kind: str, **args) -> None:
         if self.tracer.enabled:
             self.tracer.emit(kind, ts=time.perf_counter(), **args)
-
-    # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
-    def _resolve(self, config: RunConfig) -> Optional[SimResult]:
-        """Answer one requested config from the now-warm caches.
-
-        Returns None when the run (or, for Offline-Search, any run of its
-        defining sweep) was quarantined — resolution never re-simulates,
-        so a quarantined failure cannot sneak back in through the parent.
-        """
-        spec = sch.SchemeSpec.parse(config.scheme)
-        if spec.name != sch.OFFLINE:
-            return self.runner.cached(config)
-        # Re-derive Offline-Search from the (now cached) sweep runs with
-        # SweepResult.best, the rule harness.sweep.offline_search applies.
-        thresholds = get_benchmark(config.benchmark).sweep_thresholds
-        results = []
-        for variant in sweep_variants(config, thresholds):
-            result = self.runner.cached(variant)
-            if result is None:
-                return None
-            results.append(result)
-        flat, *runs = results
-        best = sweep_result(config.benchmark, thresholds, flat, runs).best()
-        return runs[thresholds.index(best.threshold)]

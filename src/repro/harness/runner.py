@@ -23,7 +23,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import MultiTracer, Tracer
 from repro.runtime.streams import PerChildStream, PerParentCTAStream
 from repro.sim.config import GPUConfig
-from repro.sim.engine import GPUSimulator, SimResult
+from repro.sim.engine import DEFAULT_MAX_EVENTS, GPUSimulator, SimResult
 from repro.workloads.base import Benchmark, get_benchmark
 
 #: Stream policy names accepted by the runner.
@@ -66,7 +66,7 @@ class Runner:
         self,
         config: Optional[GPUConfig] = None,
         *,
-        max_events: int = 50_000_000,
+        max_events: int = DEFAULT_MAX_EVENTS,
         store: Optional[ResultStore] = None,
     ):
         self.config = config or GPUConfig()
@@ -88,6 +88,11 @@ class Runner:
     ) -> SimResult:
         """Run (or fetch from cache) one benchmark/scheme combination.
 
+        ``offline`` runs its threshold sweep and returns the run of the
+        ``threshold:<T>`` it picks
+        (:func:`repro.harness.sweep.offline_choice`); only that run sees
+        ``tracer`` and ``check``.
+
         A ``tracer`` forces a fresh simulation (a cached result has no
         event stream to offer) but the result is still cached afterwards —
         tracing does not perturb the simulation, so the summary is
@@ -99,6 +104,12 @@ class Runner:
         invariant is violated.  Like tracing, checking forces a fresh
         simulation without perturbing it.
         """
+        if run_config.scheme == sch.OFFLINE:
+            # Imported here: repro.harness.sweep imports this module.
+            from repro.harness.sweep import offline_choice
+
+            best = offline_choice(run_config, self.run)
+            return self.run(best, tracer=tracer, check=check)
         checker = None
         if check:
             # Import here so the checker stays out of the harness's module
@@ -120,10 +131,6 @@ class Runner:
                 return stored
         benchmark = get_benchmark(run_config.benchmark)
         spec = sch.SchemeSpec.parse(run_config.scheme)
-        if spec.name == sch.OFFLINE:
-            raise HarnessError(
-                "resolve 'offline' through harness.sweep.offline_search first"
-            )
         if spec.variant == "flat":
             app = benchmark.flat(run_config.seed)
         else:
@@ -158,11 +165,17 @@ class Runner:
     def cached(self, run_config: RunConfig) -> Optional[SimResult]:
         """Cached result (memory, then disk) without simulating, or None.
 
-        A disk hit is promoted into the memory cache and counted in
-        ``runner.disk_hits``, as in :meth:`run`.  Memory hits and misses
-        stay uncounted: this is the parallel harness's pre-filter and
-        result resolution, not a run.
+        ``offline`` answers from its cached sweep, None while a sweep run
+        is missing.  A disk hit is promoted into the memory cache and
+        counted in ``runner.disk_hits``, as in :meth:`run`.  Memory hits
+        and misses stay uncounted: this is the parallel harness's
+        pre-filter and result resolution, not a run.
         """
+        if run_config.scheme == sch.OFFLINE:
+            from repro.harness.sweep import offline_choice
+
+            best = offline_choice(run_config, self.cached)
+            return None if best is None else self.cached(best)
         cached = self._cache.get(run_config.key())
         if cached is not None:
             return cached

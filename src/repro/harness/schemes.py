@@ -125,8 +125,10 @@ class SchemeSpec:
 def make_policy(spec: SchemeSpec, benchmark: Benchmark) -> LaunchPolicy:
     """Instantiate the launch policy for one scheme run.
 
-    ``offline`` is resolved by the sweep module into a ``threshold:<T>``
-    scheme before reaching here.
+    ``offline`` has no policy of its own: :meth:`Runner.run
+    <repro.harness.runner.Runner.run>` resolves it into the
+    ``threshold:<T>`` run its sweep picks
+    (:func:`repro.harness.sweep.offline_choice`) before reaching here.
     """
     if spec.name == FLAT:
         # The flat app has no launch sites; NeverLaunch documents intent.

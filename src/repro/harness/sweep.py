@@ -3,14 +3,16 @@
 Offline-Search is "the best workload distribution ratio [picked] by
 performing an exhaustive sweep of the THRESHOLD metric" — here: run every
 ``threshold:<T>`` in the benchmark's sweep list plus the flat end point, and
-keep the fastest.
+keep the fastest.  :func:`offline_choice` is the one home of that rule;
+:class:`~repro.harness.runner.Runner` applies it to every ``offline``
+config, so ``offline`` runs like any other scheme.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import HarnessError
 from repro.harness import schemes as sch
@@ -56,22 +58,30 @@ def sweep_variants(
     return [dataclasses.replace(config, scheme=scheme) for scheme in schemes]
 
 
-def sweep_result(
-    benchmark_name: str,
-    thresholds: Sequence[int],
-    flat: SimResult,
-    results: Sequence[SimResult],
-) -> SweepResult:
-    """The sweep over finished runs (``results`` in ``thresholds`` order).
+def _read_sweep(
+    config: RunConfig,
+    thresholds: Optional[Tuple[int, ...]],
+    read: Callable[[RunConfig], Optional[SimResult]],
+) -> Optional[SweepResult]:
+    """The sweep of ``config``'s variants, each run read through ``read``.
 
-    Raises :class:`~repro.errors.HarnessError` on a zero makespan, which
-    has no speedup over flat.
+    None as soon as ``read`` answers None.  A zero makespan, which has no
+    speedup over flat, raises :class:`~repro.errors.HarnessError`.
     """
+    if thresholds is None:
+        thresholds = get_benchmark(config.benchmark).sweep_thresholds
+    results = []
+    for variant in sweep_variants(config, thresholds):
+        result = read(variant)
+        if result is None:
+            return None
+        results.append(result)
+    flat, *runs = results
     points = []
-    for threshold, result in zip(thresholds, results):
+    for threshold, result in zip(thresholds, runs):
         if result.makespan <= 0:
             raise HarnessError(
-                f"{benchmark_name}/threshold:{threshold}: zero makespan"
+                f"{config.benchmark}/threshold:{threshold}: zero makespan"
             )
         points.append(
             SweepPoint(
@@ -82,7 +92,7 @@ def sweep_result(
                 child_kernels=result.stats.child_kernels_launched,
             )
         )
-    return SweepResult(benchmark=benchmark_name, points=tuple(points))
+    return SweepResult(benchmark=config.benchmark, points=tuple(points))
 
 
 def threshold_sweep(
@@ -101,13 +111,26 @@ def threshold_sweep(
     :meth:`~repro.harness.parallel.ParallelRunner.run_suite` first; the
     sweep then reads cache hits.
     """
-    if thresholds is None:
-        thresholds = get_benchmark(benchmark_name).sweep_thresholds
     flat_config = RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed)
-    flat, *results = [
-        runner.run(config) for config in sweep_variants(flat_config, thresholds)
-    ]
-    return sweep_result(benchmark_name, thresholds, flat, results)
+    return _read_sweep(flat_config, thresholds, runner.run)
+
+
+def offline_choice(
+    config: RunConfig, read: Callable[[RunConfig], Optional[SimResult]]
+) -> Optional[RunConfig]:
+    """Offline-Search's pick: ``config`` under its best ``threshold:<T>``.
+
+    ``read`` answers each run of ``config``'s sweep (``Runner.run``
+    simulates a missing one; ``Runner.cached`` makes the pick None).  The
+    flat implementation is *not* a candidate: Offline-Search picks the
+    best *DP* workload distribution; a benchmark that prefers ~0% offload
+    expresses that through a large THRESHOLD.
+    """
+    sweep = _read_sweep(config, None, read)
+    if sweep is None:
+        return None
+    best = sweep.best().threshold
+    return dataclasses.replace(config, scheme=f"threshold:{best}")
 
 
 def offline_search(
@@ -116,19 +139,8 @@ def offline_search(
     *,
     seed: int = 1,
 ) -> Tuple[int, SimResult]:
-    """Best static threshold and its run (the paper's Offline-Search).
-
-    The flat implementation is *not* a candidate: Offline-Search picks the
-    best *DP* workload distribution; a benchmark that prefers ~0% offload
-    expresses that through a large THRESHOLD.
-    """
-    sweep = threshold_sweep(runner, benchmark_name, seed=seed)
-    best = sweep.best()
-    result = runner.run(
-        RunConfig(
-            benchmark=benchmark_name,
-            scheme=f"threshold:{best.threshold}",
-            seed=seed,
-        )
-    )
-    return best.threshold, result
+    """Best static threshold and its run, the run ``runner.run`` answers
+    for an ``offline`` config (the paper's Offline-Search)."""
+    offline = RunConfig(benchmark=benchmark_name, scheme=sch.OFFLINE, seed=seed)
+    best = offline_choice(offline, runner.run)
+    return sch.SchemeSpec.parse(best.scheme).threshold, runner.run(best)

@@ -311,14 +311,15 @@ class SimulationService:
         Must never raise: an exception here would kill the scheduler loop
         and strand every awaiting handle.  Submit-time validation makes a
         batch-level failure genuinely exceptional; if one happens anyway,
-        it is converted into a report that quarantines the whole batch.
+        it is converted into a report that quarantines the batch's whole
+        expansion.
         """
         try:
             return self._parallel.run_suite(configs, jobs=self.config.jobs)
         except Exception as exc:
             report = SuiteReport(configs=list(configs))
             report.results = [None] * len(configs)
-            for config in configs:
+            for config in ParallelRunner.expand(configs):
                 failure = RunFailure(
                     f"{config.benchmark}/{config.scheme}: batch dispatch "
                     f"failed: {exc}",
@@ -356,22 +357,8 @@ class SimulationService:
             pool_runs=len(report.outcomes), resumed=report.resumed,
         )
         for job, result in zip(batch, report.results):
-            failure = None
-            if result is None:
-                failure = self._quarantine_failure(job.config, report)
-            self._finish_job(job, result=result, error=failure)
-
-    def _quarantine_failure(
-        self, config: RunConfig, report: SuiteReport
-    ) -> RunFailure:
-        """The typed failure the execution layer recorded for ``config``."""
-        for outcome in report.outcomes:
-            if outcome.config.key() == config.key() and outcome.failure:
-                return outcome.failure
-        return RunFailure(
-            f"{config.benchmark}/{config.scheme} was quarantined",
-            config=config,
-        )
+            error = report.failure_of(job.config) if result is None else None
+            self._finish_job(job, result=result, error=error)
 
     def _finish_job(
         self,

@@ -76,6 +76,12 @@ from repro.sim.merge import build_merged_spec, merge_key  # noqa: F401
 from repro.sim.smx import SMX
 from repro.sim.stats import SimStats
 
+#: Events one simulation may execute before it fails, for
+#: :class:`GPUSimulator` and :class:`~repro.harness.runner.Runner` alike.
+#: The result store's key hashes the runner's budget, so changing this
+#: orphans every stored result.
+DEFAULT_MAX_EVENTS = 50_000_000
+
 
 # ----------------------------------------------------------------------
 # Per-CTA dispatch plans
@@ -497,7 +503,7 @@ class GPUSimulator:
         *,
         tracer: Optional[Tracer] = None,
         trace_interval: float = 1000.0,
-        max_events: int = 20_000_000,
+        max_events: int = DEFAULT_MAX_EVENTS,
         api_call_cycles: float = 40.0,
         cta_init_cycles: float = 50.0,
         dtbl_coalesce_cycles: float = 150.0,

@@ -36,6 +36,12 @@ class TestSimulate:
         spawn = runner.run(RunConfig(benchmark=FAST, scheme="spawn"))
         assert speedup == pytest.approx(flat.makespan / spawn.makespan)
 
+    def test_offline_is_offline_search_run(self, runner):
+        _, expected = api.offline_search(runner, FAST)
+        assert api.simulate(FAST, "offline", runner=runner) is expected
+        flat = runner.run(RunConfig(benchmark=FAST, scheme="flat"))
+        assert api.speedup(FAST, "offline") == flat.makespan / expected.makespan
+
 
 class TestRunSuite:
     def test_accepts_tuples_and_configs(self, runner):

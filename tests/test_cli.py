@@ -117,6 +117,16 @@ class TestObservabilityCommands:
         flat = json.loads(text)
         assert spawn["speedup_vs_flat"] == flat["makespan"] / spawn["makespan"]
 
+    def test_run_and_audit_take_offline(self):
+        code, text = run_cli("run", "GC-citation", "--scheme", "offline", "--json")
+        assert code == 0
+        assert json.loads(text)["speedup_vs_flat"] == pytest.approx(0.6896, abs=1e-4)
+        code, text = run_cli(
+            "audit", "GC-citation", "--scheme", "offline", "--json"
+        )
+        assert code == 0
+        assert json.loads(text)["GC-citation"]["decisions"] == 1404
+
     def test_run_json_flat_has_no_speedup(self):
         code, text = run_cli("run", "GC-citation", "--scheme", "flat", "--json")
         assert code == 0

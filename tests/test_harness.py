@@ -7,7 +7,9 @@ from repro.harness import schemes as sch
 from repro.harness.report import format_series, format_table, percent
 from repro.harness.runner import PER_PARENT_CTA, RunConfig, Runner, geometric_mean
 from repro.harness.sweep import offline_search, threshold_sweep
+from repro.obs.tracer import Tracer
 from repro.sim.config import GPUConfig
+from repro.sim.engine import GPUSimulator
 from repro.workloads import get_benchmark
 
 #: The cheapest benchmark to simulate end-to-end.
@@ -71,9 +73,36 @@ class TestRunner:
         base = runner.run(RunConfig(benchmark=FAST, scheme="baseline-dp"))
         assert speedup == pytest.approx(flat.makespan / base.makespan)
 
-    def test_offline_must_be_resolved_by_sweep(self, runner):
-        with pytest.raises(HarnessError):
-            runner.run(RunConfig(benchmark=FAST, scheme="offline"))
+    def test_offline_is_offline_search_run(self, runner):
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        _, expected = offline_search(runner, FAST)
+        assert runner.run(offline) is expected
+        assert runner.cached(offline) is expected
+        assert Runner().run(offline).summary() == expected.summary()
+
+    def test_offline_is_not_cached_while_its_sweep_is_missing(self):
+        fresh = Runner()
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        fresh.run(RunConfig(benchmark=FAST, scheme="flat"))
+        assert fresh.cached(offline) is None
+        assert fresh.metrics.counter("runner.cache_misses").value == 1
+
+    def test_offline_traces_only_the_chosen_run(self):
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        threshold, _ = offline_search(Runner(), FAST)
+        traced, direct = Tracer(), Tracer()
+        Runner().run(offline, tracer=traced)
+        Runner().run(
+            RunConfig(benchmark=FAST, scheme=f"threshold:{threshold}"),
+            tracer=direct,
+        )
+        assert direct.num_events > 0
+        assert [(e.ts, e.kind, e.args) for e in traced.events()] == [
+            (e.ts, e.kind, e.args) for e in direct.events()
+        ]
+
+    def test_one_default_event_budget(self):
+        assert GPUSimulator().max_events == Runner().max_events
 
     def test_stream_policy_selection(self, runner):
         result = runner.run(

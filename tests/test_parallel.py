@@ -8,7 +8,7 @@ from repro.harness.replication import replicate
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.schemes import DP_SCHEMES
 from repro.harness.store import open_store
-from repro.harness.sweep import offline_search, threshold_sweep
+from repro.harness.sweep import threshold_sweep
 from repro.workloads import get_benchmark
 
 #: The two cheapest end-to-end benchmarks.
@@ -80,12 +80,7 @@ class TestRunMany:
 
         serial_runner = Runner()
         for config, result in zip(configs, fanned):
-            if config.scheme == "offline":
-                _, expected = offline_search(
-                    serial_runner, config.benchmark, seed=config.seed
-                )
-            else:
-                expected = serial_runner.run(config)
+            expected = serial_runner.run(config)
             assert result.summary() == expected.summary(), config
             assert result.makespan == expected.makespan, config
             # Record for record through the worker -> parent payload.

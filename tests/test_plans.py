@@ -1,8 +1,10 @@
 """Tests of the experiments' declared plans and of rendering from them."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import HarnessError, RunFailure
+from repro.errors import HarnessError, RunFailure, SimulationError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import (
     fig06_concurrency,
@@ -16,6 +18,7 @@ from repro.harness.parallel import ParallelRunner
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.sweep import offline_search
 from repro.sim.engine import GPUSimulator
+from repro.workloads import get_benchmark
 
 FAST = "GC-citation"
 
@@ -86,6 +89,29 @@ class TestPlannedRuns:
         report = ParallelRunner(runner, jobs=1).run_suite([offline])
         _, result = offline_search(PlannedRuns(runner, report), FAST)
         assert result is report.results[0]
+
+    def test_an_offline_entry_answers_its_offline_config(self):
+        runner = Runner()
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        runs = fan_out(runner, [offline])
+        _, expected = offline_search(Runner(), FAST)
+        assert runs.run(offline).summary() == expected.summary()
+
+    def test_a_quarantined_sweep_run_fails_its_offline_config(self, monkeypatch):
+        doomed = f"threshold:{get_benchmark(FAST).sweep_thresholds[1]}"
+        make_policy = sch.make_policy
+
+        def failing(spec, benchmark):
+            if spec.name == doomed:
+                raise SimulationError("doomed sweep run")
+            return make_policy(spec, benchmark)
+
+        monkeypatch.setattr(sch, "make_policy", failing)
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        runs = fan_out(Runner(), [offline])
+        with pytest.raises(RunFailure, match="doomed sweep run") as caught:
+            runs.run(offline)
+        assert caught.value.config == dataclasses.replace(offline, scheme=doomed)
 
     def test_a_quarantined_config_raises_without_simulating(self, monkeypatch):
         calls = []

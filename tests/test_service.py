@@ -3,7 +3,8 @@
 The load/soak, chaos, and CLI suites cover the happy paths;
 this file pins down the corners: lifecycle (submit-after-close, undrained
 shutdown, idempotent close), submit-time validation, the batch-dispatch
-failure containment, job-handle semantics, the ``service.*`` tracer
+failure containment, Offline-Search's cache hits and failures,
+job-handle semantics, the ``service.*`` tracer
 stream, ``repro.api.serve``'s store arguments, and a pooled service over
 a ``sqlite://`` store.
 """
@@ -11,6 +12,7 @@ a ``sqlite://`` store.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 
 import pytest
@@ -20,8 +22,10 @@ from repro.errors import (
     RunFailure,
     ServiceClosed,
     ServiceOverloaded,
+    WorkloadError,
 )
 from repro.harness.runner import RunConfig, Runner
+from repro.harness.sweep import offline_search
 from repro.harness.store import open_store
 from repro.obs.tracer import Tracer
 from repro.service import (
@@ -189,6 +193,46 @@ def test_batch_level_failure_quarantines_batch_not_service():
     assert stats.completed == 1
     assert stats.lost == 0
     assert healthy.makespan > 0
+
+
+# ----------------------------------------------------------------------
+# Offline-Search answers like any scheme
+# ----------------------------------------------------------------------
+OFFLINE = RunConfig(benchmark="GC-citation", scheme="offline")
+
+
+def test_a_warm_offline_request_is_a_cache_hit():
+    """The first request batches the sweep; the next two answer from the
+    cached sweep runs without taking a batch or a queue slot."""
+    from repro import api
+
+    async def _scenario():
+        async with api.serve(jobs=1) as service:
+            results = [await (await service.submit(OFFLINE)) for _ in range(3)]
+        return service.stats(), results
+
+    stats, results = asyncio.run(_scenario())
+    assert (stats.cache_hits, stats.admitted, stats.batches) == (2, 1, 1)
+    assert stats.pool_resumed == 0
+    _, expected = offline_search(Runner(), OFFLINE.benchmark)
+    assert all(r.summary() == expected.summary() for r in results)
+
+
+def test_a_quarantined_offline_request_fails_with_its_sweep_failure():
+    """The handle gets the first quarantined sweep run's typed failure."""
+
+    async def _scenario():
+        async with SimulationService(
+            Runner(), config=ServiceConfig(jobs=1)
+        ) as service:
+            job = await service.submit(dataclasses.replace(OFFLINE, seed=-1))
+            [error] = await service.gather([job], return_exceptions=True)
+        return error
+
+    error = asyncio.run(_scenario())
+    assert isinstance(error, RunFailure)
+    assert str(error) == "GC-citation/flat failed: seed must be >= 0, got -1"
+    assert isinstance(error.__cause__, WorkloadError)
 
 
 # ----------------------------------------------------------------------
