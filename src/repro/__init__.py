@@ -16,9 +16,9 @@ for Dynamic Parallelism in GPUs* (HPCA 2017).  The package contains:
 Quickstart::
 
     from repro import GPUSimulator, SpawnPolicy
-    from repro.workloads import bfs
+    from repro.workloads import get_benchmark
 
-    app = bfs.build("graph500", variant="dp", seed=1)
+    app = get_benchmark("BFS-graph500").dp(seed=1)
     result = GPUSimulator(policy=SpawnPolicy()).run(app)
     print(result.makespan, result.summary())
 """

@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import Experiment, ExperimentResult, PlannedRuns, no_runs
-from repro.workloads import bfs
+from repro.workloads._traversal import input_graph, traversal_rounds
+from repro.workloads.table import BFS, CITATION
 
 
 def render(runs: PlannedRuns, seed: int = 1) -> ExperimentResult:
-    graph = bfs._graph("citation", seed)
-    levels = bfs._levels("citation", seed)
+    graph = input_graph(CITATION, seed)
+    levels = traversal_rounds(BFS, CITATION, seed)
     frontier = max(levels, key=len)
     work = np.sort(graph.degrees[np.asarray(frontier)])[::-1]
     total = int(work.sum())

@@ -496,7 +496,6 @@ class ParallelRunner:
         final = isinstance(cause, ReproError) and not isinstance(cause, RunFailure)
         if not final and state.attempts <= self.policy.max_retries:
             report.retries += 1
-            METRICS.counter("harness.retries_total").inc()
             self._emit(
                 HARNESS_RETRY,
                 benchmark=state.config.benchmark,
@@ -509,7 +508,6 @@ class ParallelRunner:
         state.error = str(failure)
         state.failure = failure
         report.quarantined += 1
-        METRICS.counter("harness.quarantined_total").inc()
         self._emit(
             HARNESS_QUARANTINE,
             benchmark=state.config.benchmark,

@@ -30,8 +30,7 @@ it had already done.  This module gives results a durable home:
   serialized with ``allow_nan=False`` before the write, so a non-finite
   float raises ``ValueError`` and leaves the database untouched.
 
-The store reports ``store.reads_total`` (``outcome=hit|miss``) and
-``store.io_seconds`` (``op=load|save``).
+The store times its IO in ``store.io_seconds`` (``op=load|save``).
 """
 
 from __future__ import annotations
@@ -220,14 +219,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     def load(self, key: str) -> Optional[SimResult]:
         """The stored result for ``key``, or None (miss / corrupt entry)."""
-        result = self._load(key)
-        METRICS.counter(
-            "store.reads_total",
-            outcome="hit" if result is not None else "miss",
-        ).inc()
-        return result
-
-    def _load(self, key: str) -> Optional[SimResult]:
         started = time.perf_counter()
         with self._database() as db:
             row = db.execute(

@@ -38,8 +38,7 @@ instruments hold what no ledger does, chiefly distributions.  DESIGN
 §12 catalogues every instrument name with its kind, labels and
 emitting module, and
 ``tests/test_instrument_catalogue.py`` keeps the two in step.  The
-store instruments, ``store.reads_total{outcome=hit|miss}`` and
-``store.io_seconds{op=load|save}``, are emitted by
+store's IO timings, ``store.io_seconds{op=load|save}``, are emitted by
 :class:`~repro.harness.store.ResultStore`.
 """
 

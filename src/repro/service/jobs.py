@@ -6,12 +6,6 @@ suite entry — a full :class:`~repro.harness.runner.RunConfig` or a plain
 attaches it to) a :class:`ServiceJob`, the awaitable handle a client
 holds while the simulation is pending.
 
-Jobs move through a small, strictly forward state machine::
-
-    QUEUED ──> BATCHED ──> DONE | FAILED
-
-    CACHED              (resolved at submit time, never queued)
-
 Duplicate submissions never create a second job: a request whose
 :meth:`RunConfig.key` matches an in-flight job *coalesces* onto it
 (``waiters`` counts how many submissions share the handle), so the pool
@@ -36,13 +30,6 @@ from typing import Dict, Optional, Tuple, Union
 from repro.errors import HarnessError
 from repro.harness.runner import RunConfig
 from repro.sim.engine import SimResult
-
-#: Job lifecycle states.
-QUEUED = "queued"  # admitted, waiting for a batch slot
-BATCHED = "batched"  # currently part of a pool dispatch
-CACHED = "cached"  # answered from the result cache at submit time
-DONE = "done"
-FAILED = "failed"  # quarantined by the execution layer
 
 #: What ``submit`` accepts: a full config or a (benchmark, scheme) pair.
 RequestLike = Union[RunConfig, Tuple[str, str]]
@@ -72,13 +59,12 @@ class ServiceJob:
     """
 
     __slots__ = (
-        "config", "state", "waiters", "_future",
+        "config", "waiters", "_future",
         "submitted_at", "dispatched_at", "finished_at",
     )
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.state = QUEUED
         self.waiters = 1
         # Wall-clock (perf_counter) span stamps for the latency metrics:
         # submit -> dispatch (queue wait) -> finish (end-to-end).  Stages
@@ -108,13 +94,11 @@ class ServiceJob:
         return await self._future
 
     # -- resolution (service-internal) ----------------------------------
-    def resolve(self, result: SimResult, state: str = DONE) -> None:
-        self.state = state
+    def resolve(self, result: SimResult) -> None:
         if not self._future.done():
             self._future.set_result(result)
 
     def fail(self, error: BaseException) -> None:
-        self.state = FAILED
         if not self._future.done():
             self._future.set_exception(error)
             # The service always observes failures through its own stats;
@@ -125,7 +109,7 @@ class ServiceJob:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ServiceJob({self.config.benchmark}/{self.config.scheme}, "
-            f"state={self.state}, waiters={self.waiters})"
+            f"waiters={self.waiters})"
         )
 
 

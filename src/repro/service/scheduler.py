@@ -32,7 +32,7 @@ from typing import Callable, Deque, List, Optional
 
 from repro.harness.parallel import SuiteReport
 from repro.harness.runner import RunConfig
-from repro.service.jobs import BATCHED, QUEUED, ServiceJob
+from repro.service.jobs import ServiceJob
 
 #: Dispatch callable: blocking, runs a batch, returns the suite report.
 DispatchFn = Callable[[List[RunConfig]], SuiteReport]
@@ -65,7 +65,6 @@ class BatchScheduler:
     # Producer side (the service's submit path)
     # ------------------------------------------------------------------
     def enqueue(self, job: ServiceJob) -> None:
-        job.state = QUEUED
         self._queue.append(job)
         self._wakeup.set()
 
@@ -117,7 +116,6 @@ class BatchScheduler:
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         for job in batch:
-            job.state = BATCHED
             job.dispatched_at = start
         report = await loop.run_in_executor(None, self._dispatch, configs)
         elapsed = time.perf_counter() - start

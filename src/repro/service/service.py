@@ -84,8 +84,6 @@ from repro.obs.tracer import (
     Tracer,
 )
 from repro.service.jobs import (
-    CACHED,
-    DONE,
     RequestLike,
     ServiceJob,
     ServiceStats,
@@ -93,7 +91,7 @@ from repro.service.jobs import (
 )
 from repro.service.scheduler import BatchScheduler
 from repro.sim.engine import SimResult
-from repro.workloads.base import get_benchmark
+from repro.workloads.base import checked_seed, get_benchmark
 
 
 @dataclass(frozen=True)
@@ -205,9 +203,10 @@ class SimulationService:
 
         Raises :class:`~repro.errors.ServiceOverloaded` when the queue
         cap sheds the request, and :class:`~repro.errors.HarnessError`
-        for requests that could never simulate (unknown benchmark or
-        scheme) — malformed traffic is rejected at the door, not
-        quarantined in a batch.
+        (unknown benchmark or scheme) or
+        :class:`~repro.errors.WorkloadError` (negative seed) for requests
+        that could never simulate — malformed traffic is rejected at the
+        door, not quarantined in a batch.
         """
         if self._closed:
             raise ServiceClosed("service is closed")
@@ -218,6 +217,7 @@ class SimulationService:
         # Validate eagerly so one bad request cannot poison a batch.
         get_benchmark(config.benchmark)
         sch.SchemeSpec.parse(config.scheme)
+        checked_seed(config.seed)
         self._stats.submitted += 1
         self._emit(
             SERVICE_SUBMIT,
@@ -248,7 +248,7 @@ class SimulationService:
             )
             job = ServiceJob(config)
             job.submitted_at = submitted_at
-            job.resolve(cached, state=CACHED)
+            job.resolve(cached)
             self._observe_latency(job, "cached")
             return job
 
@@ -384,7 +384,7 @@ class SimulationService:
             self._emit(
                 SERVICE_COMPLETE,
                 benchmark=job.config.benchmark, scheme=job.config.scheme,
-                waiters=job.waiters, path=DONE,
+                waiters=job.waiters,
             )
             job.resolve(result)
 

@@ -185,7 +185,7 @@ async def drive_service(
     :class:`ReproError` it ended with (:class:`ServiceOverloaded` when
     the service shed it, a ``RunFailure`` when its run was quarantined).
     A request the service rejects at the door (unknown benchmark or
-    scheme) raises out of the drive.
+    scheme, negative seed) raises out of the drive.
     """
     outcomes: list = []
     start = time.perf_counter()

@@ -1,44 +1,21 @@
 """Workloads: the paper's Table I benchmarks with synthetic inputs.
 
-Importing :mod:`repro.workloads` (or calling
-:func:`repro.workloads.base.all_benchmarks`) registers all benchmarks in
-:data:`repro.workloads.base.REGISTRY`.
+:mod:`repro.workloads.table` lists every registered benchmark, one row
+each; :func:`get_benchmark` looks a row up by name.
 """
 
 from repro.workloads.base import (
-    REGISTRY,
     AddressAllocator,
     Benchmark,
-    BenchmarkRegistry,
-    all_benchmarks,
     benchmark_names,
     get_benchmark,
 )
-
-#: The 13 benchmarks of Table I, in the paper's order.
-TABLE1_NAMES = (
-    "AMR",
-    "BFS-citation",
-    "BFS-graph500",
-    "SSSP-citation",
-    "SSSP-graph500",
-    "JOIN-uniform",
-    "JOIN-gaussian",
-    "GC-citation",
-    "GC-graph500",
-    "Mandel",
-    "MM-small",
-    "MM-large",
-    "SA-thaliana",
-)
+from repro.workloads.table import TABLE1_NAMES
 
 __all__ = [
-    "REGISTRY",
     "AddressAllocator",
     "Benchmark",
-    "BenchmarkRegistry",
     "TABLE1_NAMES",
-    "all_benchmarks",
     "benchmark_names",
     "get_benchmark",
 ]

@@ -1,18 +1,21 @@
-"""Shared machinery for the level-synchronous graph benchmarks.
+"""The level-synchronous graph benchmarks: BFS, SSSP and Graph Coloring.
 
-BFS, SSSP, and Graph Coloring all share one structure: the host launches one
-kernel per round, each round's kernel has a thread per active vertex, and a
-thread's work is proportional to its vertex degree.  In the DP variant a
-thread whose degree exceeds the structural offload minimum carries a
+All three share one structure: the host launches one kernel per round,
+each round's kernel has a thread per active vertex, and a thread's work is
+proportional to its vertex degree.  In the DP variant a thread whose degree
+exceeds the structural offload minimum carries a
 :class:`~repro.sim.kernel.ChildRequest` over its adjacency range; otherwise
 (and in the flat variant) it walks its edges serially — the Fig. 1 workload
-imbalance.
+imbalance.  An application differs from the others only in data, a
+:class:`Traversal`; :mod:`repro.workloads.table` holds the three and the
+graphs they run on.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +44,61 @@ class TraversalCosts:
     #: Spreads the launch calls across the thread's execution, which is
     #: what lets SPAWN's windowed metrics observe a live system.
     vertices_per_thread: int = 4
+
+
+@dataclass(frozen=True)
+class Traversal:
+    """What one graph application adds to the shared round structure."""
+
+    costs: TraversalCosts
+    #: Degree at or below which the DP source has no launch site.
+    min_offload: int
+    #: ``(graph, seed) -> active vertex set per round``.
+    rounds: Callable[[CSRGraph, int], Sequence[np.ndarray]]
+
+
+#: An input graph: a generator and its size arguments, before ``seed``.
+GraphInput = Tuple[Callable[..., CSRGraph], Tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def input_graph(graph: GraphInput, seed: int) -> CSRGraph:
+    """Generate ``graph`` at ``seed``, once per distinct arguments.
+
+    Keyed by the generator's arguments, not by benchmark: BFS and SSSP
+    traverse the same two graphs and generate each once per seed.
+    """
+    generator, sizes = graph
+    return generator(*sizes, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def traversal_rounds(
+    app: Traversal, graph: GraphInput, seed: int
+) -> Tuple[np.ndarray, ...]:
+    """``app``'s active vertex set per round over ``graph`` at ``seed``."""
+    return tuple(app.rounds(input_graph(graph, seed), seed))
+
+
+def build(
+    name: str,
+    app: Traversal,
+    graph: GraphInput,
+    *,
+    variant: str,
+    seed: int,
+    cta_threads: Optional[int],
+) -> Application:
+    """Build graph benchmark ``name``: ``app``'s rounds over ``graph``."""
+    return build_round_kernels(
+        name,
+        input_graph(graph, seed),
+        traversal_rounds(app, graph, seed),
+        dp=(variant == "dp"),
+        min_offload=app.min_offload,
+        cta_threads=cta_threads or 64,
+        costs=app.costs,
+    )
 
 
 def build_round_kernels(

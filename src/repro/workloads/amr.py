@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import AddressAllocator
 
 GRID = 128  # coarse cells per side -> 16384 coarse cells
 BASE_ITEMS = 12  # advance/flux work per coarse cell
@@ -165,18 +165,3 @@ def build(
             )
         flat_items += step_flat
     return Application(name="AMR", kernels=kernels, flat_items=flat_items)
-
-
-REGISTRY.register(
-    Benchmark(
-        name="AMR",
-        application="Adaptive Mesh Refinement",
-        input_name="Combustion Simulation",
-        build_flat=lambda seed: build(variant="flat", seed=seed),
-        build_dp=lambda seed, cta: build(variant="dp", seed=seed, cta_threads=cta),
-        default_threshold=MIN_OFFLOAD,
-        sweep_thresholds=(8, 32, 64, 128, 512, 1024, 2048),
-        default_cta_threads=CHILD_CTA,
-        description="Time-stepped AMR with nested refinement child kernels.",
-    )
-)

@@ -1,4 +1,4 @@
-"""Benchmark abstraction: the paper's Table I as a registry.
+"""Benchmark abstraction: one row of the paper's Table I.
 
 Every benchmark is an ``<application, input>`` pair that can materialize
 
@@ -10,15 +10,15 @@ Every benchmark is an ``<application, input>`` pair that can materialize
   candidates actually launch is the runtime policy's business
   (Baseline-DP / Offline-Search thresholds, SPAWN, DTBL).
 
-``min_offload_items`` is the *structural* lower bound below which the DP
-source simply has no launch site (offloading a handful of items cannot fill
-a warp — Section III-A2's intra-warp inefficiency note); the swept
-THRESHOLD of Fig. 5 sits on top of it.
+A builder's offload minimum is the *structural* lower bound below which
+the DP source simply has no launch site (offloading a handful of items
+cannot fill a warp — Section III-A2's intra-warp inefficiency note); the
+swept THRESHOLD of Fig. 5 sits on top of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import HarnessError, WorkloadError
@@ -53,35 +53,30 @@ class AddressAllocator:
         return self._next
 
 
-#: A variant builder: (seed, child CTA size override) -> Application.
-Builder = Callable[[int, Optional[int]], Application]
-
-
 @dataclass(frozen=True)
 class Benchmark:
-    """One row of Table I."""
+    """One row of the benchmark table (:mod:`repro.workloads.table`)."""
 
     name: str  # e.g. "BFS-graph500"
     application: str  # e.g. "Breadth-First Search"
     input_name: str  # e.g. "Graph 500"
-    build_flat: Callable[[int], Application]
-    build_dp: Builder
+    #: ``build(variant=, seed=, cta_threads=)``: the flat or dp Application.
+    build: Callable[..., Application]
     #: THRESHOLD used by the unmodified (Baseline-DP) source code.
     default_threshold: int
     #: THRESHOLD values swept for Fig. 5 / Offline-Search.
     sweep_thresholds: Tuple[int, ...]
-    #: Child CTA size the application requests (c_cta).
-    default_cta_threads: int = 64
-    description: str = ""
 
     def flat(self, seed: int = 1) -> Application:
-        return self.build_flat(_checked_seed(seed))
+        return self.build(variant="flat", seed=checked_seed(seed), cta_threads=None)
 
     def dp(self, seed: int = 1, cta_threads: Optional[int] = None) -> Application:
-        return self.build_dp(_checked_seed(seed), cta_threads)
+        return self.build(
+            variant="dp", seed=checked_seed(seed), cta_threads=cta_threads
+        )
 
 
-def _checked_seed(seed: int) -> int:
+def checked_seed(seed: int) -> int:
     """``seed``, or :class:`WorkloadError` for a negative one.
 
     numpy's generators reject a negative seed with a bare ``ValueError``,
@@ -92,70 +87,27 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-class BenchmarkRegistry:
-    """Name -> :class:`Benchmark` mapping with Table I ordering."""
-
-    def __init__(self) -> None:
-        self._benchmarks: Dict[str, Benchmark] = {}
-
-    def register(self, benchmark: Benchmark) -> Benchmark:
-        if benchmark.name in self._benchmarks:
-            raise HarnessError(f"duplicate benchmark {benchmark.name!r}")
-        self._benchmarks[benchmark.name] = benchmark
-        return benchmark
-
-    def get(self, name: str) -> Benchmark:
-        try:
-            return self._benchmarks[name]
-        except KeyError:
-            known = ", ".join(self._benchmarks)
-            raise HarnessError(
-                f"unknown benchmark {name!r}; known: {known}"
-            ) from None
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._benchmarks)
-
-    def __iter__(self):
-        return iter(self._benchmarks.values())
-
-    def __len__(self) -> int:
-        return len(self._benchmarks)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._benchmarks
-
-
-#: The global Table I registry; populated by the workload modules on import.
-REGISTRY = BenchmarkRegistry()
-
-
 def get_benchmark(name: str) -> Benchmark:
-    """Look up a benchmark, importing the workload modules on first use."""
-    _ensure_loaded()
-    return REGISTRY.get(name)
-
-
-def all_benchmarks() -> Tuple[Benchmark, ...]:
-    _ensure_loaded()
-    return tuple(REGISTRY)
+    """The table row called ``name``."""
+    table = _ensure_loaded()
+    try:
+        return table[name]
+    except KeyError:
+        known = ", ".join(table)
+        raise HarnessError(f"unknown benchmark {name!r}; known: {known}") from None
 
 
 def benchmark_names() -> Tuple[str, ...]:
-    _ensure_loaded()
-    return REGISTRY.names()
+    """Every registered benchmark, in table order."""
+    return tuple(_ensure_loaded())
 
 
-def _ensure_loaded() -> None:
-    # Import for registration side effects; idempotent.
-    from repro.workloads import (  # noqa: F401
-        amr,
-        bfs,
-        graph_coloring,
-        join,
-        mandelbrot,
-        matmul,
-        selfsim,
-        seqalign,
-        sssp,
-    )
+def _ensure_loaded() -> Dict[str, Benchmark]:
+    """The benchmark table, which imports every workload module.
+
+    Imported here, not at the top, because the workload modules import
+    this one.
+    """
+    from repro.workloads.table import BENCHMARKS
+
+    return BENCHMARKS

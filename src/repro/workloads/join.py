@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import AddressAllocator
 
 NUM_BUCKETS = 1024
 MIN_OFFLOAD = 64
@@ -112,25 +112,3 @@ def build(
             )
         )
     return Application(name=name, kernels=kernels, flat_items=int(matches.sum()))
-
-
-def _register(input_name: str, input_label: str) -> Benchmark:
-    return REGISTRY.register(
-        Benchmark(
-            name=f"JOIN-{input_name}",
-            application="Relational Join",
-            input_name=input_label,
-            build_flat=lambda seed, i=input_name: build(i, variant="flat", seed=seed),
-            build_dp=lambda seed, cta, i=input_name: build(
-                i, variant="dp", seed=seed, cta_threads=cta
-            ),
-            default_threshold=MIN_OFFLOAD,
-            sweep_thresholds=(64, 512, 1024, 1536, 2048, 4096),
-            default_cta_threads=64,
-            description="Hash-join probe; child kernel per heavy bucket.",
-        )
-    )
-
-
-_register("uniform", "Uniform Data")
-_register("gaussian", "Gaussian Data")

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import AddressAllocator
 
 WIDTH = 512
 HEIGHT = 512
@@ -147,18 +147,3 @@ def build(
     return Application(
         name="Mandel", kernels=kernels, flat_items=int(block_items.sum())
     )
-
-
-REGISTRY.register(
-    Benchmark(
-        name="Mandel",
-        application="Mandelbrot Set",
-        input_name="N/A",
-        build_flat=lambda seed: build(variant="flat", seed=seed),
-        build_dp=lambda seed, cta: build(variant="dp", seed=seed, cta_threads=cta),
-        default_threshold=MIN_OFFLOAD,
-        sweep_thresholds=(24, 48, 96, 256, 512, 1024, 4096),
-        default_cta_threads=THREADS_PER_CTA,
-        description="Mariani-Silver subdivision; child kernel per boundary block.",
-    )
-)

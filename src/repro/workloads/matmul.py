@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import AddressAllocator
 
 COLUMNS = 128  # dense multiplier width
 NNZ_PER_ITEM = 8
@@ -119,25 +119,3 @@ def build(
             )
         )
     return Application(name=name, kernels=kernels, flat_items=int(row_items.sum()))
-
-
-def _register(input_name: str, input_label: str) -> Benchmark:
-    return REGISTRY.register(
-        Benchmark(
-            name=f"MM-{input_name}",
-            application="Matrix Multiplication",
-            input_name=input_label,
-            build_flat=lambda seed, i=input_name: build(i, variant="flat", seed=seed),
-            build_dp=lambda seed, cta, i=input_name: build(
-                i, variant="dp", seed=seed, cta_threads=cta
-            ),
-            default_threshold=MIN_OFFLOAD,
-            sweep_thresholds=(64, 256, 1024, 4096, 16384),
-            default_cta_threads=CHILD_CTA,
-            description="Sparse row x dense matrix; heavyweight child kernel per row.",
-        )
-    )
-
-
-_register("small", "Small sparse matrix")
-_register("large", "Large sparse matrix")

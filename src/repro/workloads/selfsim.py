@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import AddressAllocator
 
 #: Segments below this many items have no launch site in the DP source.
 MIN_OFFLOAD = 64
@@ -149,33 +149,3 @@ def build(
     return Application(
         name=name, kernels=[spec], flat_items=flat_items
     )
-
-
-def _register(flavor: str, label: str, description: str) -> Benchmark:
-    return REGISTRY.register(
-        Benchmark(
-            name=f"SelfSim-{flavor}",
-            application="Self-Similar Density",
-            input_name=label,
-            build_flat=lambda seed, f=flavor: build(f, variant="flat", seed=seed),
-            build_dp=lambda seed, cta, f=flavor: build(
-                f, variant="dp", seed=seed, cta_threads=cta
-            ),
-            default_threshold=MIN_OFFLOAD,
-            sweep_thresholds=(64, 128, 256, 512, 1024, 2048),
-            default_cta_threads=THREADS_PER_CTA,
-            description=description,
-        )
-    )
-
-
-_register(
-    "dense",
-    "Cascade c=0.45",
-    "Binary multiplicative cascade, mild skew; child kernel per hot segment.",
-)
-_register(
-    "sparse",
-    "Cascade c=0.15",
-    "Aggressive cascade, few towering hot spots; child kernel per hot segment.",
-)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import AddressAllocator
 
 LOOKUP_ITEMS_PER_READ = 6  # seed lookup/filtering done by the parent itself
 #: Reads arrive in batches (streamed from storage); one host kernel each.
@@ -115,25 +115,3 @@ def build(
             )
         )
     return Application(name=name, kernels=kernels, flat_items=int(cands.sum()))
-
-
-def _register(input_name: str, input_label: str) -> Benchmark:
-    return REGISTRY.register(
-        Benchmark(
-            name=f"SA-{input_name}",
-            application="Sequence Alignment",
-            input_name=input_label,
-            build_flat=lambda seed, i=input_name: build(i, variant="flat", seed=seed),
-            build_dp=lambda seed, cta, i=input_name: build(
-                i, variant="dp", seed=seed, cta_threads=cta
-            ),
-            default_threshold=MIN_OFFLOAD,
-            sweep_thresholds=(2, 4, 8, 16, 32, 64, 128),
-            default_cta_threads=CHILD_CTA,
-            description="Read mapping; child kernel per repetitive read.",
-        )
-    )
-
-
-_register("thaliana", "Arabidopsis Thaliana")
-_register("elegans", "Caenorhabditis Elegans")

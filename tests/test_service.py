@@ -12,7 +12,6 @@ a ``sqlite://`` store.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 
 import pytest
@@ -22,6 +21,7 @@ from repro.errors import (
     RunFailure,
     ServiceClosed,
     ServiceOverloaded,
+    SimulationError,
     WorkloadError,
 )
 from repro.harness.runner import RunConfig, Runner
@@ -74,6 +74,22 @@ class TestRequestValidation:
         assert stats.lost == 0
         assert "no-such-benchmark" in str(bench_err)
         assert "no-such-scheme" in str(scheme_err)
+
+    def test_a_negative_seed_is_rejected_at_the_door(self):
+        """Seed -1 can never simulate: nothing is admitted or batched."""
+
+        async def _scenario():
+            async with SimulationService(
+                Runner(), config=ServiceConfig(jobs=1)
+            ) as service:
+                with pytest.raises(WorkloadError) as excinfo:
+                    await service.submit(("GC-citation", "offline"), seed=-1)
+            return service.stats(), excinfo.value
+
+        stats, error = asyncio.run(_scenario())
+        assert str(error) == "seed must be >= 0, got -1"
+        assert (stats.submitted, stats.admitted, stats.batches) == (0, 0, 0)
+        assert stats.pool_runs == 0
 
 
 class TestServiceConfigValidation:
@@ -223,16 +239,19 @@ def test_a_quarantined_offline_request_fails_with_its_sweep_failure():
 
     async def _scenario():
         async with SimulationService(
-            Runner(), config=ServiceConfig(jobs=1)
+            Runner(max_events=50), config=ServiceConfig(jobs=1)
         ) as service:
-            job = await service.submit(dataclasses.replace(OFFLINE, seed=-1))
+            job = await service.submit(OFFLINE)
             [error] = await service.gather([job], return_exceptions=True)
         return error
 
     error = asyncio.run(_scenario())
     assert isinstance(error, RunFailure)
-    assert str(error) == "GC-citation/flat failed: seed must be >= 0, got -1"
-    assert isinstance(error.__cause__, WorkloadError)
+    assert str(error) == (
+        "GC-citation/flat failed: event budget exhausted after 50 events "
+        "(likely a livelock in the simulated system)"
+    )
+    assert isinstance(error.__cause__, SimulationError)
 
 
 # ----------------------------------------------------------------------

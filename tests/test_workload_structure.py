@@ -3,28 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.workloads import amr, bfs, get_benchmark, join, mandelbrot, matmul, seqalign
+from repro.workloads import amr, get_benchmark, join, mandelbrot, matmul, seqalign
+from repro.workloads._traversal import input_graph, traversal_rounds
 from repro.workloads.graphs import bfs_levels
+from repro.workloads.table import BFS, CITATION, GRAPH500
 
 
 class TestBFSStructure:
     def test_one_kernel_per_level(self):
-        app = bfs.build("citation", variant="dp", seed=1)
-        levels = bfs._levels("citation", 1)
+        app = get_benchmark("BFS-citation").dp(seed=1)
+        levels = traversal_rounds(BFS, CITATION, 1)
         assert len(app.kernels) == len(levels)
 
     def test_heavy_vertices_become_requests(self):
-        graph = bfs.build.__globals__["_graph"]("citation", 1)
-        app = bfs.build("citation", variant="dp", seed=1)
+        graph = input_graph(CITATION, 1)
+        app = get_benchmark("BFS-citation").dp(seed=1)
         total_requests = sum(k.num_child_requests() for k in app.kernels)
         heavy = 0
-        for level in bfs._levels("citation", 1):
-            heavy += int((graph.degrees[np.asarray(level)] > bfs.MIN_OFFLOAD).sum())
+        for level in traversal_rounds(BFS, CITATION, 1):
+            heavy += int((graph.degrees[np.asarray(level)] > BFS.min_offload).sum())
         assert total_requests == heavy
 
     def test_request_items_equal_vertex_degree(self):
-        graph = bfs._graph("citation", 1)
-        app = bfs.build("citation", variant="dp", seed=1)
+        graph = input_graph(CITATION, 1)
+        app = get_benchmark("BFS-citation").dp(seed=1)
         for spec in app.kernels:
             for reqs in spec.child_requests.values():
                 for req in reqs:
@@ -32,7 +34,7 @@ class TestBFSStructure:
                     assert req.items == graph.degree(v)
 
     def test_grid_stride_spreads_at_fractions(self):
-        app = bfs.build("graph500", variant="dp", seed=1)
+        app = get_benchmark("BFS-graph500").dp(seed=1)
         fractions = {
             req.at_fraction
             for spec in app.kernels
@@ -156,7 +158,7 @@ class TestBenchmarkWiring:
     def test_traversal_level_sizes_match_graph(self):
         bench = get_benchmark("BFS-graph500")
         app = bench.flat(1)
-        graph = bfs._graph("graph500", 1)
+        graph = input_graph(GRAPH500, 1)
         levels = bfs_levels(graph, int(np.argmax(graph.degrees)))
         for spec, level in zip(app.kernels, levels):
             assert spec.num_threads == len(level)

@@ -1,13 +1,15 @@
 """Tests for graph generators and the Table I benchmark suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import HarnessError, WorkloadError
 from repro.sim.config import GPUConfig
 from repro.sim.kernel import uses_dynamic_parallelism
-from repro.workloads import TABLE1_NAMES, all_benchmarks, benchmark_names, get_benchmark
-from repro.workloads.base import AddressAllocator, Benchmark, BenchmarkRegistry
+from repro.workloads import TABLE1_NAMES, benchmark_names, get_benchmark, graphs
+from repro.workloads.base import AddressAllocator
 from repro.workloads.graphs import (
     bfs_levels,
     citation_graph,
@@ -129,12 +131,26 @@ class TestRegistry:
         with pytest.raises(HarnessError):
             get_benchmark("nope")
 
-    def test_duplicate_registration_rejected(self):
-        registry = BenchmarkRegistry()
-        bench = get_benchmark("Mandel")
-        registry.register(bench)
-        with pytest.raises(HarnessError):
-            registry.register(bench)
+    def test_names_are_the_table_rows_in_order(self):
+        """One name per row, in the order ``repro audit all`` prints."""
+        assert benchmark_names() == (
+            "AMR",
+            "BFS-citation",
+            "BFS-graph500",
+            "GC-citation",
+            "GC-graph500",
+            "JOIN-uniform",
+            "JOIN-gaussian",
+            "Mandel",
+            "MM-small",
+            "MM-large",
+            "SelfSim-dense",
+            "SelfSim-sparse",
+            "SA-thaliana",
+            "SA-elegans",
+            "SSSP-citation",
+            "SSSP-graph500",
+        )
 
 
 @pytest.mark.parametrize("name", TABLE1_NAMES)
@@ -170,3 +186,57 @@ class TestBenchmarkBuilds:
     def test_default_threshold_within_sweep_range(self, name):
         bench = get_benchmark(name)
         assert bench.default_threshold <= max(bench.sweep_thresholds)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def sims(monkeypatch):
+    """The benchmark's simulation module, whose set-up clears input caches."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import sims
+
+    return sims
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The vertex count of each graph generated from here on.
+
+    Every graph generator packs its edge list into CSR exactly once.
+    """
+    counts = []
+    pack = graphs._csr_from_edges
+
+    def counting(num_vertices, src, dst):
+        counts.append(num_vertices)
+        return pack(num_vertices, src, dst)
+
+    monkeypatch.setattr(graphs, "_csr_from_edges", counting)
+    return counts
+
+
+class TestInputCaches:
+    @pytest.mark.parametrize(
+        "graph,vertices", [("citation", 12000), ("graph500", 1 << 14)]
+    )
+    def test_bfs_and_sssp_generate_their_graph_once(
+        self, sims, generated, graph, vertices
+    ):
+        sims.clear_input_caches()
+        get_benchmark(f"BFS-{graph}").flat(1)
+        get_benchmark(f"SSSP-{graph}").flat(1)
+        assert generated == [vertices]
+
+    def test_perfbench_clearing_reaches_the_graph_cache(self, sims, generated):
+        """The benchmark times set-up from cold; a cache its clearing rule
+        cannot reach would make ``setup_s`` time warm inputs."""
+        bench = get_benchmark("GC-citation")
+        bench.flat(1)
+        del generated[:]
+        bench.flat(1)
+        assert generated == []
+        sims.clear_input_caches()
+        bench.flat(1)
+        assert generated == [4000]
